@@ -3,9 +3,9 @@
 /// \file momentum_kernel.hpp
 /// Stateless per-particle momentum/energy kernels (phase H of Algorithm 1),
 /// one per backend, plus the artificial-viscosity parameter block they
-/// share with the configuration layer. The dispatch shell (and the
-/// neighbor-list symmetrization it relies on) lives in
-/// sph/momentum_energy.hpp.
+/// share with the configuration layer. The dispatch shell lives in
+/// sph/momentum_energy.hpp, the neighbor-list symmetrization it relies on
+/// in tree/neighbors.hpp.
 ///
 /// Both kernels return the particle's own maximum signal velocity over its
 /// pairs; the shell owns the per-worker max reduction into the phase stats.

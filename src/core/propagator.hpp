@@ -272,9 +272,14 @@ PhaseOp<T> neighborSymmetrize()
                 // (where conservation is measured) — ChaNGa's trade-off.
                 if (ctx.walkMode == WalkMode::Global && ctx.cfg.symmetrizeNeighbors)
                 {
+                    SymmetrizeWorkspace<T>  local;
+                    SymmetrizeWorkspace<T>& ws = ctx.symmetrize ? *ctx.symmetrize : local;
+                    const auto& ps = ctx.ps;
+                    // the box the phase-B search measured its distances in
                     symmetrizeNeighborList(
-                        ctx.nl, std::span<const std::uint64_t>(ctx.ps.id.data(),
-                                                               ctx.nl.size()));
+                        ctx.nl, ps.x, ps.y, ps.z, ps.h, ctx.tree.box(), ws,
+                        std::span<const std::uint64_t>(ps.id.data(), ctx.nl.size()),
+                        ctx.loopPolicy(Phase::D_NeighborSymmetrize));
                 }
                 // phase D closes the list-building bracket (B fills, C may
                 // re-walk, the symmetrize pass appends): snapshot overflow

@@ -56,8 +56,8 @@ struct StepReport
 
     /// Measured per-worker busy times of each phase's ParallelFor loops —
     /// the raw material of the per-phase POP load-balance metrics
-    /// (perf/pop_metrics.hpp). Empty for phases without ParallelFor loops
-    /// (tree build and neighbor search run their own OpenMP walks).
+    /// (perf/pop_metrics.hpp). Empty for phases that run no ParallelFor
+    /// loop under their LoopPolicy (the tree build).
     std::array<PhaseLoadStats, phaseCount> phaseLoad{};
 
     /// POP load-balance efficiency of one phase: mean/max worker busy time
@@ -118,11 +118,13 @@ struct StepContext
 
     /// Driver-owned persistent buffers of the sorted-reorder + cluster
     /// neighbor-search subsystem (tree/sfc_sort.hpp, tree/cluster_list.hpp):
-    /// key/permutation storage for phase L and per-worker candidate scratch
-    /// for the phase B cluster path. Null-safe — the phase ops fall back to
+    /// key/permutation storage for phase L, per-worker candidate scratch
+    /// for the phase B cluster path and the missing-pair buckets of the
+    /// phase D symmetrization. Null-safe — the phase ops fall back to
     /// transient local buffers (correct, just re-allocating each step).
     SfcSorter<T>* sorter = nullptr;
     ClusterWorkspace<T>* clusters = nullptr;
+    SymmetrizeWorkspace<T>* symmetrize = nullptr;
 
     /// Driver-owned lane-evaluation tables/constants for the Simd backend
     /// (backend/lane_kernel.hpp). Null-safe — the phase shells construct a

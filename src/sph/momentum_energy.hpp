@@ -15,11 +15,11 @@
 ///
 /// The loop is accumulate-to-self only (no scatter), making it lock-free;
 /// exact pairwise antisymmetry (and therefore momentum conservation) holds
-/// when neighbor lists are pair-symmetric (see symmetrizeNeighborList).
+/// when neighbor lists are pair-symmetric (phase D, symmetrizeNeighborList
+/// in tree/neighbors.hpp).
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -104,58 +104,6 @@ MomentumEnergyStats<T> computeMomentumEnergy(ParticleSet<T>& ps, const NeighborL
         },
         policy);
     return reduceVsig();
-}
-
-/// Ensure neighbor lists are pair-symmetric: if j lists i, i lists j.
-/// Required for exact momentum conservation when smoothing lengths differ
-/// (a particle pair can satisfy r < 2 h_i but r > 2 h_j).
-///
-/// Missing pairs are collected in storage-slot scan order, which is frame-
-/// dependent once the SFC reorder (tree/sfc_sort.hpp) permutes the set.
-/// When \p ids is non-empty the appended run is stable-sorted by particle
-/// id so the list extension — and therefore the FP summation order of every
-/// downstream SPH loop — is a function of the physical pair set, not of the
-/// storage permutation. With identity ids (the unreordered seed layout) the
-/// sort is a no-op: slot order IS id order.
-template<class T>
-void symmetrizeNeighborList(NeighborList<T>& nl, std::span<const std::uint64_t> ids = {})
-{
-    using Index = typename NeighborList<T>::Index;
-    std::size_t n = nl.size();
-    std::vector<std::vector<Index>> missing(n);
-
-    for (std::size_t i = 0; i < n; ++i)
-    {
-        for (auto j : nl.neighbors(i))
-        {
-            auto njs = nl.neighbors(j);
-            bool found = false;
-            for (auto k : njs)
-            {
-                if (k == Index(i))
-                {
-                    found = true;
-                    break;
-                }
-            }
-            if (!found) missing[j].push_back(Index(i));
-        }
-    }
-
-    std::vector<Index> merged;
-    for (std::size_t i = 0; i < n; ++i)
-    {
-        if (missing[i].empty()) continue;
-        if (!ids.empty())
-        {
-            std::stable_sort(missing[i].begin(), missing[i].end(),
-                             [&](Index a, Index b) { return ids[a] < ids[b]; });
-        }
-        auto cur = nl.neighbors(i);
-        merged.assign(cur.begin(), cur.end());
-        merged.insert(merged.end(), missing[i].begin(), missing[i].end());
-        nl.set(i, merged);
-    }
 }
 
 } // namespace sphexa

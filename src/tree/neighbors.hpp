@@ -15,7 +15,10 @@
 /// The walks run through parallelFor (parallel/parallel_for.hpp) with
 /// per-worker scratch buffers: iteration i writes only list slot i, so the
 /// produced lists are bitwise identical for any pool size and strategy.
+/// symmetrizeNeighborList (phase D) completes the lists pairwise, in
+/// place and with the same invariance.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -23,6 +26,8 @@
 #include <utility>
 #include <vector>
 
+#include "backend/simd_tile.hpp"
+#include "domain/box.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tree/octree.hpp"
 
@@ -110,16 +115,33 @@ public:
         for (unsigned k = 0; k < c; ++k)
             list_[i * ngmax_ + k] = nbs[k];
         count_[i] = c;
-        if (nbs.size() > ngmax_)
-        {
-            // set() runs concurrently for distinct i from parallelFor
-            // workers; atomic_ref makes the shared overflow tally atomic
-            // while keeping the member a plain (copyable) size_t.
-            std::atomic_ref<std::size_t>(overflow_).fetch_add(1, std::memory_order_relaxed);
-        }
+        if (nbs.size() > ngmax_) countOverflow();
+    }
+
+    /// Extend row i in place by \p extra, past its current count: the
+    /// result set(i, neighbors(i) ++ extra) would give, without the copy.
+    /// Entries beyond ngmax are dropped and the row counts one overflow,
+    /// as a truncated set() does; an empty \p extra changes nothing. Safe
+    /// to call concurrently for distinct i.
+    void append(std::size_t i, std::span<const Index> extra)
+    {
+        if (extra.empty()) return;
+        unsigned c    = count_[i];
+        unsigned kept = unsigned(std::min<std::size_t>(extra.size(), ngmax_ - c));
+        std::copy_n(extra.begin(), kept, list_.begin() + i * ngmax_ + c);
+        count_[i] = c + kept;
+        if (kept < extra.size()) countOverflow();
     }
 
 private:
+    // set()/append() run concurrently for distinct rows from parallelFor
+    // workers; atomic_ref makes the shared overflow tally atomic while
+    // keeping the member a plain (copyable) size_t.
+    void countOverflow()
+    {
+        std::atomic_ref<std::size_t>(overflow_).fetch_add(1, std::memory_order_relaxed);
+    }
+
     std::size_t n_{0};
     unsigned    ngmax_{256};
     std::vector<Index>    list_;
@@ -206,6 +228,120 @@ void findNeighborsBruteForce(std::type_identity_t<std::span<const T>> x, std::ty
         }
         nl.set(i, local);
     });
+}
+
+/// Persistent scratch of symmetrizeNeighborList: the missing sources,
+/// bucketed by the row that lacks them. Grow-only like the lists
+/// themselves, so a steady-state pass allocates nothing. Owned by a driver
+/// and referenced by its StepContexts; a default-constructed workspace is
+/// valid and warms up on first use.
+template<class T>
+struct SymmetrizeWorkspace
+{
+    using Index = typename NeighborList<T>::Index;
+
+    std::vector<std::size_t> rowStart; ///< bucket of row j: [rowStart[j], rowStart[j+1])
+    std::vector<Index> sources;        ///< missing sources, bucketed by row
+};
+
+/// Make neighbor lists pair-symmetric (phase D): wherever row(i) lists j
+/// but row(j) lacks i, append i to row(j). Exact momentum conservation
+/// needs this when smoothing lengths differ, since a pair can satisfy
+/// r < 2 h_i but not r < 2 h_j.
+///
+/// Precondition: every row is the output of a search over these positions
+/// and smoothing lengths in \p box (findNeighborsGlobal, findNeighborsClustered or
+/// the re-walks of updateSmoothingLengths), so row(j) holds exactly the i
+/// with d2(j, i) < (2 h_j)^2, truncated at ngmax. Whether i is in row(j) is
+/// then decided in O(1) by evaluating that predicate from j's side with
+/// the searches' own arithmetic: minimum-image differences x_j - x_i and
+/// the left-to-right sum of squares, bitwise the value the search from j
+/// compared. Only a full row (count == ngmax, possibly truncated) falls
+/// back to scanning its entries.
+///
+/// Three parallel sweeps: count each row's missing sources, find them
+/// again and drop them into per-row buckets of one shared array, then
+/// order each bucket by (ids[i], i) — ascending slot order when \p ids is
+/// empty — and append it. The extension is therefore a function of the
+/// pair set and the ids alone, bitwise invariant under pool size and
+/// strategy, and with the ids of an SFC-reordered set it does not depend
+/// on the storage permutation either. Appends truncate at ngmax and count
+/// one overflow per truncated row (NeighborList::append).
+template<class T>
+void symmetrizeNeighborList(NeighborList<T>& nl, std::type_identity_t<std::span<const T>> x,
+                            std::type_identity_t<std::span<const T>> y,
+                            std::type_identity_t<std::span<const T>> z,
+                            std::type_identity_t<std::span<const T>> h, const Box<T>& box,
+                            SymmetrizeWorkspace<T>& ws, std::span<const std::uint64_t> ids = {},
+                            const LoopPolicy& policy = {})
+{
+    using Index = typename NeighborList<T>::Index;
+    std::size_t n = nl.size();
+    if (n == 0) return;
+    const unsigned ngmax = nl.ngmax();
+    const backend::PeriodicWrap<T> wrap(box);
+
+    // visit every (j, i) with j in row(i) but i missing from row(j)
+    auto forEachMissing = [&](auto&& visit) {
+        parallelFor(
+            n,
+            [&](std::size_t i, std::size_t) {
+                for (Index j : nl.row(i))
+                {
+                    T dx       = wrap.x(x[j] - x[i]);
+                    T dy       = wrap.y(y[j] - y[i]);
+                    T dz       = wrap.z(z[j] - z[i]);
+                    T radius   = T(2) * h[j];
+                    bool found = dx * dx + dy * dy + dz * dz < radius * radius;
+                    if (found && nl.count(j) == ngmax)
+                    {
+                        auto rj = nl.row(j);
+                        found   = std::find(rj.begin(), rj.end(), Index(i)) != rj.end();
+                    }
+                    if (!found) visit(j, Index(i));
+                }
+            },
+            policy);
+    };
+    auto atomicAt = [&](std::size_t j) { return std::atomic_ref<std::size_t>(ws.rowStart[j]); };
+
+    ws.rowStart.assign(n + 1, 0);
+    forEachMissing([&](Index j, Index) { atomicAt(j).fetch_add(1, std::memory_order_relaxed); });
+    std::size_t total = 0;
+    for (std::size_t j = 0; j < n; ++j)
+    {
+        total += ws.rowStart[j];
+        ws.rowStart[j] = total; // bucket end; the fill below moves it to the start
+    }
+    ws.rowStart[n] = total;
+    if (total == 0) return;
+
+    // the order inside a bucket depends on which worker got there first;
+    // the per-bucket sort below removes it
+    ws.sources.resize(total);
+    forEachMissing([&](Index j, Index i) {
+        ws.sources[atomicAt(j).fetch_sub(1, std::memory_order_relaxed) - 1] = i;
+    });
+
+    parallelFor(
+        n,
+        [&](std::size_t j, std::size_t) {
+            Index* first = ws.sources.data() + ws.rowStart[j];
+            Index* last  = ws.sources.data() + ws.rowStart[j + 1];
+            if (first == last) return;
+            if (ids.empty())
+            {
+                std::sort(first, last);
+            }
+            else
+            {
+                std::sort(first, last, [&](Index a, Index b) {
+                    return ids[a] != ids[b] ? ids[a] < ids[b] : a < b;
+                });
+            }
+            nl.append(j, std::span<const Index>(first, last));
+        },
+        policy);
 }
 
 } // namespace sphexa

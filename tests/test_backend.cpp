@@ -100,7 +100,8 @@ struct BackendFixture
         hp.targetNeighbors = 60;
         hp.tolerance       = 10;
         updateSmoothingLengths(ps, tree, nl, hp);
-        symmetrizeNeighborList(nl);
+        SymmetrizeWorkspace<double> ws;
+        symmetrizeNeighborList(nl, ps.x, ps.y, ps.z, ps.h, box, ws);
         fillUpstream(ps);
     }
 

@@ -120,3 +120,129 @@ TEST(NeighborListRow, StableAcrossSteadyStateReset)
     fillRamp(nl, 8, 5);
     EXPECT_EQ(nl.row(3).count, 5u);
 }
+
+// --- in-place append (the phase D extension) ---------------------------------
+
+namespace {
+
+/// The extension as a full rewrite: set(i, neighbors(i) ++ extra), skipped
+/// for an empty extra — the reference append() must reproduce.
+void setMerged(NeighborList<double>& nl, std::size_t i, const std::vector<Index>& extra)
+{
+    if (extra.empty()) return;
+    auto cur = nl.neighbors(i);
+    std::vector<Index> merged(cur.begin(), cur.end());
+    merged.insert(merged.end(), extra.begin(), extra.end());
+    nl.set(i, merged);
+}
+
+void expectSameLists(const NeighborList<double>& a, const NeighborList<double>& b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(a.overflowCount(), b.overflowCount());
+    for (std::size_t i = 0; i < a.size(); ++i)
+    {
+        auto ra = a.neighbors(i);
+        auto rb = b.neighbors(i);
+        ASSERT_EQ(ra.size(), rb.size()) << "row " << i;
+        EXPECT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin())) << "row " << i;
+    }
+}
+
+} // namespace
+
+TEST(NeighborListAppend, ExtendsAPartlyFilledRowInPlace)
+{
+    NeighborList<double> nl(3, 8);
+    std::vector<Index> head{4, 1, 2};
+    nl.set(1, head);
+    const Index* data = nl.row(1).data;
+
+    std::vector<Index> extra{7, 0};
+    nl.append(1, extra);
+
+    auto row = nl.row(1);
+    EXPECT_EQ(row.data, data); // same storage, no copy through a temporary
+    std::vector<Index> seen(row.begin(), row.end());
+    EXPECT_EQ(seen, (std::vector<Index>{4, 1, 2, 7, 0}));
+    EXPECT_EQ(nl.overflowCount(), 0u);
+    EXPECT_EQ(nl.count(0), 0u); // neighbouring rows untouched
+    EXPECT_EQ(nl.count(2), 0u);
+}
+
+TEST(NeighborListAppend, TruncatesAtNgmaxAndCountsOneOverflowPerRow)
+{
+    const unsigned ngmax = 4;
+    NeighborList<double> nl(3, ngmax), ref(3, ngmax);
+    std::vector<Index> head{9, 8, 7};
+    for (auto* l : {&nl, &ref})
+    {
+        l->set(0, head);
+        l->set(1, head);
+        l->set(2, head);
+    }
+
+    // row 0: overshoots by two, row 1: fills exactly, row 2: empty extra
+    std::vector<Index> over{1, 2, 3}, exact{5}, none;
+    nl.append(0, over);
+    nl.append(1, exact);
+    nl.append(2, none);
+    setMerged(ref, 0, over);
+    setMerged(ref, 1, exact);
+    setMerged(ref, 2, none);
+
+    expectSameLists(nl, ref);
+    EXPECT_EQ(nl.overflowCount(), 1u);
+    std::vector<Index> row0(nl.row(0).begin(), nl.row(0).end());
+    EXPECT_EQ(row0, (std::vector<Index>{9, 8, 7, 1}));
+    EXPECT_EQ(nl.count(1), ngmax);
+}
+
+TEST(NeighborListAppend, FullRowDropsEverythingAndCountsOnce)
+{
+    const unsigned ngmax = 4;
+    NeighborList<double> nl(2, ngmax), ref(2, ngmax);
+    std::vector<Index> full{0, 1, 2, 3}, extra{6, 7};
+    nl.set(0, full);
+    ref.set(0, full);
+
+    nl.append(0, extra);
+    setMerged(ref, 0, extra);
+    expectSameLists(nl, ref);
+    EXPECT_EQ(nl.overflowCount(), 1u);
+
+    // an empty extension of a full row is not a truncation
+    nl.append(0, {});
+    EXPECT_EQ(nl.overflowCount(), 1u);
+}
+
+TEST(NeighborListAppend, ConcurrentAppendsToDistinctRows)
+{
+    const std::size_t n  = 2000;
+    const unsigned ngmax = 12;
+    NeighborList<double> nl(n, ngmax), ref(n, ngmax);
+    fillRamp(nl, n, 5);
+    fillRamp(ref, n, 5);
+
+    // row i gains i % 11 entries: rows with more than seven overflow
+    auto extraFor = [](std::size_t i) {
+        std::vector<Index> e(i % 11);
+        std::iota(e.begin(), e.end(), Index(i));
+        return e;
+    };
+    std::size_t truncated = 0;
+    for (std::size_t i = 0; i < n; ++i)
+    {
+        setMerged(ref, i, extraFor(i));
+        truncated += (i % 11) > ngmax - 5 ? 1 : 0;
+    }
+
+    std::vector<std::vector<Index>> extras(n);
+    for (std::size_t i = 0; i < n; ++i)
+        extras[i] = extraFor(i);
+    parallelFor(n, [&](std::size_t i, std::size_t) { nl.append(i, extras[i]); },
+                {SchedulingStrategy::SelfScheduling});
+
+    expectSameLists(nl, ref);
+    EXPECT_EQ(nl.overflowCount(), truncated);
+}

@@ -13,6 +13,7 @@
 #include "core/propagator.hpp"
 #include "core/simulation.hpp"
 #include "domain/distributed.hpp"
+#include "ic/sedov.hpp"
 #include "ic/square_patch.hpp"
 
 using namespace sphexa;
@@ -164,6 +165,27 @@ TEST(Propagator, FirstAdvanceLogsOnlyTheReportedForcePass)
     {
         EXPECT_EQ(e.step, rep.step) << phaseName(e.phase);
     }
+}
+
+TEST(Propagator, SymmetrizePhaseReportsWorkerBusyTime)
+{
+    // phase D runs through parallelFor under its LoopPolicy, so a Global
+    // step's report carries its load accounting like every other phase
+    ParticleSetD ps;
+    SedovConfig<double> ic;
+    ic.nSide   = 10;
+    auto setup = makeSedov(ps, ic);
+    Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos),
+                           SimulationConfig<double>{});
+    sim.computeForces();
+    auto rep = sim.advance();
+
+    const auto& load = rep.phaseLoad[int(Phase::D_NeighborSymmetrize)];
+    EXPECT_GT(load.invocations, 0u);
+    double busy = 0;
+    for (double b : load.workerBusySeconds)
+        busy += b;
+    EXPECT_GT(busy, 0.0);
 }
 
 TEST(Propagator, CustomPipelineRunsSelectedPhasesOnly)

@@ -370,7 +370,8 @@ TEST_P(ConservationSweep, PairwiseForcesConserveMomentum)
         computeIadCoefficients(f.ps, f.nl, kernel, f.box);
     }
     computeDivCurl(f.ps, f.nl, kernel, f.box, GetParam());
-    symmetrizeNeighborList(f.nl);
+    SymmetrizeWorkspace<double> ws;
+    symmetrizeNeighborList(f.nl, f.ps.x, f.ps.y, f.ps.z, f.ps.h, f.box, ws);
     computeMomentumEnergy(f.ps, f.nl, kernel, f.box, GetParam());
 
     // total force and total energy rate must vanish (pairwise antisymmetry)
@@ -523,7 +524,8 @@ TEST(NeighborSymmetrize, MakesListsSymmetric)
     for (std::size_t i = 0; i < 20; ++i)
         f.ps.h[i] *= 1.3;
     findNeighborsGlobal(f.tree, f.ps.x, f.ps.y, f.ps.z, f.ps.h, f.nl);
-    symmetrizeNeighborList(f.nl);
+    SymmetrizeWorkspace<double> ws;
+    symmetrizeNeighborList(f.nl, f.ps.x, f.ps.y, f.ps.z, f.ps.h, f.box, ws);
 
     for (std::size_t i = 0; i < f.ps.size(); ++i)
     {
