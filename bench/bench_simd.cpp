@@ -1,7 +1,7 @@
 /// \file bench_simd.cpp
 /// Backend sweep of the hot SPH sums (phases E-H: density, IAD, div/curl,
-/// momentum-energy): Scalar reference loops vs the Simd lane kernels
-/// (src/backend/) over a jittered gas lattice at N = 1e4 .. 1e6, in both
+/// momentum-energy): the Scalar (1-lane) vs the Simd (8-lane) instance of
+/// the backend kernels (src/backend/) over a jittered gas lattice at N = 1e4 .. 1e6, in both
 /// neighbor-list frames (per-particle tree walk on the seed layout, SFC
 /// sort + cluster search). Emits one JSON record per (N, mode, backend)
 /// point with per-phase timings — the data behind BENCH_simd.json:

@@ -43,7 +43,17 @@ cmake -B "$BUILD" -S . \
     -DSPHEXA_BUILD_EXAMPLES=OFF \
     -DSPHEXA_WERROR="${SPHEXA_WERROR:-OFF}"
 
-# only the three suites the tier2-sanitize label selects
-cmake --build "$BUILD" -j --target test_parallel_for test_cluster_list test_golden
+# only the suites the tier2-sanitize label selects: the tier2_sanitize
+# target depends on exactly the list tests/CMakeLists.txt labels
+cmake --build "$BUILD" -j --target tier2_sanitize
+
+# a labelled suite that was not built registers only an unlabelled
+# <suite>_NOT_BUILT placeholder, which -L would skip silently
+while read -r suite; do
+    if [ ! -x "$suite" ]; then
+        echo "tier2-sanitize suite not built: $suite" >&2
+        exit 1
+    fi
+done < "$BUILD/tier2_sanitize_suites.txt"
 
 ctest --test-dir "$BUILD" --output-on-failure -L tier2-sanitize --no-tests=error

@@ -1,18 +1,15 @@
 #pragma once
 
 /// \file density_kernel.hpp
-/// Stateless per-particle density kernels (phase E of Algorithm 1), one per
-/// backend. The dispatch shell lives in sph/density.hpp; these functions
-/// hold the physics: the kx / d(kx)/dh sums over one neighbor row and the
+/// The per-particle density kernel (phase E of Algorithm 1) of both
+/// backends. The dispatch shell lives in sph/density.hpp; this function
+/// holds the physics: the kx / d(kx)/dh sums over one neighbor row and the
 /// vol/rho/gradh epilogue.
 
 #include <cmath>
 #include <cstddef>
 
-#include "backend/lane_kernel.hpp"
 #include "backend/simd_tile.hpp"
-#include "domain/box.hpp"
-#include "math/vec.hpp"
 #include "sph/particles.hpp"
 
 namespace sphexa::backend {
@@ -32,47 +29,28 @@ inline void densityEpilogue(ParticleSet<T>& ps, std::size_t i, T hi, T kx, T dkx
     }
 }
 
-/// Scalar reference: the seed's per-pair loop, verbatim.
-template<class T, class KernelT, class Index>
+/// Density of particle i in tiles of Lanes::width lanes: gathered
+/// xmass/coordinate batches, per-lane partial kx and d(kx)/dh, fixed-order
+/// lane reduction. The self term seeds lane 0, so the 1-lane sum is the
+/// seed's order (self, then the row left to right); f and f' come from one
+/// shape evaluation per pair.
+template<class T, class Lanes, class Index>
 inline void densityParticle(ParticleSet<T>& ps, std::size_t i, const Index* nbrs,
-                            std::size_t count, const KernelT& kernel, const Box<T>& box)
+                            std::size_t count, const Lanes& lanes,
+                            const PeriodicWrap<T>& wrap)
 {
-    T hi = ps.h[i];
-    Vec3<T> pi{ps.x[i], ps.y[i], ps.z[i]};
-
-    // self contribution
-    T kx   = ps.xmass[i] * kernel.value(T(0), hi);
-    T dkxh = ps.xmass[i] * kernel.dh(T(0), hi);
-
-    for (std::size_t k = 0; k < count; ++k)
-    {
-        Index j   = nbrs[k];
-        Vec3<T> d = box.delta(pi, Vec3<T>{ps.x[j], ps.y[j], ps.z[j]});
-        T r = norm(d);
-        kx += ps.xmass[j] * kernel.value(r, hi);
-        dkxh += ps.xmass[j] * kernel.dh(r, hi);
-    }
-
-    densityEpilogue(ps, i, hi, kx, dkxh);
-}
-
-/// Simd lane tiles: gathered xmass/coordinate batches, per-lane partial kx
-/// and d(kx)/dh, fixed-order lane reduction. Per-pair arithmetic replicates
-/// the Scalar expressions (q = r/h divisions included); only the summation
-/// association differs.
-template<class T, class Index>
-inline void densityParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* nbrs,
-                                std::size_t count, const LaneKernel<T>& lanes,
-                                const PeriodicWrap<T>& wrap)
-{
-    constexpr std::size_t W = kLaneWidth;
+    constexpr std::size_t W = Lanes::width;
     const T hi = ps.h[i];
     const T h3 = hi * hi * hi;
     const T h4 = hi * hi * hi * hi;
     const T xi = ps.x[i], yi = ps.y[i], zi = ps.z[i];
 
-    T accKx[W] = {};
-    T accDk[W] = {};
+    // self contribution: q = 0 is exact for every kernel type (see
+    // lane_kernel.hpp)
+    T f0, df0;
+    lanes.fdf(T(0), f0, df0);
+    T accKx[W] = {ps.xmass[i] * (f0 / h3)};
+    T accDk[W] = {ps.xmass[i] * (-(T(3) * f0 + T(0) * df0) / h4)};
 
     for (std::size_t base = 0; base < count; base += W)
     {
@@ -96,14 +74,7 @@ inline void densityParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* 
         }
     }
 
-    // self contribution (q = 0 is exact for every kernel type, see
-    // lane_kernel.hpp) + fixed-order lane reduction
-    T f0, df0;
-    lanes.fdf(T(0), f0, df0);
-    T kx   = ps.xmass[i] * (f0 / h3) + laneSum(accKx);
-    T dkxh = ps.xmass[i] * (-(T(3) * f0 + T(0) * df0) / h4) + laneSum(accDk);
-
-    densityEpilogue(ps, i, hi, kx, dkxh);
+    densityEpilogue(ps, i, hi, laneSum(accKx), laneSum(accDk));
 }
 
 } // namespace sphexa::backend

@@ -1,18 +1,15 @@
 #pragma once
 
 /// \file divcurl_kernel.hpp
-/// Stateless per-particle velocity div/curl kernels (phase G of
-/// Algorithm 1), one per backend. The dispatch shell lives in
-/// sph/divcurl.hpp; these functions accumulate div v and curl v over one
-/// neighbor row (IAD or kernel-derivative gradients) and store the Balsara
-/// limiter.
+/// The per-particle velocity div/curl kernel (phase G of Algorithm 1) of
+/// both backends. The dispatch shell lives in sph/divcurl.hpp; this
+/// function accumulates div v and curl v over one neighbor row (IAD or
+/// kernel-derivative gradients) and stores the Balsara limiter.
 
 #include <cmath>
 #include <cstddef>
 
-#include "backend/lane_kernel.hpp"
 #include "backend/simd_tile.hpp"
-#include "domain/box.hpp"
 #include "math/vec.hpp"
 #include "sph/iad.hpp"
 #include "sph/particles.hpp"
@@ -29,52 +26,17 @@ inline void divCurlEpilogue(ParticleSet<T>& ps, std::size_t i, T div, const Vec3
     ps.balsara[i] = denom > T(0) ? std::abs(div) / denom : T(1);
 }
 
-/// Scalar reference: the seed's per-pair loop, verbatim.
-template<class T, class KernelT, class Index>
+/// div/curl of particle i in tiles of Lanes::width lanes. IAD lanes keep
+/// r = 0 pairs (their gradient is exactly zero) and evaluate f only;
+/// kernel-derivative lanes evaluate f' only and mask r = 0 pairs out with
+/// a safe divisor, so every surviving lane runs the per-pair expression
+/// sequence of the seed loop.
+template<class T, class Lanes, class Index>
 inline void divCurlParticle(ParticleSet<T>& ps, std::size_t i, const Index* nbrs,
-                            std::size_t count, const KernelT& kernel, const Box<T>& box,
-                            GradientMode mode)
+                            std::size_t count, const Lanes& lanes,
+                            const PeriodicWrap<T>& wrap, GradientMode mode)
 {
-    Vec3<T> pi{ps.x[i], ps.y[i], ps.z[i]};
-    Vec3<T> vi{ps.vx[i], ps.vy[i], ps.vz[i]};
-    T div = T(0);
-    Vec3<T> curl{};
-
-    for (std::size_t k = 0; k < count; ++k)
-    {
-        Index j     = nbrs[k];
-        Vec3<T> rab = box.delta(pi, Vec3<T>{ps.x[j], ps.y[j], ps.z[j]});
-        T r = norm(rab);
-        Vec3<T> gw;
-        if (mode == GradientMode::IAD)
-        {
-            gw = iadGradient(ps, i, -rab, r, kernel);
-        }
-        else
-        {
-            if (r <= T(0)) continue;
-            gw = rab * (kernel.derivative(r, ps.h[i]) / r);
-        }
-        Vec3<T> vab = vi - Vec3<T>{ps.vx[j], ps.vy[j], ps.vz[j]};
-        T Vb = ps.vol[j];
-        // div v = -sum_b V_b v_ab . grad W ; curl v = +sum_b V_b v_ab x grad W
-        div -= Vb * dot(vab, gw);
-        curl += Vb * cross(vab, gw);
-    }
-
-    divCurlEpilogue(ps, i, div, curl);
-}
-
-/// Simd lane tiles. IAD lanes keep r = 0 pairs like the Scalar loop (their
-/// gradient is exactly zero); kernel-derivative lanes fold the Scalar
-/// `continue` into the validity multiplier with a safe divisor, so the
-/// surviving lanes' arithmetic is the Scalar per-pair sequence verbatim.
-template<class T, class Index>
-inline void divCurlParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* nbrs,
-                                std::size_t count, const LaneKernel<T>& lanes,
-                                const PeriodicWrap<T>& wrap, GradientMode mode)
-{
-    constexpr std::size_t W = kLaneWidth;
+    constexpr std::size_t W = Lanes::width;
     const T hi = ps.h[i];
     const T h3 = hi * hi * hi;
     const T h4 = hi * hi * hi * hi;
@@ -91,7 +53,8 @@ inline void divCurlParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* 
     for (std::size_t base = 0; base < count; base += W)
     {
         std::size_t j[W];
-        T valid[W], q[W], f[W], df[W];
+        T valid[W], q[W];
+        T s[W] = {}; // f(q) in IAD mode, f'(q) otherwise
         T dx[W], dy[W], dz[W], r[W];
         tileIndices<T>(nbrs, base, count, j, valid);
         for (std::size_t l = 0; l < W; ++l)
@@ -102,7 +65,10 @@ inline void divCurlParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* 
             r[l]  = std::sqrt(dx[l] * dx[l] + dy[l] * dy[l] + dz[l] * dz[l]);
             q[l]  = r[l] / hi;
         }
-        lanes.fdf(q, f, df);
+        if (iad)
+            lanes.f(q, s);
+        else
+            lanes.df(q, s);
         for (std::size_t l = 0; l < W; ++l)
         {
             T gwx, gwy, gwz, vm;
@@ -110,7 +76,7 @@ inline void divCurlParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* 
             {
                 // gw = (C(a) . rba) * W_ab(h_a), rba = -rab
                 T bx = -dx[l], by = -dy[l], bz = -dz[l];
-                T w  = f[l] / h3;
+                T w  = s[l] / h3;
                 gwx  = (cxx * bx + cxy * by + cxz * bz) * w;
                 gwy  = (cxy * bx + cyy * by + cyz * bz) * w;
                 gwz  = (cxz * bx + cyz * by + czz * bz) * w;
@@ -118,9 +84,9 @@ inline void divCurlParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* 
             }
             else
             {
-                // gw = rab * (dW/dr / r); the r = 0 `continue` becomes a mask
+                // gw = rab * (dW/dr / r); the r = 0 skip becomes a mask
                 T rsafe = r[l] > T(0) ? r[l] : T(1);
-                T scale = (df[l] / h4) / rsafe;
+                T scale = (s[l] / h4) / rsafe;
                 gwx     = dx[l] * scale;
                 gwy     = dy[l] * scale;
                 gwz     = dz[l] * scale;
@@ -130,6 +96,7 @@ inline void divCurlParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* 
             T vaby = vyi - ps.vy[j[l]];
             T vabz = vzi - ps.vz[j[l]];
             T Vb   = ps.vol[j[l]];
+            // div v = -sum_b V_b v_ab . grad W ; curl v = +sum_b V_b v_ab x grad W
             accDiv[l] -= vm * (Vb * (vabx * gwx + vaby * gwy + vabz * gwz));
             accCx[l] += vm * ((vaby * gwz - vabz * gwy) * Vb);
             accCy[l] += vm * ((vabz * gwx - vabx * gwz) * Vb);

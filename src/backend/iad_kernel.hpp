@@ -1,19 +1,16 @@
 #pragma once
 
 /// \file iad_kernel.hpp
-/// Stateless per-particle IAD tau-matrix kernels (phase F of Algorithm 1),
-/// one per backend. The dispatch shell lives in sph/iad.hpp; these
-/// functions accumulate tau_ij = sum_b V_b (r_b - r_a)_i (r_b - r_a)_j W_ab
-/// over one neighbor row and store the inverted coefficients c11..c33.
+/// The per-particle IAD tau-matrix kernel (phase F of Algorithm 1) of both
+/// backends. The dispatch shell lives in sph/iad.hpp; this function
+/// accumulates tau_ij = sum_b V_b (r_b - r_a)_i (r_b - r_a)_j W_ab over one
+/// neighbor row and stores the inverted coefficients c11..c33.
 
 #include <cmath>
 #include <cstddef>
 
-#include "backend/lane_kernel.hpp"
 #include "backend/simd_tile.hpp"
-#include "domain/box.hpp"
 #include "math/matrix3.hpp"
-#include "math/vec.hpp"
 #include "sph/particles.hpp"
 
 namespace sphexa::backend {
@@ -31,37 +28,15 @@ inline void iadEpilogue(ParticleSet<T>& ps, std::size_t i, const SymMat3<T>& tau
     ps.c33[i] = c.zz;
 }
 
-/// Scalar reference: the seed's per-pair loop, verbatim.
-template<class T, class KernelT, class Index>
+/// tau of particle i in tiles of Lanes::width lanes: six per-lane
+/// accumulators (one per independent tau component), per-pair arithmetic
+/// in SymMat3::addOuter's expression order, fixed-order lane reduction.
+/// Evaluates f only.
+template<class T, class Lanes, class Index>
 inline void iadParticle(ParticleSet<T>& ps, std::size_t i, const Index* nbrs,
-                        std::size_t count, const KernelT& kernel, const Box<T>& box)
+                        std::size_t count, const Lanes& lanes, const PeriodicWrap<T>& wrap)
 {
-    T hi = ps.h[i];
-    Vec3<T> pi{ps.x[i], ps.y[i], ps.z[i]};
-    SymMat3<T> tau;
-
-    for (std::size_t k = 0; k < count; ++k)
-    {
-        Index j = nbrs[k];
-        // r_b - r_a, minimum image
-        Vec3<T> rba = -box.delta(pi, Vec3<T>{ps.x[j], ps.y[j], ps.z[j]});
-        T r = norm(rba);
-        T w = kernel.value(r, hi);
-        tau.addOuter(rba, ps.vol[j] * w);
-    }
-
-    iadEpilogue(ps, i, tau);
-}
-
-/// Simd lane tiles: six per-lane accumulators (one per independent tau
-/// component), per-pair arithmetic replicating SymMat3::addOuter's
-/// expression order; fixed-order lane reduction.
-template<class T, class Index>
-inline void iadParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* nbrs,
-                            std::size_t count, const LaneKernel<T>& lanes,
-                            const PeriodicWrap<T>& wrap)
-{
-    constexpr std::size_t W = kLaneWidth;
+    constexpr std::size_t W = Lanes::width;
     const T hi = ps.h[i];
     const T h3 = hi * hi * hi;
     const T xi = ps.x[i], yi = ps.y[i], zi = ps.z[i];
@@ -71,13 +46,13 @@ inline void iadParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* nbrs
     for (std::size_t base = 0; base < count; base += W)
     {
         std::size_t j[W];
-        T valid[W], q[W], f[W], df[W];
+        T valid[W], q[W], f[W];
         T bx[W], by[W], bz[W], vol[W];
         tileIndices<T>(nbrs, base, count, j, valid);
         for (std::size_t l = 0; l < W; ++l)
         {
             // rba = -(minimum-image (r_a - r_b)): negate after the wrap,
-            // matching the Scalar -box.delta(...) exactly
+            // matching -box.delta(...) exactly
             bx[l] = -wrap.x(xi - ps.x[j[l]]);
             by[l] = -wrap.y(yi - ps.y[j[l]]);
             bz[l] = -wrap.z(zi - ps.z[j[l]]);
@@ -85,7 +60,7 @@ inline void iadParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* nbrs
             q[l]   = r / hi;
             vol[l] = ps.vol[j[l]];
         }
-        lanes.fdf(q, f, df);
+        lanes.f(q, f);
         for (std::size_t l = 0; l < W; ++l)
         {
             T s  = vol[l] * (f[l] / h3); // V_b * W_ab(h_a)

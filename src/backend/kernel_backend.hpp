@@ -4,62 +4,48 @@
 /// The compute-backend dispatch seam of the phase kernels (ROADMAP:
 /// "pluggable execution backend beyond the thread pool").
 ///
-/// Phases E-H (density, IAD, div/curl, momentum-energy) are thin dispatch
-/// shells over stateless per-particle kernels (src/backend/*_kernel.hpp);
-/// a ComputeBackend selects which implementation the shell runs:
+/// Phases E-H (density, IAD, div/curl, momentum-energy) are thin shells
+/// over one per-particle function template each (src/backend/*_kernel.hpp),
+/// generic over the shape evaluator whose width sets the lane tile
+/// (lane_kernel.hpp). The backend picks the evaluator, and forEachRow below
+/// is the one place that turns that choice into a loop:
 ///
-///  - Scalar: the reference per-pair loops, bitwise identical to the seed
-///    solver for every pool size and scheduling strategy.
-///  - Simd:   fixed-width lane tiles over gathered neighbor batches
-///    (simd_tile.hpp), kernel arithmetic evaluated branch-free across lanes
-///    (lane_kernel.hpp), lanes reduced in fixed index order — so Simd
-///    results are themselves bitwise pool-size- and strategy-invariant,
-///    but differ from Scalar by FP re-association of the neighbor sums
-///    (tolerance-gated in tests/test_backend.cpp, see ARCHITECTURE.md).
+///  - Scalar: the 1-lane instance, bitwise identical to the seed solver's
+///    per-pair loops (kept as the oracle in tests/backend_oracle.hpp).
+///  - Simd:   the kLaneWidth instance. Also bitwise pool-size- and
+///    strategy-invariant (fixed-order lane reduction), but it differs from
+///    Scalar by FP re-association of the neighbor sums and, for Sinc, by
+///    the lookup table (tolerance-gated in tests/test_backend.cpp).
 ///
 /// The selection is a SimulationConfig field plumbed by the drivers through
 /// StepContext into the PipelineFactory phase ops; standalone callers of
 /// computeDensity & friends get the Scalar path by default.
 
-#include <cstdlib>
-#include <string_view>
+#include <cstddef>
+#include <span>
+#include <type_traits>
+
+#include "backend/lane_kernel.hpp"
+#include "backend/simd_tile.hpp"
+#include "domain/box.hpp"
+#include "parallel/parallel_for.hpp"
+#include "sph/kernels.hpp"
+#include "tree/neighbors.hpp"
 
 namespace sphexa {
 
-/// Which inner-kernel implementation the SPH phase shells dispatch to.
+/// Which shape evaluator the SPH phase shells run their kernels with.
 enum class KernelBackend
 {
     Scalar,
     Simd,
 };
 
-constexpr std::string_view kernelBackendName(KernelBackend b)
-{
-    return b == KernelBackend::Scalar ? "Scalar" : "Simd";
-}
-
-/// Backend selection from the SPHEXA_KERNEL_BACKEND environment variable
-/// ("scalar" or "simd", any case of the first letter): the hook the CI
-/// matrix uses to re-run the golden gallery per backend leg without a
-/// per-leg binary. Unset or unrecognized values keep \p fallback.
-inline KernelBackend kernelBackendFromEnv(KernelBackend fallback = KernelBackend::Scalar)
-{
-    const char* v = std::getenv("SPHEXA_KERNEL_BACKEND");
-    if (!v) return fallback;
-    std::string_view s(v);
-    if (s == "simd" || s == "Simd" || s == "SIMD") return KernelBackend::Simd;
-    if (s == "scalar" || s == "Scalar" || s == "SCALAR") return KernelBackend::Scalar;
-    return fallback;
-}
-
-template<class T>
-class LaneKernel;
-
 /// The dispatch handle a phase shell receives: the backend kind plus the
-/// driver-owned lane evaluator (lane_kernel.hpp). Null-safe like the other
-/// driver-owned StepContext scratch (sorter/clusters): a Simd dispatch with
-/// no lanes builds a transient evaluator — correct, just re-tabulating the
-/// sinc tables on every call.
+/// driver-owned lane evaluator. Null-safe like the other driver-owned
+/// StepContext scratch (sorter/clusters): a Simd dispatch with no lanes
+/// builds a transient evaluator — correct, just re-tabulating the sinc
+/// tables on every call.
 template<class T>
 struct ComputeBackend
 {
@@ -67,4 +53,42 @@ struct ComputeBackend
     const LaneKernel<T>* lanes = nullptr;
 };
 
+namespace backend {
+
+/// The dispatch block of every phase shell: calls
+/// fn(lanes, wrap, i, nl.row(i), worker) for each particle i of \p active
+/// (all \p n particles when empty) under \p policy. lanes is the evaluator
+/// \p be selects: LaneKernel for Simd, ScalarLane otherwise. Lane
+/// evaluation covers the analytic Kernel only, so other kernel types
+/// (TabulatedKernel) always run the 1-lane instance.
+template<class T, class KernelT, class Fn>
+void forEachRow(std::size_t n, std::span<const std::size_t> active, const NeighborList<T>& nl,
+                const KernelT& kernel, const Box<T>& box, const LoopPolicy& policy,
+                const ComputeBackend<T>& be, Fn&& fn)
+{
+    const PeriodicWrap<T> wrap(box);
+    auto run = [&](const auto& lanes) {
+        parallelFor(
+            active.empty() ? n : active.size(),
+            [&](std::size_t idx, std::size_t worker) {
+                std::size_t i = active.empty() ? idx : active[idx];
+                fn(lanes, wrap, i, nl.row(i), worker);
+            },
+            policy);
+    };
+    if constexpr (std::is_same_v<KernelT, Kernel<T>>)
+    {
+        if (be.kind == KernelBackend::Simd)
+        {
+            if (be.lanes)
+                run(*be.lanes);
+            else
+                run(LaneKernel<T>(kernel));
+            return;
+        }
+    }
+    run(ScalarLane<T, KernelT>(kernel));
+}
+
+} // namespace backend
 } // namespace sphexa

@@ -1,15 +1,19 @@
 #pragma once
 
 /// \file lane_kernel.hpp
-/// Branch-free lane evaluation of the SPH kernel shape functions f(q) and
-/// f'(q) for the Simd backend.
+/// The shape evaluators of the phase kernels (backend/*_kernel.hpp): f(q)
+/// and f'(q) over one tile, whose `width` sets the kernels' lane count.
+/// ScalarLane (width 1, Scalar backend) calls KernelT::fq/dfq, so Sinc
+/// stays exact and any kernel type works; LaneKernel (width kLaneWidth,
+/// Simd backend) is branch-free across lanes. Both offer f-only, df-only
+/// and f+df calls, so no phase evaluates a shape function it discards.
 ///
-/// The closed-form families (spline, Wendland, spiky) replicate the exact
-/// FP expression sequence of Kernel<T>::fq/dfq (sph/kernels.hpp) with the
-/// piecewise branches turned into selects: a lane's value is bitwise the
-/// value the Scalar path computes for the same pair, so Simd-vs-Scalar
-/// differences for these kernels come from neighbor-sum re-association
-/// alone (tight tolerance gates in tests/test_backend.cpp).
+/// LaneKernel's closed-form families (spline, Wendland, spiky) replicate
+/// the exact FP expression sequence of Kernel<T>::fq/dfq (sph/kernels.hpp)
+/// with the piecewise branches turned into selects: a lane's value is
+/// bitwise the value the Scalar path computes for the same pair, so
+/// Simd-vs-Scalar differences for these kernels come from neighbor-sum
+/// re-association alone (tight tolerance gates in tests/test_backend.cpp).
 ///
 /// The sinc family has no branch-free closed form (std::pow of a
 /// transcendental per pair — also the Scalar path's dominant cost); the
@@ -31,14 +35,39 @@
 
 namespace sphexa {
 
-/// Immutable lane evaluator for one kernel; cheap to share across threads
-/// (like Kernel, all evaluation is const). Drivers own one per simulation
-/// and hand it to the phase shells via ComputeBackend.
+/// The 1-lane evaluator of the Scalar backend: a view of the kernel whose
+/// calls are the kernel's own fq/dfq.
+template<class T, class KernelT>
+class ScalarLane
+{
+public:
+    static constexpr std::size_t width = 1;
+
+    explicit ScalarLane(const KernelT& kernel) : kernel_(kernel) {}
+
+    void fdf(T q, T& f, T& df) const
+    {
+        f  = kernel_.fq(q);
+        df = kernel_.dfq(q);
+    }
+    void f(const T (&q)[1], T (&out)[1]) const { out[0] = kernel_.fq(q[0]); }
+    void df(const T (&q)[1], T (&out)[1]) const { out[0] = kernel_.dfq(q[0]); }
+    void fdf(const T (&q)[1], T (&f)[1], T (&df)[1]) const { fdf(q[0], f[0], df[0]); }
+
+private:
+    const KernelT& kernel_;
+};
+
+/// The kLaneWidth evaluator of the Simd backend: immutable, cheap to share
+/// across threads (like Kernel, all evaluation is const). Drivers own one
+/// per simulation and hand it to the phase shells via ComputeBackend.
 template<class T>
 class LaneKernel
 {
 public:
+    static constexpr std::size_t width = backend::kLaneWidth;
     static constexpr std::size_t defaultTableSize = 20000;
+    using Tile = T[width];
 
     explicit LaneKernel(const Kernel<T>& kernel, std::size_t tableSize = defaultTableSize)
         : type_(kernel.type()), sigma_(kernel.normalization())
@@ -55,33 +84,42 @@ public:
     KernelType type() const { return type_; }
 
     /// Single-lane f(q), f'(q) (sigma included, zero at q >= 2): the self-
-    /// contribution path (q = 0) and scalar epilogues.
+    /// contribution path (q = 0).
     void fdf(T q, T& f, T& df) const
     {
-        T fq[backend::kLaneWidth] = {};
-        T dfq[backend::kLaneWidth] = {};
-        T qq[backend::kLaneWidth] = {};
-        qq[0] = q;
+        Tile qq = {q};
+        Tile fq = {}, dfq = {};
         fdf(qq, fq, dfq);
         f  = fq[0];
         df = dfq[0];
     }
 
-    /// One tile of f(q), f'(q), branch-free across lanes. Lanes with
+    /// One tile of f(q), f'(q) or both, branch-free across lanes. Lanes with
     /// q >= supportRadius produce exact zeros (select for the closed forms,
     /// the clamped-to-zero last table sample for sinc), so padded or
     /// out-of-support lanes never contaminate accumulators.
-    void fdf(const T (&q)[backend::kLaneWidth], T (&f)[backend::kLaneWidth],
-             T (&df)[backend::kLaneWidth]) const
+    void f(const Tile& q, Tile& out) const { shape<true, false>(q, out, out); }
+    void df(const Tile& q, Tile& out) const { shape<false, true>(q, out, out); }
+    void fdf(const Tile& q, Tile& f, Tile& df) const { shape<true, true>(q, f, df); }
+
+private:
+    /// Writes f only if F, df only if DF; the shape function a call does not
+    /// store is dead code the compiler drops.
+    template<bool F, bool DF>
+    void shape(const Tile& q, Tile& f, Tile& df) const
     {
-        constexpr std::size_t W = backend::kLaneWidth;
+        constexpr std::size_t W = width;
+        auto put = [&](std::size_t l, T qq, T fr, T dr) {
+            if constexpr (F) f[l] = qq >= T(2) ? T(0) : sigma_ * fr;
+            if constexpr (DF) df[l] = qq >= T(2) ? T(0) : sigma_ * dr;
+        };
         switch (type_)
         {
             case KernelType::Sinc:
                 for (std::size_t l = 0; l < W; ++l)
                 {
-                    f[l]  = fTable_(q[l]);
-                    df[l] = dfTable_(q[l]);
+                    if constexpr (F) f[l] = fTable_(q[l]);
+                    if constexpr (DF) df[l] = dfTable_(q[l]);
                 }
                 break;
             case KernelType::CubicSpline:
@@ -93,10 +131,7 @@ public:
                     T fo = T(0.25) * t * t * t;
                     T di = -T(3) * qq + T(2.25) * qq * qq;
                     T dq = -T(0.75) * t * t;
-                    T fr = qq < T(1) ? fi : fo;
-                    T dr = qq < T(1) ? di : dq;
-                    f[l]  = qq >= T(2) ? T(0) : sigma_ * fr;
-                    df[l] = qq >= T(2) ? T(0) : sigma_ * dr;
+                    put(l, qq, qq < T(1) ? fi : fo, qq < T(1) ? di : dq);
                 }
                 break;
             case KernelType::WendlandC2:
@@ -105,10 +140,7 @@ public:
                     T qq = q[l];
                     T t  = T(1) - qq / 2;
                     T t2 = t * t;
-                    T fr = t2 * t2 * (T(2) * qq + T(1));
-                    T dr = -T(5) * qq * t * t * t;
-                    f[l]  = qq >= T(2) ? T(0) : sigma_ * fr;
-                    df[l] = qq >= T(2) ? T(0) : sigma_ * dr;
+                    put(l, qq, t2 * t2 * (T(2) * qq + T(1)), -T(5) * qq * t * t * t);
                 }
                 break;
             case KernelType::WendlandC4:
@@ -117,10 +149,8 @@ public:
                     T qq = q[l];
                     T t  = T(1) - qq / 2;
                     T t2 = t * t;
-                    T fr = t2 * t2 * t2 * ((T(35) / 12) * qq * qq + T(3) * qq + T(1));
-                    T dr = -(T(7) / 3) * qq * (T(5) * qq + T(2)) * t2 * t2 * t;
-                    f[l]  = qq >= T(2) ? T(0) : sigma_ * fr;
-                    df[l] = qq >= T(2) ? T(0) : sigma_ * dr;
+                    put(l, qq, t2 * t2 * t2 * ((T(35) / 12) * qq * qq + T(3) * qq + T(1)),
+                        -(T(7) / 3) * qq * (T(5) * qq + T(2)) * t2 * t2 * t);
                 }
                 break;
             case KernelType::WendlandC6:
@@ -130,12 +160,9 @@ public:
                     T t  = T(1) - qq / 2;
                     T t2 = t * t;
                     T t4 = t2 * t2;
-                    T fr = t4 * t4 *
-                           (T(4) * qq * qq * qq + (T(25) / 4) * qq * qq + T(4) * qq + T(1));
-                    T dr = -(T(11) / 4) * qq * (T(8) * qq * qq + T(7) * qq + T(2)) * t4 *
-                           t2 * t;
-                    f[l]  = qq >= T(2) ? T(0) : sigma_ * fr;
-                    df[l] = qq >= T(2) ? T(0) : sigma_ * dr;
+                    put(l, qq,
+                        t4 * t4 * (T(4) * qq * qq * qq + (T(25) / 4) * qq * qq + T(4) * qq + T(1)),
+                        -(T(11) / 4) * qq * (T(8) * qq * qq + T(7) * qq + T(2)) * t4 * t2 * t);
                 }
                 break;
             case KernelType::DebrunSpiky:
@@ -143,16 +170,12 @@ public:
                 {
                     T qq = q[l];
                     T t  = T(2) - qq;
-                    T fr = t * t * t;
-                    T dr = -T(3) * t * t;
-                    f[l]  = qq >= T(2) ? T(0) : sigma_ * fr;
-                    df[l] = qq >= T(2) ? T(0) : sigma_ * dr;
+                    put(l, qq, t * t * t, -T(3) * t * t);
                 }
                 break;
         }
     }
 
-private:
     KernelType type_;
     T sigma_;
     LookupTable<T> fTable_;  ///< sinc only: sigma-included f(q) over [0, 2]

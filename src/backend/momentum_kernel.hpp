@@ -1,24 +1,20 @@
 #pragma once
 
 /// \file momentum_kernel.hpp
-/// Stateless per-particle momentum/energy kernels (phase H of Algorithm 1),
-/// one per backend, plus the artificial-viscosity parameter block they
-/// share with the configuration layer. The dispatch shell lives in
+/// The per-particle momentum/energy kernel (phase H of Algorithm 1) of both
+/// backends, plus the artificial-viscosity parameter block it shares with
+/// the configuration layer. The dispatch shell lives in
 /// sph/momentum_energy.hpp, the neighbor-list symmetrization it relies on
 /// in tree/neighbors.hpp.
 ///
-/// Both kernels return the particle's own maximum signal velocity over its
+/// The kernel returns the particle's own maximum signal velocity over its
 /// pairs; the shell owns the per-worker max reduction into the phase stats.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 
-#include "backend/lane_kernel.hpp"
 #include "backend/simd_tile.hpp"
-#include "domain/box.hpp"
-#include "math/matrix3.hpp"
-#include "math/vec.hpp"
 #include "sph/iad.hpp"
 #include "sph/particles.hpp"
 
@@ -43,103 +39,21 @@ struct MomentumEnergyStats
 
 namespace backend {
 
-/// Scalar reference: the seed's per-pair loop, verbatim. Returns vsig_i,
-/// the particle's max pair signal velocity (also written to ps.vsig[i]).
-template<class T, class KernelT, class Index>
+/// Accelerations and du/dt of particle i in tiles of Lanes::width lanes.
+/// Returns vsig_i, the particle's max pair signal velocity (also written to
+/// ps.vsig[i]). The seed loop's r <= 0 skip becomes a validity mask with
+/// safe divisors; the artificial-viscosity branch becomes a second mask
+/// (its operands are finite for every lane, so masked lanes do the
+/// arithmetic and contribute exact zeros). Surviving lanes run the seed's
+/// per-pair expression sequence; kernel shapes come from the evaluator at
+/// both h_a and h_b, f only in IAD mode and f' only otherwise.
+template<class T, class Lanes, class Index>
 inline T momentumEnergyParticle(ParticleSet<T>& ps, std::size_t i, const Index* nbrs,
-                                std::size_t count, const KernelT& kernel,
-                                const Box<T>& box, GradientMode mode,
+                                std::size_t count, const Lanes& lanes,
+                                const PeriodicWrap<T>& wrap, GradientMode mode,
                                 const ArtificialViscosity<T>& av)
 {
-    T vsigI = T(0); ///< this particle's own max over its pairs
-    Vec3<T> pi{ps.x[i], ps.y[i], ps.z[i]};
-    Vec3<T> vi{ps.vx[i], ps.vy[i], ps.vz[i]};
-    T rhoi = ps.rho[i];
-    T prhoi = ps.p[i] / (ps.gradh[i] * rhoi * rhoi);
-
-    Vec3<T> acc{};
-    T du = T(0);
-
-    for (std::size_t k = 0; k < count; ++k)
-    {
-        Index j     = nbrs[k];
-        Vec3<T> rab = box.delta(pi, Vec3<T>{ps.x[j], ps.y[j], ps.z[j]}); // r_a - r_b
-        T r = norm(rab);
-        if (r <= T(0)) continue;
-        Vec3<T> vab = vi - Vec3<T>{ps.vx[j], ps.vy[j], ps.vz[j]};
-
-        T rhoj  = ps.rho[j];
-        T prhoj = ps.p[j] / (ps.gradh[j] * rhoj * rhoj);
-
-        // gradient terms with h_a and h_b
-        Vec3<T> gwa, gwb;
-        if (mode == GradientMode::IAD)
-        {
-            // A_ab(h_a) = C(a) (r_b - r_a) W_ab(h_a) : "toward b" sense
-            gwa = iadGradient(ps, i, -rab, r, kernel);
-            // A_ba(h_b) = C(b) (r_a - r_b) W_ab(h_b); flip to a-centric
-            SymMat3<T> cb{ps.c11[j], ps.c12[j], ps.c13[j],
-                          ps.c22[j], ps.c23[j], ps.c33[j]};
-            gwb = -(cb * rab) * kernel.value(r, ps.h[j]);
-            // note: gwa points a->b (negative radial); gwb = -C(b) r_ab W(h_b)
-            // also points a->b for isotropic C.
-        }
-        else
-        {
-            T invR = T(1) / r;
-            gwa = rab * (kernel.derivative(r, ps.h[i]) * invR);
-            gwb = rab * (kernel.derivative(r, ps.h[j]) * invR);
-        }
-
-        // pressure part: dv_a/dt -= m_b (Pa' gwa_(a->b, so sign below) ...)
-        // Using the a-centric gradient (pointing a->b when dW/dr<0):
-        //   dv_a/dt += -m_b [prhoi * gwa + prhoj * gwb]
-        acc -= ps.m[j] * (prhoi * gwa + prhoj * gwb);
-
-        // energy: du_a/dt = prhoi sum_b m_b v_ab . gwa
-        du += ps.m[j] * prhoi * dot(vab, gwa);
-
-        // artificial viscosity on the symmetrized gradient
-        T vdotr = dot(vab, rab);
-        T cbar  = T(0.5) * (ps.c[i] + ps.c[j]);
-        T vsig  = ps.c[i] + ps.c[j] - T(3) * std::min(T(0), vdotr / r);
-        vsigI   = std::max(vsigI, vsig);
-        if (vdotr < T(0))
-        {
-            T hbar   = T(0.5) * (ps.h[i] + ps.h[j]);
-            T rhobar = T(0.5) * (rhoi + rhoj);
-            T mu     = hbar * vdotr / (r * r + av.eps * hbar * hbar);
-            T f      = av.useBalsara ? T(0.5) * (ps.balsara[i] + ps.balsara[j]) : T(1);
-            T piab   = f * (-av.alpha * cbar * mu + av.beta * mu * mu) / rhobar;
-            Vec3<T> gwbar = T(0.5) * (gwa + gwb);
-            acc -= ps.m[j] * piab * gwbar;
-            du += T(0.5) * ps.m[j] * piab * dot(vab, gwbar);
-        }
-    }
-
-    ps.ax[i] = acc.x;
-    ps.ay[i] = acc.y;
-    ps.az[i] = acc.z;
-    ps.du[i] = du;
-    // per-particle CFL input (individual time-stepping reads this so a
-    // quiet particle is not clamped by the loudest shock in the box)
-    ps.vsig[i] = vsigI;
-    return vsigI;
-}
-
-/// Simd lane tiles. The Scalar r <= 0 `continue` becomes a validity mask
-/// with safe divisors; the artificial-viscosity branch becomes a second
-/// mask (its operands are finite for every lane, so masked lanes do the
-/// arithmetic and contribute exact zeros). Surviving lanes replicate the
-/// Scalar per-pair expression sequence; kernel shapes come from the lane
-/// evaluator at both h_a and h_b.
-template<class T, class Index>
-inline T momentumEnergyParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* nbrs,
-                                    std::size_t count, const LaneKernel<T>& lanes,
-                                    const PeriodicWrap<T>& wrap, GradientMode mode,
-                                    const ArtificialViscosity<T>& av)
-{
-    constexpr std::size_t W = kLaneWidth;
+    constexpr std::size_t W = Lanes::width;
     const T hi  = ps.h[i];
     const T h3i = hi * hi * hi;
     const T h4i = hi * hi * hi * hi;
@@ -159,7 +73,8 @@ inline T momentumEnergyParticleSimd(ParticleSet<T>& ps, std::size_t i, const Ind
     for (std::size_t base = 0; base < count; base += W)
     {
         std::size_t j[W];
-        T valid[W], qi[W], qj[W], fi[W], dfi[W], fj[W], dfj[W];
+        T valid[W], qi[W], qj[W];
+        T si[W], sj[W]; // f(q) at h_a, h_b in IAD mode, f'(q) otherwise
         T dx[W], dy[W], dz[W], r[W], rsafe[W], hj[W];
         tileIndices<T>(nbrs, base, count, j, valid);
         for (std::size_t l = 0; l < W; ++l)
@@ -168,16 +83,24 @@ inline T momentumEnergyParticleSimd(ParticleSet<T>& ps, std::size_t i, const Ind
             dy[l] = wrap.y(yi - ps.y[j[l]]);
             dz[l] = wrap.z(zi - ps.z[j[l]]);
             r[l]  = std::sqrt(dx[l] * dx[l] + dy[l] * dy[l] + dz[l] * dz[l]);
-            // fold the Scalar r <= 0 `continue` into the mask; the safe
-            // divisor keeps masked lanes finite
+            // fold the r <= 0 skip into the mask; the safe divisor keeps
+            // masked lanes finite
             valid[l] = r[l] > T(0) ? valid[l] : T(0);
             rsafe[l] = r[l] > T(0) ? r[l] : T(1);
             hj[l]    = ps.h[j[l]];
             qi[l]    = r[l] / hi;
             qj[l]    = r[l] / hj[l];
         }
-        lanes.fdf(qi, fi, dfi);
-        lanes.fdf(qj, fj, dfj);
+        if (iad)
+        {
+            lanes.f(qi, si);
+            lanes.f(qj, sj);
+        }
+        else
+        {
+            lanes.df(qi, si);
+            lanes.df(qj, sj);
+        }
         for (std::size_t l = 0; l < W; ++l)
         {
             std::size_t jj = j[l];
@@ -188,11 +111,11 @@ inline T momentumEnergyParticleSimd(ParticleSet<T>& ps, std::size_t i, const Ind
             if (iad)
             {
                 T bx = -dx[l], by = -dy[l], bz = -dz[l];
-                T wa = fi[l] / h3i;
+                T wa = si[l] / h3i;
                 gwax = (cxx * bx + cxy * by + cxz * bz) * wa;
                 gway = (cxy * bx + cyy * by + cyz * bz) * wa;
                 gwaz = (cxz * bx + cyz * by + czz * bz) * wa;
-                T wb = fj[l] / (hj[l] * hj[l] * hj[l]);
+                T wb = sj[l] / (hj[l] * hj[l] * hj[l]);
                 T tx = ps.c11[jj] * dx[l] + ps.c12[jj] * dy[l] + ps.c13[jj] * dz[l];
                 T ty = ps.c12[jj] * dx[l] + ps.c22[jj] * dy[l] + ps.c23[jj] * dz[l];
                 T tz = ps.c13[jj] * dx[l] + ps.c23[jj] * dy[l] + ps.c33[jj] * dz[l];
@@ -203,8 +126,8 @@ inline T momentumEnergyParticleSimd(ParticleSet<T>& ps, std::size_t i, const Ind
             else
             {
                 T invR   = T(1) / rsafe[l];
-                T scaleA = (dfi[l] / h4i) * invR;
-                T scaleB = (dfj[l] / (hj[l] * hj[l] * hj[l] * hj[l])) * invR;
+                T scaleA = (si[l] / h4i) * invR;
+                T scaleB = (sj[l] / (hj[l] * hj[l] * hj[l] * hj[l])) * invR;
                 gwax = dx[l] * scaleA;
                 gway = dy[l] * scaleA;
                 gwaz = dz[l] * scaleA;
@@ -233,22 +156,27 @@ inline T momentumEnergyParticleSimd(ParticleSet<T>& ps, std::size_t i, const Ind
             accVsig[l] = accVsig[l] > vsigM ? accVsig[l] : vsigM;
 
             // AV branch -> mask: every operand below is finite on masked
-            // lanes (hbar > 0 keeps mu's denominator positive even at r = 0)
-            T am     = vdotr < T(0) ? vm : T(0);
-            T hbar   = T(0.5) * (hi + hj[l]);
-            T rhobar = T(0.5) * (rhoi + rhoj);
-            T mu     = hbar * vdotr / (r[l] * r[l] + av.eps * hbar * hbar);
-            T fb     = av.useBalsara ? T(0.5) * (bali + ps.balsara[jj]) : T(1);
-            T piab   = fb * (-av.alpha * cbar * mu + av.beta * mu * mu) / rhobar;
-            T gwbarx = T(0.5) * (gwax + gwbx);
-            T gwbary = T(0.5) * (gway + gwby);
-            T gwbarz = T(0.5) * (gwaz + gwbz);
-            T mp     = mj * piab;
-            accX[l] -= am * (gwbarx * mp);
-            accY[l] -= am * (gwbary * mp);
-            accZ[l] -= am * (gwbarz * mp);
-            accDu[l] += am * (T(0.5) * mj * piab *
-                              (vabx * gwbarx + vaby * gwbary + vabz * gwbarz));
+            // lanes (hbar > 0 keeps mu's denominator positive even at r = 0).
+            // A 1-lane tile branches instead: its masked term is an exact
+            // zero, so skipping it leaves the sums bitwise unchanged.
+            T am = vdotr < T(0) ? vm : T(0);
+            if (W > 1 || am != T(0))
+            {
+                T hbar   = T(0.5) * (hi + hj[l]);
+                T rhobar = T(0.5) * (rhoi + rhoj);
+                T mu     = hbar * vdotr / (r[l] * r[l] + av.eps * hbar * hbar);
+                T fb     = av.useBalsara ? T(0.5) * (bali + ps.balsara[jj]) : T(1);
+                T piab   = fb * (-av.alpha * cbar * mu + av.beta * mu * mu) / rhobar;
+                T gwbarx = T(0.5) * (gwax + gwbx);
+                T gwbary = T(0.5) * (gway + gwby);
+                T gwbarz = T(0.5) * (gwaz + gwbz);
+                T mp     = mj * piab;
+                accX[l] -= am * (gwbarx * mp);
+                accY[l] -= am * (gwbary * mp);
+                accZ[l] -= am * (gwbarz * mp);
+                accDu[l] += am * (T(0.5) * mj * piab *
+                                  (vabx * gwbarx + vaby * gwbary + vabz * gwbarz));
+            }
         }
     }
 
@@ -256,6 +184,8 @@ inline T momentumEnergyParticleSimd(ParticleSet<T>& ps, std::size_t i, const Ind
     ps.ay[i] = laneSum(accY);
     ps.az[i] = laneSum(accZ);
     ps.du[i] = laneSum(accDu);
+    // per-particle CFL input (individual time-stepping reads this so a
+    // quiet particle is not clamped by the loudest shock in the box)
     T vsigI  = laneMax(accVsig);
     ps.vsig[i] = vsigI;
     return vsigI;

@@ -1,19 +1,22 @@
 #pragma once
 
 /// \file simd_tile.hpp
-/// Lane-tiling primitives of the Simd backend: the fixed tile width, the
+/// Lane-tiling primitives of the phase kernels: the Simd tile width, the
 /// hoisted minimum-image wrap, padded tile-index gathers and the
-/// fixed-order lane reductions.
+/// fixed-order lane reductions. Every primitive is generic over the tile
+/// width W, so one kernel source serves the Scalar backend (W = 1) and the
+/// Simd backend (W = kLaneWidth).
 ///
-/// Determinism contract (docs/ARCHITECTURE.md, "Backend layer"): a Simd
-/// kernel walks one particle's neighbor row in tiles of kLaneWidth lanes,
+/// Determinism contract (docs/ARCHITECTURE.md, "Backend layer"): a phase
+/// kernel walks one particle's neighbor row in tiles of W lanes,
 /// accumulates per-lane partial sums, and reduces them in fixed index order
-/// 0..kLaneWidth-1. Tile boundaries depend only on the neighbor row — never
-/// on pool size, scheduling strategy or chunk boundaries — so Simd results
-/// are bitwise invariant across pools and strategies, exactly like the
-/// Scalar accumulate-to-self loops. Padded lanes replicate the last valid
-/// neighbor index (no out-of-bounds gather, all arithmetic stays finite)
-/// and are annihilated by a 0/1 validity multiplier before accumulation.
+/// 0..W-1. Tile boundaries depend only on the neighbor row — never on pool
+/// size, scheduling strategy or chunk boundaries — so results are bitwise
+/// invariant across pools and strategies for either width. At W = 1 the
+/// single lane is the seed's left-to-right accumulate-to-self sum. Padded
+/// lanes replicate the last valid neighbor index (no out-of-bounds gather,
+/// all arithmetic stays finite) and are annihilated by a 0/1 validity
+/// multiplier before accumulation.
 
 #include <cstddef>
 #include <limits>
@@ -22,18 +25,20 @@
 
 namespace sphexa::backend {
 
-/// Lanes per tile. 8 doubles = one AVX-512 vector or two AVX2 vectors; a
-/// compile-time constant independent of pool size so tile boundaries (and
-/// therefore FP sums) are a function of the neighbor row alone.
+/// Lanes per Simd tile. 8 doubles = one AVX-512 vector or two AVX2
+/// vectors; a compile-time constant independent of pool size so tile
+/// boundaries (and therefore FP sums) are a function of the neighbor row
+/// alone.
 inline constexpr std::size_t kLaneWidth = 8;
 
 /// Minimum-image wrap with the per-axis constants hoisted out of the inner
 /// loop. A non-periodic axis gets an infinite half-width so its selects
 /// never fire; a periodic axis reproduces Box::delta exactly — the same L/2
 /// threshold and single-subtraction corrections, expressed as selects so
-/// lane loops stay branch-free. Shared by the Simd phase kernels and the
-/// cluster member scan (tree/cluster_list.hpp), whose bitwise list equality
-/// with the per-particle walk depends on exactly this arithmetic.
+/// lane loops stay branch-free. Shared by the phase kernels of both
+/// backends and the cluster member scan (tree/cluster_list.hpp), whose
+/// bitwise list equality with the per-particle walk depends on exactly this
+/// arithmetic.
 template<class T>
 struct PeriodicWrap
 {
@@ -58,14 +63,14 @@ struct PeriodicWrap
 /// Fill one tile's gather indices from a neighbor row: lanes [0, m) map to
 /// nbrs[base..base+m) and padded lanes replicate the last valid entry, with
 /// valid[l] the 0/1 annihilation multiplier. Returns m, the valid lane
-/// count (kLaneWidth except for the remainder tile).
-template<class T, class Index>
+/// count (W except for the remainder tile).
+template<class T, class Index, std::size_t W>
 inline std::size_t tileIndices(const Index* nbrs, std::size_t base, std::size_t count,
-                               std::size_t (&j)[kLaneWidth], T (&valid)[kLaneWidth])
+                               std::size_t (&j)[W], T (&valid)[W])
 {
     std::size_t m = count - base;
-    if (m > kLaneWidth) m = kLaneWidth;
-    for (std::size_t l = 0; l < kLaneWidth; ++l)
+    if (m > W) m = W;
+    for (std::size_t l = 0; l < W; ++l)
     {
         j[l]     = nbrs[base + (l < m ? l : m - 1)];
         valid[l] = l < m ? T(1) : T(0);
@@ -73,25 +78,24 @@ inline std::size_t tileIndices(const Index* nbrs, std::size_t base, std::size_t 
     return m;
 }
 
-/// Fixed-order lane reduction: always 0 + 1 + ... + (kLaneWidth-1), the
-/// association the bitwise pool/strategy invariance of the Simd backend
-/// rests on.
-template<class T>
-inline T laneSum(const T (&acc)[kLaneWidth])
+/// Fixed-order lane reduction: always 0 + 1 + ... + (W-1), the association
+/// the bitwise pool/strategy invariance of both backends rests on.
+template<class T, std::size_t W>
+inline T laneSum(const T (&acc)[W])
 {
     T s = acc[0];
-    for (std::size_t l = 1; l < kLaneWidth; ++l)
+    for (std::size_t l = 1; l < W; ++l)
         s += acc[l];
     return s;
 }
 
 /// Fixed-order lane max (max is a selection, so any order would do; fixed
 /// order keeps the contract uniform).
-template<class T>
-inline T laneMax(const T (&acc)[kLaneWidth])
+template<class T, std::size_t W>
+inline T laneMax(const T (&acc)[W])
 {
     T s = acc[0];
-    for (std::size_t l = 1; l < kLaneWidth; ++l)
+    for (std::size_t l = 1; l < W; ++l)
         s = s > acc[l] ? s : acc[l];
     return s;
 }

@@ -200,11 +200,12 @@ struct SimulationConfig
     bool parallelTreeBuild = false;  ///< SPHYNX v1.3.1 built its tree serially
     bool symmetrizeNeighbors = true; ///< exact pairwise momentum conservation
 
-    /// Compute backend of the hot SPH sums (phases E-H): the Scalar
-    /// reference loops, or the lane-tiled Simd kernels in src/backend/.
-    /// Simd is gated against Scalar by relative tolerance (the neighbor-sum
-    /// association differs), and is itself bitwise pool- and strategy-
-    /// invariant; see docs/ARCHITECTURE.md "Backend layer".
+    /// Compute backend of the hot SPH sums (phases E-H): the 1-lane
+    /// (Scalar, exact Sinc, bitwise the seed loops) or the 8-lane (Simd)
+    /// instance of the kernels in src/backend/. Simd is gated against
+    /// Scalar by relative tolerance (the neighbor-sum association differs);
+    /// both are bitwise pool- and strategy-invariant; see
+    /// docs/ARCHITECTURE.md "Backend layer".
     KernelBackend kernelBackend = KernelBackend::Scalar;
 
     // --- CS features (Table 4), used by the distributed driver ---

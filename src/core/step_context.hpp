@@ -127,7 +127,7 @@ struct StepContext
     SymmetrizeWorkspace<T>* symmetrize = nullptr;
 
     /// Driver-owned lane-evaluation tables/constants for the Simd backend
-    /// (backend/lane_kernel.hpp). Null-safe — the phase shells construct a
+    /// (backend/lane_kernel.hpp). Null-safe — backend::forEachRow builds a
     /// transient LaneKernel when the config selects Simd without one
     /// (correct, just rebuilding the Sinc tables every dispatch).
     const LaneKernel<T>* laneKernel = nullptr;

@@ -68,7 +68,8 @@ public:
     {
         static_assert(std::is_trivially_copyable_v<T>);
         std::vector<std::byte> buf(v.size() * sizeof(T));
-        std::memcpy(buf.data(), v.data(), buf.size());
+        // an empty payload may have null data(), which memcpy must not see
+        if (!buf.empty()) std::memcpy(buf.data(), v.data(), buf.size());
         send(from, to, tag, std::move(buf));
     }
 
@@ -116,7 +117,7 @@ public:
         auto buf = receive(to, from, tag);
         if (buf.size() % sizeof(T)) throw std::runtime_error("simmpi: size mismatch");
         std::vector<T> v(buf.size() / sizeof(T));
-        std::memcpy(v.data(), buf.data(), buf.size());
+        if (!buf.empty()) std::memcpy(v.data(), buf.data(), buf.size());
         return v;
     }
 

@@ -18,14 +18,11 @@
 /// generalized to VE weights) is accumulated in the same pass.
 
 #include <cmath>
-#include <optional>
 #include <span>
 #include <type_traits>
-#include <utility>
 
 #include "backend/density_kernel.hpp"
 #include "backend/kernel_backend.hpp"
-#include "backend/lane_kernel.hpp"
 #include "domain/box.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sph/kernels.hpp"
@@ -68,53 +65,24 @@ void computeVolumeElementWeights(ParticleSet<T>& ps, VolumeElements ve, T expone
         policy);
 }
 
-/// Density summation (step 3 of Algorithm 1, first SPH kernel): a dispatch
-/// shell over the stateless per-particle kernels in
-/// backend/density_kernel.hpp, selected by \p be (Scalar when defaulted).
+/// Density summation (step 3 of Algorithm 1, first SPH kernel): a shell
+/// over backend::densityParticle, run by the backend \p be selects (Scalar
+/// when defaulted; see backend/kernel_backend.hpp).
 ///
 /// Reads x/y/z, h, m, xmass and the neighbor lists; writes kx-based volume
-/// vol, density rho and the grad-h term gradh (Omega_a). Lane evaluation
-/// covers the analytic Kernel only; other kernel types (TabulatedKernel)
-/// always run the Scalar reference path.
+/// vol, density rho and the grad-h term gradh (Omega_a).
 template<class T, class KernelT>
 void computeDensity(ParticleSet<T>& ps, const NeighborList<T>& nl, const KernelT& kernel,
                     const Box<T>& box,
                     std::type_identity_t<std::span<const std::size_t>> active = {},
                     const LoopPolicy& policy = {}, const ComputeBackend<T>& be = {})
 {
-    std::size_t count = active.empty() ? ps.size() : active.size();
-    if constexpr (std::is_same_v<KernelT, Kernel<T>>)
-    {
-        if (be.kind == KernelBackend::Simd)
-        {
-            std::optional<LaneKernel<T>> transient;
-            const LaneKernel<T>* lanes = be.lanes;
-            if (!lanes)
-            {
-                transient.emplace(kernel);
-                lanes = &*transient;
-            }
-            const backend::PeriodicWrap<T> wrap(box);
-            parallelFor(
-                count,
-                [&](std::size_t idx, std::size_t) {
-                    std::size_t i = active.empty() ? idx : active[idx];
-                    auto row = nl.row(i);
-                    backend::densityParticleSimd(ps, i, row.data, row.count, *lanes,
-                                                 wrap);
-                },
-                policy);
-            return;
-        }
-    }
-    parallelFor(
-        count,
-        [&](std::size_t idx, std::size_t) {
-            std::size_t i = active.empty() ? idx : active[idx];
-            auto row = nl.row(i);
-            backend::densityParticle(ps, i, row.data, row.count, kernel, box);
-        },
-        policy);
+    backend::forEachRow(ps.size(), active, nl, kernel, box, policy, be,
+                        [&](const auto& lanes, const auto& wrap, std::size_t i, auto row,
+                            std::size_t) {
+                            backend::densityParticle(ps, i, row.data, row.count, lanes,
+                                                     wrap);
+                        });
 }
 
 } // namespace sphexa

@@ -7,15 +7,11 @@
 /// which suppresses AV in pure shear flows — essential for the rotating
 /// square patch, which is exactly such a flow.
 
-#include <cmath>
-#include <optional>
 #include <span>
 #include <type_traits>
-#include <utility>
 
 #include "backend/divcurl_kernel.hpp"
 #include "backend/kernel_backend.hpp"
-#include "backend/lane_kernel.hpp"
 #include "domain/box.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sph/iad.hpp"
@@ -29,48 +25,21 @@ namespace sphexa {
 /// ps.balsara limiter for every particle in `active` (all particles when
 /// empty). Gradients use IAD coefficients or plain kernel derivatives
 /// according to `mode`; requires density/volume and, for IAD, the phase-F
-/// coefficients to be up to date. A dispatch shell over
-/// backend/divcurl_kernel.hpp, selected by \p be (Scalar when defaulted;
-/// lane evaluation covers the analytic Kernel only).
+/// coefficients to be up to date. A shell over backend::divCurlParticle,
+/// run by the backend \p be selects (Scalar when defaulted; see
+/// backend/kernel_backend.hpp).
 template<class T, class KernelT>
 void computeDivCurl(ParticleSet<T>& ps, const NeighborList<T>& nl, const KernelT& kernel,
                     const Box<T>& box, GradientMode mode,
                     std::type_identity_t<std::span<const std::size_t>> active = {},
                     const LoopPolicy& policy = {}, const ComputeBackend<T>& be = {})
 {
-    std::size_t count = active.empty() ? ps.size() : active.size();
-    if constexpr (std::is_same_v<KernelT, Kernel<T>>)
-    {
-        if (be.kind == KernelBackend::Simd)
-        {
-            std::optional<LaneKernel<T>> transient;
-            const LaneKernel<T>* lanes = be.lanes;
-            if (!lanes)
-            {
-                transient.emplace(kernel);
-                lanes = &*transient;
-            }
-            const backend::PeriodicWrap<T> wrap(box);
-            parallelFor(
-                count,
-                [&](std::size_t idx, std::size_t) {
-                    std::size_t i = active.empty() ? idx : active[idx];
-                    auto row = nl.row(i);
-                    backend::divCurlParticleSimd(ps, i, row.data, row.count, *lanes,
-                                                 wrap, mode);
-                },
-                policy);
-            return;
-        }
-    }
-    parallelFor(
-        count,
-        [&](std::size_t idx, std::size_t) {
-            std::size_t i = active.empty() ? idx : active[idx];
-            auto row = nl.row(i);
-            backend::divCurlParticle(ps, i, row.data, row.count, kernel, box, mode);
-        },
-        policy);
+    backend::forEachRow(ps.size(), active, nl, kernel, box, policy, be,
+                        [&](const auto& lanes, const auto& wrap, std::size_t i, auto row,
+                            std::size_t) {
+                            backend::divCurlParticle(ps, i, row.data, row.count, lanes, wrap,
+                                                     mode);
+                        });
 }
 
 } // namespace sphexa

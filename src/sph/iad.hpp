@@ -13,14 +13,11 @@
 /// which is exact for linear fields regardless of particle disorder (the
 /// property tested in test_sph_gradients.cpp).
 
-#include <optional>
 #include <span>
 #include <type_traits>
-#include <utility>
 
 #include "backend/iad_kernel.hpp"
 #include "backend/kernel_backend.hpp"
-#include "backend/lane_kernel.hpp"
 #include "domain/box.hpp"
 #include "math/matrix3.hpp"
 #include "parallel/parallel_for.hpp"
@@ -43,47 +40,20 @@ constexpr std::string_view gradientModeName(GradientMode g)
 }
 
 /// Compute the IAD coefficient matrices C(a) = tau^{-1}(a) for all
-/// particles; stores the 6 independent components in c11..c33. A dispatch
-/// shell over backend/iad_kernel.hpp, selected by \p be (Scalar when
-/// defaulted; lane evaluation covers the analytic Kernel only).
+/// particles; stores the 6 independent components in c11..c33. A shell
+/// over backend::iadParticle, run by the backend \p be selects (Scalar
+/// when defaulted; see backend/kernel_backend.hpp).
 template<class T, class KernelT>
 void computeIadCoefficients(ParticleSet<T>& ps, const NeighborList<T>& nl,
                             const KernelT& kernel, const Box<T>& box,
                             std::type_identity_t<std::span<const std::size_t>> active = {},
                             const LoopPolicy& policy = {}, const ComputeBackend<T>& be = {})
 {
-    std::size_t count = active.empty() ? ps.size() : active.size();
-    if constexpr (std::is_same_v<KernelT, Kernel<T>>)
-    {
-        if (be.kind == KernelBackend::Simd)
-        {
-            std::optional<LaneKernel<T>> transient;
-            const LaneKernel<T>* lanes = be.lanes;
-            if (!lanes)
-            {
-                transient.emplace(kernel);
-                lanes = &*transient;
-            }
-            const backend::PeriodicWrap<T> wrap(box);
-            parallelFor(
-                count,
-                [&](std::size_t idx, std::size_t) {
-                    std::size_t i = active.empty() ? idx : active[idx];
-                    auto row = nl.row(i);
-                    backend::iadParticleSimd(ps, i, row.data, row.count, *lanes, wrap);
-                },
-                policy);
-            return;
-        }
-    }
-    parallelFor(
-        count,
-        [&](std::size_t idx, std::size_t) {
-            std::size_t i = active.empty() ? idx : active[idx];
-            auto row = nl.row(i);
-            backend::iadParticle(ps, i, row.data, row.count, kernel, box);
-        },
-        policy);
+    backend::forEachRow(ps.size(), active, nl, kernel, box, policy, be,
+                        [&](const auto& lanes, const auto& wrap, std::size_t i, auto row,
+                            std::size_t) {
+                            backend::iadParticle(ps, i, row.data, row.count, lanes, wrap);
+                        });
 }
 
 /// IAD kernel-gradient replacement A_ab(h_a) = C(a) . (r_b - r_a) W_ab(h_a).

@@ -19,15 +19,11 @@
 /// in tree/neighbors.hpp).
 
 #include <algorithm>
-#include <cmath>
-#include <optional>
 #include <span>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "backend/kernel_backend.hpp"
-#include "backend/lane_kernel.hpp"
 #include "backend/momentum_kernel.hpp"
 #include "domain/box.hpp"
 #include "parallel/parallel_for.hpp"
@@ -40,11 +36,10 @@ namespace sphexa {
 
 /// Compute accelerations ax/ay/az and du/dt for all particles.
 /// Gravity is accumulated separately and must be added afterwards.
-/// A dispatch shell over backend/momentum_kernel.hpp (which also defines
-/// ArtificialViscosity and MomentumEnergyStats), selected by \p be (Scalar
-/// when defaulted; lane evaluation covers the analytic Kernel only). The
-/// shell owns the cross-particle vsig max reduction; per-particle work lives
-/// in the backend kernels.
+/// A shell over backend::momentumEnergyParticle (whose header also defines
+/// ArtificialViscosity and MomentumEnergyStats), run by the backend \p be
+/// selects (Scalar when defaulted; see backend/kernel_backend.hpp). The
+/// shell owns the cross-particle vsig max reduction.
 template<class T, class KernelT>
 MomentumEnergyStats<T> computeMomentumEnergy(ParticleSet<T>& ps, const NeighborList<T>& nl,
                                              const KernelT& kernel, const Box<T>& box,
@@ -54,56 +49,22 @@ MomentumEnergyStats<T> computeMomentumEnergy(ParticleSet<T>& ps, const NeighborL
                                              const LoopPolicy& policy = {},
                                              const ComputeBackend<T>& be = {})
 {
-    std::size_t count = active.empty() ? ps.size() : active.size();
-
     // exact max reduction over per-worker partials: max is selection, not
     // accumulation, so the result is bitwise identical for any pool size,
     // strategy, or chunk boundary
     std::vector<WorkerSlot<T>> workerVsig(parallelForWorkers());
-    auto reduceVsig = [&workerVsig] {
-        T maxVsig = T(0);
-        for (const auto& v : workerVsig)
-            maxVsig = std::max(maxVsig, v.value);
-        return MomentumEnergyStats<T>{maxVsig};
-    };
-
-    if constexpr (std::is_same_v<KernelT, Kernel<T>>)
-    {
-        if (be.kind == KernelBackend::Simd)
-        {
-            std::optional<LaneKernel<T>> transient;
-            const LaneKernel<T>* lanes = be.lanes;
-            if (!lanes)
-            {
-                transient.emplace(kernel);
-                lanes = &*transient;
-            }
-            const backend::PeriodicWrap<T> wrap(box);
-            parallelFor(
-                count,
-                [&](std::size_t idx, std::size_t worker) {
-                    std::size_t i = active.empty() ? idx : active[idx];
-                    auto row = nl.row(i);
-                    T vsigI = backend::momentumEnergyParticleSimd(ps, i, row.data,
-                                                                  row.count, *lanes,
-                                                                  wrap, mode, av);
-                    workerVsig[worker].value = std::max(workerVsig[worker].value, vsigI);
-                },
-                policy);
-            return reduceVsig();
-        }
-    }
-    parallelFor(
-        count,
-        [&](std::size_t idx, std::size_t worker) {
-            std::size_t i = active.empty() ? idx : active[idx];
-            auto row = nl.row(i);
-            T vsigI = backend::momentumEnergyParticle(ps, i, row.data, row.count,
-                                                      kernel, box, mode, av);
-            workerVsig[worker].value = std::max(workerVsig[worker].value, vsigI);
-        },
-        policy);
-    return reduceVsig();
+    backend::forEachRow(ps.size(), active, nl, kernel, box, policy, be,
+                        [&](const auto& lanes, const auto& wrap, std::size_t i, auto row,
+                            std::size_t worker) {
+                            T vsigI = backend::momentumEnergyParticle(
+                                ps, i, row.data, row.count, lanes, wrap, mode, av);
+                            workerVsig[worker].value =
+                                std::max(workerVsig[worker].value, vsigI);
+                        });
+    T maxVsig = T(0);
+    for (const auto& v : workerVsig)
+        maxVsig = std::max(maxVsig, v.value);
+    return {maxVsig};
 }
 
 } // namespace sphexa

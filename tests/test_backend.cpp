@@ -1,7 +1,10 @@
-/// Backend-layer tests (src/backend/): the Simd lane kernels against the
-/// Scalar reference loops.
+/// Backend-layer tests (src/backend/): the Scalar backend against the seed
+/// loops, and the Simd lane kernels against Scalar.
 ///
 /// The contract under test (docs/ARCHITECTURE.md "Backend layer"):
+///  - Scalar, the 1-lane instance of each phase kernel, is BITWISE the
+///    seed solver's per-pair loop (the oracle in backend_oracle.hpp) for
+///    every kernel type, gradient mode, box, active subset and edge case;
 ///  - Simd results match Scalar to relative tolerance per phase — tight
 ///    (~1e-12) for the closed-form kernels whose lanes replicate the exact
 ///    scalar FP expressions, looser for Sinc whose lanes read the lookup
@@ -17,8 +20,10 @@
 #include <array>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
+#include <span>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "backend/kernel_backend.hpp"
@@ -36,6 +41,8 @@
 #include "sph/smoothing_length.hpp"
 #include "tree/neighbors.hpp"
 #include "tree/octree.hpp"
+
+#include "backend_oracle.hpp"
 
 using namespace sphexa;
 
@@ -152,6 +159,46 @@ void expectFieldBitwise(const std::vector<double>& ref, const std::vector<double
     }
 }
 
+/// Every field phases E-H write.
+const std::pair<const char*, std::vector<double> ParticleSetD::*> kPhaseOutputs[] = {
+    {"vol", &ParticleSetD::vol},     {"rho", &ParticleSetD::rho},
+    {"gradh", &ParticleSetD::gradh}, {"c11", &ParticleSetD::c11},
+    {"c12", &ParticleSetD::c12},     {"c13", &ParticleSetD::c13},
+    {"c22", &ParticleSetD::c22},     {"c23", &ParticleSetD::c23},
+    {"c33", &ParticleSetD::c33},     {"divv", &ParticleSetD::divv},
+    {"curlv", &ParticleSetD::curlv}, {"balsara", &ParticleSetD::balsara},
+    {"ax", &ParticleSetD::ax},       {"ay", &ParticleSetD::ay},
+    {"az", &ParticleSetD::az},       {"du", &ParticleSetD::du},
+    {"vsig", &ParticleSetD::vsig}};
+
+/// Phases E-H from \p start through the Scalar shells and through the seed
+/// loops (backend_oracle.hpp): every field they write must match bitwise,
+/// maxVsignal included.
+template<class KernelT>
+void expectScalarMatchesOracle(const ParticleSetD& start, const NeighborList<double>& nl,
+                               const KernelT& kernel, const Box<double>& box,
+                               GradientMode mode, std::span<const std::size_t> active = {})
+{
+    auto scalar = start;
+    auto seed   = start;
+    computeDensity(scalar, nl, kernel, box, active);
+    computeIadCoefficients(scalar, nl, kernel, box, active);
+    computeDivCurl(scalar, nl, kernel, box, mode, active);
+    auto stats = computeMomentumEnergy(scalar, nl, kernel, box, mode, {}, active);
+    EXPECT_EQ(oracle::computePhases(seed, nl, kernel, box, mode, active), stats.maxVsignal);
+    for (const auto& [name, field] : kPhaseOutputs)
+        expectFieldBitwise(seed.*field, scalar.*field, name);
+}
+
+/// gtest identifier for a kernel type: display names like "M4 spline" are
+/// not valid identifiers; keep alphanumerics only.
+std::string kernelId(KernelType k)
+{
+    std::string name(kernelName(k));
+    std::erase_if(name, [](unsigned char c) { return std::isalnum(c) == 0; });
+    return name;
+}
+
 } // namespace
 
 // --- LaneKernel vs Kernel, single-lane -------------------------------------
@@ -187,6 +234,44 @@ TEST(LaneKernel, MatchesKernelAcrossSupport)
         EXPECT_EQ(f0, kernel.fq(0.0)) << kernelName(type);
     }
 }
+
+// --- Scalar backend vs the seed loops --------------------------------------
+
+/// (kernel type, periodic box); each instance sweeps both gradient modes
+/// over all particles and over an active subset.
+class ScalarOracle : public ::testing::TestWithParam<std::tuple<KernelType, bool>>
+{
+};
+
+TEST_P(ScalarOracle, BitwiseEqualToSeedLoops)
+{
+    auto [type, periodic] = GetParam();
+    BackendFixture f(type, 8, 0.2, periodic);
+    // one coincident pair (r = 0): density and IAD keep it, the
+    // kernel-derivative div/curl and both momentum modes skip it
+    std::size_t b = f.nl.row(0).data[0];
+    f.ps.x[b]     = f.ps.x[0];
+    f.ps.y[b]     = f.ps.y[0];
+    f.ps.z[b]     = f.ps.z[0];
+    std::vector<std::size_t> subset;
+    for (std::size_t i = 1; i < f.ps.size(); i += 3)
+        subset.push_back(i);
+    for (GradientMode mode : {GradientMode::IAD, GradientMode::KernelDerivative})
+    {
+        SCOPED_TRACE(gradientModeName(mode));
+        expectScalarMatchesOracle(f.ps, f.nl, f.kernel, f.box, mode);
+        SCOPED_TRACE("active subset");
+        expectScalarMatchesOracle(f.ps, f.nl, f.kernel, f.box, mode, subset);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(KernelsBoxes, ScalarOracle,
+                         ::testing::Combine(::testing::ValuesIn(kAllKernels),
+                                            ::testing::Bool()),
+                         [](const auto& info) {
+                             return kernelId(std::get<0>(info.param)) +
+                                    (std::get<1>(info.param) ? "Periodic" : "Open");
+                         });
 
 // --- per-phase Simd vs Scalar parity ---------------------------------------
 
@@ -261,15 +346,7 @@ TEST_P(BackendParity, MomentumEnergyMatchesScalarBothGradientModes)
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, BackendParity, ::testing::ValuesIn(kAllKernels),
-                         [](const auto& info) {
-                             // display names like "M4 spline" are not valid
-                             // gtest identifiers; keep alphanumerics only
-                             std::string name(kernelName(info.param));
-                             std::erase_if(name, [](unsigned char c) {
-                                 return std::isalnum(c) == 0;
-                             });
-                             return name;
-                         });
+                         [](const auto& info) { return kernelId(info.param); });
 
 // --- parity on an open (non-periodic) box ----------------------------------
 
@@ -395,21 +472,16 @@ TEST(BackendEdgeCases, RemainderTilesAndEmptyLists)
     EXPECT_EQ(vec.ax[0], 0.0);
     EXPECT_EQ(vec.du[0], 0.0);
     EXPECT_EQ(vec.vsig[0], 0.0);
+
+    // and the Scalar path is the seed loops on every one of these rows
+    for (GradientMode mode : {GradientMode::IAD, GradientMode::KernelDerivative})
+    {
+        SCOPED_TRACE(gradientModeName(mode));
+        expectScalarMatchesOracle(f.ps, nl, f.kernel, f.box, mode);
+    }
 }
 
 // --- dispatch plumbing ------------------------------------------------------
-
-TEST(KernelBackendConfig, EnvSelection)
-{
-    ::unsetenv("SPHEXA_KERNEL_BACKEND");
-    EXPECT_EQ(kernelBackendFromEnv(), KernelBackend::Scalar);
-    EXPECT_EQ(kernelBackendFromEnv(KernelBackend::Simd), KernelBackend::Simd);
-    ::setenv("SPHEXA_KERNEL_BACKEND", "simd", 1);
-    EXPECT_EQ(kernelBackendFromEnv(), KernelBackend::Simd);
-    ::setenv("SPHEXA_KERNEL_BACKEND", "scalar", 1);
-    EXPECT_EQ(kernelBackendFromEnv(KernelBackend::Simd), KernelBackend::Scalar);
-    ::unsetenv("SPHEXA_KERNEL_BACKEND");
-}
 
 TEST(KernelBackendConfig, TabulatedKernelFallsBackToScalar)
 {
@@ -422,4 +494,11 @@ TEST(KernelBackendConfig, TabulatedKernelFallsBackToScalar)
     computeDensity(scalar, f.nl, tab, f.box);
     computeDensity(vec, f.nl, tab, f.box, {}, {}, simd());
     expectFieldBitwise(scalar.rho, vec.rho, "rho");
+
+    // the 1-lane instance takes any kernel with fq/dfq: still the seed loops
+    for (GradientMode mode : {GradientMode::IAD, GradientMode::KernelDerivative})
+    {
+        SCOPED_TRACE(gradientModeName(mode));
+        expectScalarMatchesOracle(f.ps, f.nl, tab, f.box, mode);
+    }
 }

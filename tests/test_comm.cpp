@@ -69,10 +69,14 @@ TEST(Comm, BadRankThrows)
 
 TEST(Comm, EmptyMessageAllowed)
 {
+    // an empty payload has a null data(), which the typed send and receive
+    // must keep away from memcpy; the message still counts, with no bytes
     Communicator comm(2);
     comm.sendVector<double>(0, 1, "empty", std::vector<double>{});
     comm.exchange();
     EXPECT_TRUE(comm.receiveVector<double>(1, 0, "empty").empty());
+    EXPECT_EQ(comm.traffic(0).messagesSent, 1u);
+    EXPECT_EQ(comm.traffic(0).bytesSent, 0u);
 }
 
 TEST(Comm, AllreduceSumMinMax)

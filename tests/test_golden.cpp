@@ -1,7 +1,8 @@
 /// Golden-value validation gallery (ctest label `golden`): every scenario
 /// checked against an analytic or published reference, under BOTH phase
 /// pipelines (the compressible hydro assembly and the WCSPH assembly with
-/// its ghost/body-force brackets) and at worker-pool sizes {1, 4}.
+/// its ghost/body-force brackets), at worker-pool sizes {1, 4} and under
+/// both compute backends (Scalar and the Simd lane kernels).
 ///
 /// References:
 ///  - Sedov-Taylor: R(t) = xi0 (E t^2 / rho0)^{1/5}  (ic/sedov.hpp)
@@ -49,8 +50,9 @@ const char* legName(Leg leg)
     return leg == Leg::Compressible ? "Compressible" : "Wcsph";
 }
 
-/// Gallery axis: (worker-pool size, pipeline assembly).
-class GoldenGallery : public ::testing::TestWithParam<std::tuple<std::size_t, Leg>>
+/// Gallery axis: (worker-pool size, pipeline assembly, compute backend).
+class GoldenGallery
+    : public ::testing::TestWithParam<std::tuple<std::size_t, Leg, KernelBackend>>
 {
 protected:
     void SetUp() override
@@ -62,18 +64,18 @@ protected:
 
     std::size_t pool() const { return std::get<0>(GetParam()); }
     Leg leg() const { return std::get<1>(GetParam()); }
+    KernelBackend backend() const { return std::get<2>(GetParam()); }
 
-    /// Route a scenario config through the requested pipeline assembly.
-    /// The scenario's EOS is passed explicitly, so switching the mode only
-    /// switches the phase list — never the physics closure. The compute
-    /// backend comes from SPHEXA_KERNEL_BACKEND (backend/kernel_backend.hpp)
-    /// so the CI matrix re-runs this whole gallery under the Simd lanes.
+    /// Route a scenario config through the requested pipeline assembly and
+    /// compute backend. The scenario's EOS is passed explicitly, so
+    /// switching the mode only switches the phase list — never the physics
+    /// closure.
     template<class T>
     SimulationConfig<T> withLeg(SimulationConfig<T> cfg) const
     {
         cfg.hydroMode = leg() == Leg::Wcsph ? HydroMode::WeaklyCompressible
                                             : HydroMode::Compressible;
-        cfg.kernelBackend = kernelBackendFromEnv(cfg.kernelBackend);
+        cfg.kernelBackend = backend();
         return cfg;
     }
 
@@ -297,7 +299,7 @@ TEST_P(GoldenGallery, PipelinesBitwiseEquivalentOnWallFreeScenario)
         cfg.hydroMode         = mode;
         cfg.targetNeighbors   = 60;
         cfg.neighborTolerance = 10;
-        cfg.kernelBackend     = kernelBackendFromEnv(cfg.kernelBackend);
+        cfg.kernelBackend     = backend();
         // explicit EOS: the mode must switch ONLY the phase list, never the
         // closure (the 3-arg ctor would derive an ideal gas in Compressible)
         Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos), cfg);
@@ -346,7 +348,7 @@ TEST_P(GoldenGallery, ClusterSearchModePhysicsBitwiseMatchesTreeWalk)
             cfg.sfcReorder = false; // cross-frame: only the cluster run sorts
             cfg.searchMode = cluster ? NeighborSearchMode::ClusterList
                                      : NeighborSearchMode::TreeWalk;
-            cfg.kernelBackend = kernelBackendFromEnv(cfg.kernelBackend);
+            cfg.kernelBackend = backend();
             Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos),
                                    cfg);
             sim.computeForces();
@@ -365,7 +367,7 @@ TEST_P(GoldenGallery, ClusterSearchModePhysicsBitwiseMatchesTreeWalk)
         cfg.sfcReorder         = true; // same frame for both search modes
         cfg.searchMode = cluster ? NeighborSearchMode::ClusterList
                                  : NeighborSearchMode::TreeWalk;
-        cfg.kernelBackend = kernelBackendFromEnv(cfg.kernelBackend);
+        cfg.kernelBackend = backend();
         Simulation<double> sim(std::move(ps), setup.box, cfg);
         sim.computeForces();
         sim.run(4);
@@ -424,7 +426,7 @@ TEST_P(GoldenGallery, DamBreakFrontWithinRitterBand)
     cfg.targetNeighbors    = 60;
     cfg.neighborTolerance  = 10;
     cfg.timestep.initialDt = 1e-4;
-    cfg.kernelBackend      = kernelBackendFromEnv(cfg.kernelBackend);
+    cfg.kernelBackend      = backend();
     Simulation<double> sim(std::move(ps), setup.box, cfg);
     std::size_t nReal = sim.particles().size();
     sim.computeForces();
@@ -485,11 +487,15 @@ TEST_P(GoldenGallery, TaitEosMatchesPublishedReferenceFormula)
     EXPECT_LT(eos(0.95 * rho0, 0.0).pressure, 0.0);
 }
 
+// Scalar instances carry no backend suffix: Pool1Compressible,
+// Pool1CompressibleSimd, ...
 INSTANTIATE_TEST_SUITE_P(
     Gallery, GoldenGallery,
     ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{4}),
-                       ::testing::Values(Leg::Compressible, Leg::Wcsph)),
+                       ::testing::Values(Leg::Compressible, Leg::Wcsph),
+                       ::testing::Values(KernelBackend::Scalar, KernelBackend::Simd)),
     [](const auto& info) {
         return std::string("Pool") + std::to_string(std::get<0>(info.param)) +
-               legName(std::get<1>(info.param));
+               legName(std::get<1>(info.param)) +
+               (std::get<2>(info.param) == KernelBackend::Simd ? "Simd" : "");
     });

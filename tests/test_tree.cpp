@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 
 #include "math/rng.hpp"
-#include "tree/cell_list.hpp"
 #include "tree/hilbert.hpp"
 #include "tree/morton.hpp"
 #include "tree/neighbors.hpp"
@@ -323,16 +323,37 @@ TEST(Octree, ParallelBuildEquivalent)
 
 // --- neighbor search equivalence (property test) ----------------------------
 
+namespace {
+
+/// Which axes of the unit box are periodic. Prints as the bool it
+/// generalizes when all or none are, else as its periodic axes
+/// ("z-periodic"), which names the sweep's instances.
+struct Periodicity
+{
+    bool x, y, z;
+    bool all() const { return x && y && z; }
+};
+
+void PrintTo(const Periodicity& p, std::ostream* os)
+{
+    if (p.x == p.y && p.y == p.z)
+        *os << (p.x ? "true" : "false");
+    else
+        *os << (p.x ? "x" : "") << (p.y ? "y" : "") << (p.z ? "z" : "") << "-periodic";
+}
+
+} // namespace
+
 class NeighborEquivalence
-    : public ::testing::TestWithParam<std::tuple<std::size_t, bool, SfcCurve>>
+    : public ::testing::TestWithParam<std::tuple<std::size_t, Periodicity, SfcCurve>>
 {
 };
 
 TEST_P(NeighborEquivalence, TreeMatchesBruteForce)
 {
-    auto [n, periodic, curve] = GetParam();
-    auto c = randomCloud(n, 7 * n + (periodic ? 1 : 0), 0.08);
-    Box<double> box{{0, 0, 0}, {1, 1, 1}, periodic, periodic, periodic};
+    auto [n, pbc, curve] = GetParam();
+    auto c = randomCloud(n, 7 * n + (pbc.all() ? 1 : 0), 0.08);
+    Box<double> box{{0, 0, 0}, {1, 1, 1}, pbc.x, pbc.y, pbc.z};
 
     Octree<double>::BuildParams params;
     params.curve = curve;
@@ -356,29 +377,15 @@ TEST_P(NeighborEquivalence, TreeMatchesBruteForce)
 INSTANTIATE_TEST_SUITE_P(
     Clouds, NeighborEquivalence,
     ::testing::Combine(::testing::Values(64, 500, 2000),
-                       ::testing::Bool(),
+                       ::testing::Values(Periodicity{false, false, false},
+                                         Periodicity{true, true, true}),
                        ::testing::Values(SfcCurve::Morton, SfcCurve::Hilbert)));
 
-TEST(NeighborSearch, CellListMatchesTree)
-{
-    auto c = randomCloud(3000, 17, 0.06);
-    Box<double> box{{0, 0, 0}, {1, 1, 1}, false, false, true}; // z-periodic
-    Octree<double> tree;
-    tree.build(c.x, c.y, c.z, box);
-
-    NeighborList<double> nlTree(c.x.size(), 512), nlCell(c.x.size(), 512);
-    findNeighborsGlobal(tree, c.x, c.y, c.z, c.h, nlTree);
-    findNeighborsCellList<double>(c.x, c.y, c.z, c.h, box, nlCell);
-
-    for (std::size_t i = 0; i < c.x.size(); ++i)
-    {
-        auto a = nlTree.neighbors(i);
-        auto b = nlCell.neighbors(i);
-        std::set<std::uint32_t> sa(a.begin(), a.end());
-        std::set<std::uint32_t> sb(b.begin(), b.end());
-        ASSERT_EQ(sa, sb) << "particle " << i;
-    }
-}
+// one periodic axis: the wrap must fire on z alone
+INSTANTIATE_TEST_SUITE_P(
+    MixedPeriodicity, NeighborEquivalence,
+    ::testing::Combine(::testing::Values(3000), ::testing::Values(Periodicity{false, false, true}),
+                       ::testing::Values(SfcCurve::Morton, SfcCurve::Hilbert)));
 
 TEST(NeighborSearch, IndividualWalkUpdatesOnlyActive)
 {
