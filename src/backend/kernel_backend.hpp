@@ -10,16 +10,18 @@
 /// (lane_kernel.hpp). The backend picks the evaluator, and forEachRow below
 /// is the one place that turns that choice into a loop:
 ///
+///  - Simd:   the kLaneWidth instance and the shipped E-H path (the
+///    SimulationConfig default). Bitwise pool-size- and strategy-invariant
+///    (fixed-order lane reduction), but it differs from Scalar by FP
+///    re-association of the neighbor sums and, for Sinc, by the lookup
+///    table (tolerance-gated in tests/test_backend.cpp).
 ///  - Scalar: the 1-lane instance, bitwise identical to the seed solver's
-///    per-pair loops (kept as the oracle in tests/backend_oracle.hpp).
-///  - Simd:   the kLaneWidth instance. Also bitwise pool-size- and
-///    strategy-invariant (fixed-order lane reduction), but it differs from
-///    Scalar by FP re-association of the neighbor sums and, for Sinc, by
-///    the lookup table (tolerance-gated in tests/test_backend.cpp).
+///    per-pair loops (kept as the oracle in tests/backend_oracle.hpp): the
+///    exact-Sinc reference and the only path of a TabulatedKernel.
 ///
 /// The selection is a SimulationConfig field plumbed by the drivers through
 /// StepContext into the PipelineFactory phase ops; standalone callers of
-/// computeDensity & friends get the Scalar path by default.
+/// computeDensity & friends that pass no ComputeBackend get Scalar.
 
 #include <cstddef>
 #include <span>

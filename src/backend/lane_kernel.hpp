@@ -3,10 +3,11 @@
 /// \file lane_kernel.hpp
 /// The shape evaluators of the phase kernels (backend/*_kernel.hpp): f(q)
 /// and f'(q) over one tile, whose `width` sets the kernels' lane count.
-/// ScalarLane (width 1, Scalar backend) calls KernelT::fq/dfq, so Sinc
-/// stays exact and any kernel type works; LaneKernel (width kLaneWidth,
-/// Simd backend) is branch-free across lanes. Both offer f-only, df-only
-/// and f+df calls, so no phase evaluates a shape function it discards.
+/// LaneKernel (width kLaneWidth, the shipped Simd backend) is branch-free
+/// across lanes; ScalarLane (width 1, the Scalar reference) calls
+/// KernelT::fq/dfq, so Sinc stays exact and any kernel type works. Both
+/// offer f-only, df-only and f+df calls, so no phase evaluates a shape
+/// function it discards.
 ///
 /// LaneKernel's closed-form families (spline, Wendland, spiky) replicate
 /// the exact FP expression sequence of Kernel<T>::fq/dfq (sph/kernels.hpp)
@@ -25,7 +26,9 @@
 /// on the default sinc configuration (BENCH_simd.json).
 ///
 /// At q = 0 the table returns its exact first sample fq(0), so self
-/// contributions match the Scalar path bitwise for every kernel type.
+/// contributions match the Scalar path bitwise for every kernel type. A
+/// NaN q yields a NaN lane in every family, as fq/dfq do on the Scalar
+/// path, and leaves the other lanes of its tile untouched.
 
 #include <cstddef>
 

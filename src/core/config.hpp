@@ -177,10 +177,12 @@ struct SimulationConfig
     unsigned neighborTolerance = 10;
     unsigned ngmax = 384;            ///< neighbor list capacity
     unsigned treeLeafSize = 64;
-    /// Morton keeps the seed's tree ordering bitwise; prefer Hilbert with
-    /// ClusterList mode — its locality (no octant-boundary jumps) measures
-    /// ~1.6x fewer candidate tests per cluster member than Morton.
-    SfcCurve sfcCurve = SfcCurve::Morton;
+    /// Curve of the SFC reorder (phase L), the octree (phases A/B) and the
+    /// SFC decomposition. Hilbert is the default: its locality (no octant-
+    /// boundary jumps) gives ClusterList mode ~1.6x fewer candidate tests
+    /// per cluster member than Morton, which stays selectable and keeps
+    /// the seed's tree ordering bitwise.
+    SfcCurve sfcCurve = SfcCurve::Hilbert;
     /// Global-walk neighbor discovery shape. ClusterList implies the SFC
     /// reorder below (clusters are runs of consecutive particles, tight
     /// only in curve order) and is the default: the cluster path wins from
@@ -200,13 +202,14 @@ struct SimulationConfig
     bool parallelTreeBuild = false;  ///< SPHYNX v1.3.1 built its tree serially
     bool symmetrizeNeighbors = true; ///< exact pairwise momentum conservation
 
-    /// Compute backend of the hot SPH sums (phases E-H): the 1-lane
-    /// (Scalar, exact Sinc, bitwise the seed loops) or the 8-lane (Simd)
-    /// instance of the kernels in src/backend/. Simd is gated against
-    /// Scalar by relative tolerance (the neighbor-sum association differs);
-    /// both are bitwise pool- and strategy-invariant; see
-    /// docs/ARCHITECTURE.md "Backend layer".
-    KernelBackend kernelBackend = KernelBackend::Scalar;
+    /// Compute backend of the hot SPH sums (phases E-H): the 8-lane (Simd,
+    /// the default, Sinc through a lookup table) or the 1-lane (Scalar,
+    /// exact Sinc, bitwise the seed loops — the reference) instance of the
+    /// kernels in src/backend/. Simd is gated against Scalar by relative
+    /// tolerance (the neighbor-sum association differs); both are bitwise
+    /// pool- and strategy-invariant; see docs/ARCHITECTURE.md "Backend
+    /// layer".
+    KernelBackend kernelBackend = KernelBackend::Simd;
 
     // --- CS features (Table 4), used by the distributed driver ---
     DecompositionMethod decomposition = DecompositionMethod::SpaceFillingCurve;

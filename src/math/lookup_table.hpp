@@ -36,11 +36,13 @@ public:
         }
     }
 
-    /// Linear interpolation; clamps outside [a, b].
+    /// Linear interpolation; clamps outside [a, b]. A NaN argument returns
+    /// NaN, like the function it tabulates, instead of a sample.
     T operator()(T x) const
     {
         if (x <= a_) return values_.front();
         if (x >= b_) return values_.back();
+        if (std::isnan(x)) return x; // no clamp catches NaN
         T pos = (x - a_) * inv_dx_;
         auto i = static_cast<std::size_t>(pos);
         T frac = pos - T(i);

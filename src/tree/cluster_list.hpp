@@ -31,7 +31,6 @@
 /// loop.
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <span>
 #include <type_traits>
@@ -132,7 +131,7 @@ void findNeighborsClustered(const Octree<T>& tree, std::type_identity_t<std::spa
             scr.cx.clear();
             scr.cy.clear();
             scr.cz.clear();
-            Index stack[512];
+            Index stack[Octree<T>::walkStackSize];
             int   sp    = 0;
             stack[sp++] = 0;
             while (sp > 0)
@@ -165,10 +164,7 @@ void findNeighborsClustered(const Octree<T>& tree, std::type_identity_t<std::spa
                 else
                 {
                     for (int ch = 0; ch < nd.nChildren; ++ch)
-                    {
-                        assert(sp < 511);
                         stack[sp++] = nd.child + Index(ch);
-                    }
                 }
             }
             visited[worker].value += scr.candidates.size();

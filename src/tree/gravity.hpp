@@ -160,7 +160,7 @@ private:
         Vec3<T> pi{ps.x[i], ps.y[i], ps.z[i]};
         T eps2 = params_.softening * params_.softening;
 
-        Index stack[256];
+        Index stack[Octree<T>::walkStackSize];
         int   sp    = 0;
         stack[sp++] = 0;
         while (sp > 0)

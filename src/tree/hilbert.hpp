@@ -6,9 +6,10 @@
 ///
 /// The Hilbert curve trades slightly costlier key computation for strictly
 /// better locality than Morton order: consecutive keys are always unit steps
-/// in exactly one axis, which reduces the surface (and therefore the halo
-/// traffic) of SFC domain decompositions. Offered as an alternative to the
-/// Morton curve in the decomposition ablation (bench_decomposition).
+/// in exactly one axis, which tightens the clusters of the SFC-sorted
+/// neighbor search and reduces the surface (and therefore the halo traffic)
+/// of SFC domain decompositions. It is the default SimulationConfig::sfcCurve
+/// (phases L, A and B and the decomposition); Morton stays selectable.
 
 #include <cstdint>
 

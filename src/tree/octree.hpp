@@ -19,7 +19,6 @@
 /// (docs/ARCHITECTURE.md §3).
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -41,6 +40,12 @@ public:
     using Index   = std::uint32_t;
 
     static constexpr int maxDepth = sfcBitsPerDim; // 21
+
+    /// Stack capacity of every depth-first walk over the tree (the neighbor
+    /// walk below, the cluster search, the gravity walk). Internal nodes sit
+    /// at depths 0..maxDepth-1, and expanding one pops it and pushes at most
+    /// 8 children, so a walk holds at most 1 + 7 * maxDepth pending nodes.
+    static constexpr std::size_t walkStackSize = 1 + 7 * maxDepth;
 
     struct Node
     {
@@ -143,7 +148,7 @@ public:
     {
         if (nodes_.empty() || n_ == 0) return;
         T r2 = radius * radius;
-        Index stack[128];
+        Index stack[walkStackSize];
         int   sp   = 0;
         stack[sp++] = 0;
         while (sp > 0)
@@ -163,10 +168,7 @@ public:
             else
             {
                 for (int c = 0; c < nd.nChildren; ++c)
-                {
-                    assert(sp < 127);
                     stack[sp++] = nd.child + Index(c);
-                }
             }
         }
     }

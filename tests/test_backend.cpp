@@ -20,6 +20,7 @@
 #include <array>
 #include <cctype>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <string>
 #include <tuple>
@@ -232,6 +233,49 @@ TEST(LaneKernel, MatchesKernelAcrossSupport)
         double f0, df0;
         lanes.fdf(0.0, f0, df0);
         EXPECT_EQ(f0, kernel.fq(0.0)) << kernelName(type);
+    }
+}
+
+TEST(LaneKernel, NaNLaneStaysNaNAndLeavesOtherLanesUnchanged)
+{
+    // a NaN q (a bad h or position upstream) must surface in its own lane
+    // of f, df and fdf — as Kernel::fq/dfq return NaN on the Scalar path —
+    // and must not disturb the tile's other lanes
+    constexpr std::size_t W = LaneKernel<double>::width;
+    constexpr std::size_t bad = W / 2;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (KernelType type : kAllKernels)
+    {
+        SCOPED_TRACE(kernelName(type));
+        Kernel<double> kernel(type);
+        LaneKernel<double> lanes(kernel);
+        EXPECT_TRUE(std::isnan(kernel.fq(nan)));
+        EXPECT_TRUE(std::isnan(kernel.dfq(nan)));
+
+        double q[W], qRef[W];
+        for (std::size_t l = 0; l < W; ++l)
+            q[l] = qRef[l] = 2.4 * double(l) / double(W - 1); // the last lanes leave the support
+        q[bad] = nan;
+        double f[W], df[W], ff[W], fd[W], fRef[W], dfRef[W];
+        lanes.f(q, f);
+        lanes.df(q, df);
+        lanes.fdf(q, ff, fd);
+        lanes.fdf(qRef, fRef, dfRef);
+        for (std::size_t l = 0; l < W; ++l)
+        {
+            if (l == bad)
+            {
+                EXPECT_TRUE(std::isnan(f[l]));
+                EXPECT_TRUE(std::isnan(df[l]));
+                EXPECT_TRUE(std::isnan(ff[l]));
+                EXPECT_TRUE(std::isnan(fd[l]));
+                continue;
+            }
+            EXPECT_EQ(f[l], fRef[l]) << "lane " << l;
+            EXPECT_EQ(df[l], dfRef[l]) << "lane " << l;
+            EXPECT_EQ(ff[l], fRef[l]) << "lane " << l;
+            EXPECT_EQ(fd[l], dfRef[l]) << "lane " << l;
+        }
     }
 }
 

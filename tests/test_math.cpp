@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "math/lookup_table.hpp"
@@ -239,6 +240,17 @@ TEST(LookupTable, ClampsOutsideDomain)
     LookupTable<double> t([](double x) { return x; }, 1.0, 2.0, 11);
     EXPECT_DOUBLE_EQ(t(0.0), 1.0);
     EXPECT_DOUBLE_EQ(t(5.0), 2.0);
+}
+
+TEST(LookupTable, PropagatesNaN)
+{
+    // a NaN argument must stay NaN, not be clamped to a sample (which would
+    // absorb the bad state) nor be cast to an index (undefined behavior)
+    LookupTable<double> t([](double x) { return x; }, 1.0, 2.0, 11);
+    double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(std::isnan(t(nan)));
+    EXPECT_TRUE(std::isnan(t(-nan)));
+    EXPECT_DOUBLE_EQ(t(1.5), 1.5);
 }
 
 TEST(Statistics, BasicAggregates)

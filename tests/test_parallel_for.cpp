@@ -2,8 +2,9 @@
 /// the persistent worker pool, iteration coverage under every strategy,
 /// per-phase busy-time accounting, AWF weight persistence — and the
 /// strongest guarantee the layer makes to the solver: particle state after
-/// a real Sedov run is bitwise identical for every pool size and every
-/// scheduling strategy, for both the hydro and hydro+gravity pipelines.
+/// a real run is bitwise identical for every pool size and every scheduling
+/// strategy: Sedov hydro and hydro+gravity on both compute backends, and
+/// the WCSPH dam break.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #endif
 
 #include "core/simulation.hpp"
+#include "ic/dam_break.hpp"
 #include "ic/sedov.hpp"
 #include "parallel/parallel_for.hpp"
 #include "perf/pop_metrics.hpp"
@@ -335,16 +337,13 @@ TEST(AwfWeights, SimulationPersistsWeightsAcrossSteps)
 
 namespace {
 
-/// Run 5 Sedov steps under one (strategy, pool size) combination and return
-/// the final particle state.
-ParticleSetD runSedov(SchedulingStrategy strategy, std::size_t poolSize, bool gravity)
-{
-    PoolSizeGuard guard(poolSize);
-#ifdef _OPENMP
-    int savedOmp = omp_get_max_threads();
-    omp_set_num_threads(int(poolSize)); // vary the OpenMP walks too
-#endif
+/// The compute backend the default SimulationConfig ships.
+constexpr KernelBackend kShippedBackend = SimulationConfig<double>{}.kernelBackend;
 
+/// 5 Sedov steps (1000 particles) of the compressible assembly, every phase
+/// under \p strategy.
+ParticleSetD runSedov(SchedulingStrategy strategy, bool gravity, KernelBackend backend)
+{
     ParticleSetD ps;
     SedovConfig<double> sc;
     sc.nSide   = 10;
@@ -355,16 +354,56 @@ ParticleSetD runSedov(SchedulingStrategy strategy, std::size_t poolSize, bool gr
     cfg.neighborTolerance = 10;
     cfg.selfGravity       = gravity;
     if (gravity) cfg.gravity.softening = 1e-2;
+    cfg.kernelBackend = backend;
     cfg.phaseSchedule.fill(strategy);
 
     Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos), cfg);
     sim.computeForces();
     sim.run(5);
+    return sim.particles();
+}
+
+/// 5 dam-break steps (512 particles) of the WCSPH assembly: mirror-ghost
+/// walls (phase K), Tait EOS, body force and a free surface, every phase
+/// under \p strategy.
+ParticleSetD runDamBreak(SchedulingStrategy strategy)
+{
+    ParticleSetD ps;
+    DamBreakConfig<double> ic;
+    ic.nx      = 8;
+    ic.ny      = 16;
+    ic.nz      = 4;
+    auto setup = makeDamBreak(ps, ic);
+
+    auto cfg               = damBreakConfig(ic, setup);
+    cfg.targetNeighbors    = 60;
+    cfg.neighborTolerance  = 10;
+    cfg.timestep.initialDt = 1e-4;
+    cfg.phaseSchedule.fill(strategy);
+
+    Simulation<double> sim(std::move(ps), setup.box, cfg);
+    sim.computeForces();
+    sim.run(5);
+    return sim.particles();
+}
+
+/// Run \p scenario under one (strategy, pool size) combination and return
+/// the final particle state.
+template<class Scenario>
+ParticleSetD runAt(const Scenario& scenario, SchedulingStrategy strategy, std::size_t poolSize)
+{
+    PoolSizeGuard guard(poolSize);
+#ifdef _OPENMP
+    int savedOmp = omp_get_max_threads();
+    omp_set_num_threads(int(poolSize)); // vary the OpenMP walks too
+#endif
+
+    ParticleSetD ps = scenario(strategy);
 
 #ifdef _OPENMP
     omp_set_num_threads(savedOmp);
 #endif
-    return sim.particles();
+    return ps;
 }
 
 /// Assert bitwise equality of every floating-point field.
@@ -386,10 +425,11 @@ void expectBitwiseEqual(const ParticleSetD& ref, const ParticleSetD& got,
     }
 }
 
-void runInvarianceSuite(bool gravity)
+template<class Scenario>
+void runInvarianceSuite(const Scenario& scenario)
 {
     // reference: STATIC on a single worker — the fully serial execution
-    ParticleSetD ref = runSedov(SchedulingStrategy::Static, 1, gravity);
+    ParticleSetD ref = runAt(scenario, SchedulingStrategy::Static, 1);
     ASSERT_GT(ref.size(), 0u);
 
     for (auto s : kAllStrategies)
@@ -397,7 +437,7 @@ void runInvarianceSuite(bool gravity)
         for (std::size_t pool : {1u, 2u, 4u})
         {
             if (s == SchedulingStrategy::Static && pool == 1) continue; // the reference
-            ParticleSetD got = runSedov(s, pool, gravity);
+            ParticleSetD got = runAt(scenario, s, pool);
             expectBitwiseEqual(ref, got,
                                std::string(schedulingName(s)) + "/pool=" +
                                    std::to_string(pool));
@@ -407,16 +447,35 @@ void runInvarianceSuite(bool gravity)
 
 } // namespace
 
-/// 5 Sedov steps are bitwise identical across pool sizes {1,2,4} and all
-/// six scheduling strategies: every hot loop is accumulate-to-self and all
+/// 5 steps are bitwise identical across pool sizes {1,2,4} and all six
+/// scheduling strategies: every hot loop is accumulate-to-self and all
 /// reductions are exact (min/max selection), so chunk boundaries — even the
-/// timing-dependent ones of AWF — can never change physics.
+/// timing-dependent ones of AWF — can never change physics. The unprefixed
+/// cases run the shipped backend; the Scalar ones keep the exact-Sinc
+/// reference covered.
 TEST(ThreadStrategyInvariance, HydroPipelineIsBitwiseIdentical)
 {
-    runInvarianceSuite(/*gravity*/ false);
+    runInvarianceSuite([](SchedulingStrategy s) { return runSedov(s, false, kShippedBackend); });
 }
 
 TEST(ThreadStrategyInvariance, HydroGravityPipelineIsBitwiseIdentical)
 {
-    runInvarianceSuite(/*gravity*/ true);
+    runInvarianceSuite([](SchedulingStrategy s) { return runSedov(s, true, kShippedBackend); });
+}
+
+TEST(ThreadStrategyInvariance, ScalarHydroPipelineIsBitwiseIdentical)
+{
+    runInvarianceSuite(
+        [](SchedulingStrategy s) { return runSedov(s, false, KernelBackend::Scalar); });
+}
+
+TEST(ThreadStrategyInvariance, ScalarHydroGravityPipelineIsBitwiseIdentical)
+{
+    runInvarianceSuite(
+        [](SchedulingStrategy s) { return runSedov(s, true, KernelBackend::Scalar); });
+}
+
+TEST(ThreadStrategyInvariance, DamBreakPipelineIsBitwiseIdentical)
+{
+    runInvarianceSuite(runDamBreak);
 }

@@ -1,14 +1,20 @@
 /// Octree and SFC-key tests: round trips, ordering invariants, tree
 /// structural invariants, and neighbor-search equivalence against brute
-/// force — including periodic boxes — as property tests over random clouds.
+/// force — including periodic boxes — as property tests over random clouds,
+/// plus the maximal-depth tree that fills every walk's stack.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <ostream>
 #include <set>
 
 #include "math/rng.hpp"
+#include "sph/particles.hpp"
+#include "tree/cluster_list.hpp"
+#include "tree/gravity.hpp"
 #include "tree/hilbert.hpp"
 #include "tree/morton.hpp"
 #include "tree/neighbors.hpp"
@@ -409,6 +415,119 @@ TEST(NeighborSearch, IndividualWalkUpdatesOnlyActive)
     EXPECT_GT(nl.count(0), before); // larger radius found more
 }
 
+// --- the deepest tree: the walks' stack bound -------------------------------
+
+namespace {
+
+/// A Morton tree of maximal depth whose walks fill their whole stack: at
+/// each of the maxDepth internal levels one particle sits in each octant
+/// but the high (+x,+y,+z) one, which holds the rest and is pushed last, so
+/// a walk that opens every node keeps 7 siblings pending per level. The
+/// last cell holds more than a leaf but lies at maxDepth, where splitting
+/// stops. h = 1 makes every support radius cover the unit box.
+Cloud deepestTreeCloud()
+{
+    Cloud c;
+    double lo = 0.0, size = 1.0;
+    for (int level = 0; level < Octree<double>::maxDepth; ++level)
+    {
+        double half = size / 2;
+        for (int octant = 0; octant < 7; ++octant)
+        {
+            c.x.push_back(lo + ((octant & 4) ? half : 0.0) + half / 2);
+            c.y.push_back(lo + ((octant & 2) ? half : 0.0) + half / 2);
+            c.z.push_back(lo + ((octant & 1) ? half : 0.0) + half / 2);
+        }
+        lo += half;
+        size = half;
+    }
+    for (int k = 0; k < 70; ++k)
+    {
+        double t = lo + (k + 0.5) / 70 * size;
+        c.x.push_back(t);
+        c.y.push_back(t);
+        c.z.push_back(t);
+    }
+    c.h.assign(c.x.size(), 1.0);
+    return c;
+}
+
+std::set<std::uint32_t> neighborSet(const NeighborList<double>& nl, std::size_t i)
+{
+    auto row = nl.neighbors(i);
+    return {row.begin(), row.end()};
+}
+
+} // namespace
+
+TEST(DeepestTree, NeighborWalksMatchBruteForce)
+{
+    auto c = deepestTreeCloud();
+    std::size_t n = c.x.size();
+    ASSERT_EQ(n, 217u);
+    Box<double> box{{0, 0, 0}, {1, 1, 1}};
+    Octree<double> tree;
+    tree.build(c.x, c.y, c.z, box);
+    ASSERT_EQ(tree.depth(), Octree<double>::maxDepth);
+    ASSERT_EQ(tree.node(0).nChildren, 8);
+
+    NeighborList<double> brute(n, 256), walk(n, 256), individual(n, 256), clustered(n, 256);
+    findNeighborsBruteForce<double>(c.x, c.y, c.z, c.h, box, brute);
+    findNeighborsGlobal(tree, c.x, c.y, c.z, c.h, walk);
+    std::vector<std::size_t> all(n);
+    std::iota(all.begin(), all.end(), std::size_t(0));
+    findNeighborsIndividual(tree, c.x, c.y, c.z, c.h, all, individual);
+    ClusterWorkspace<double> ws;
+    findNeighborsClustered(tree, c.x, c.y, c.z, c.h, clustered, ws);
+
+    EXPECT_EQ(brute.overflowCount(), 0u);
+    for (std::size_t i = 0; i < n; ++i)
+    {
+        auto expected = neighborSet(brute, i);
+        ASSERT_EQ(expected.size(), n - 1) << i; // the radius covers the box
+        ASSERT_EQ(neighborSet(walk, i), expected) << i;
+        ASSERT_EQ(neighborSet(individual, i), expected) << i;
+        ASSERT_EQ(neighborSet(clustered, i), expected) << i;
+    }
+}
+
+TEST(DeepestTree, GravityWalkOpeningEveryNodeMatchesDirectSum)
+{
+    auto c = deepestTreeCloud();
+    std::size_t n = c.x.size();
+    ParticleSet<double> ps(n);
+    for (std::size_t i = 0; i < n; ++i)
+    {
+        ps.x[i]  = c.x[i];
+        ps.y[i]  = c.y[i];
+        ps.z[i]  = c.z[i];
+        ps.m[i]  = 1.0 / double(n);
+        ps.id[i] = i;
+    }
+    Octree<double> tree;
+    tree.build(ps.x, ps.y, ps.z, Box<double>{{0, 0, 0}, {1, 1, 1}});
+
+    GravityParams<double> params;
+    params.theta     = 0.0; // accept no multipole: open every node
+    params.softening = 1e-3;
+    ParticleSet<double> ref = ps;
+    GravitySolver<double>::directSum(ref, params);
+
+    GravitySolver<double> solver;
+    solver.prepare(tree, ps, params);
+    GravityStats stats;
+    solver.accumulate(ps, &stats);
+    EXPECT_EQ(stats.p2pInteractions, n * (n - 1));
+    EXPECT_EQ(stats.m2pInteractions, 0u);
+    for (std::size_t i = 0; i < n; ++i)
+    {
+        double scale = std::abs(ref.ax[i]) + std::abs(ref.ay[i]) + std::abs(ref.az[i]);
+        ASSERT_NEAR(ps.ax[i], ref.ax[i], 1e-12 * scale) << i;
+        ASSERT_NEAR(ps.ay[i], ref.ay[i], 1e-12 * scale) << i;
+        ASSERT_NEAR(ps.az[i], ref.az[i], 1e-12 * scale) << i;
+    }
+}
+
 TEST(NeighborList, OverflowDetected)
 {
     // 100 coincident-ish particles with huge h and tiny ngmax
@@ -427,9 +546,11 @@ TEST(NeighborList, OverflowDetected)
 
 TEST(NeighborList, OverflowCountExactUnderConcurrentWriters)
 {
-    // regression: overflow_ is bumped through `#pragma omp atomic` in
-    // set(); with many threads writing oversized lists concurrently the
-    // count must still be exact (a plain ++ would drop increments)
+    // regression: overflow_ is bumped atomically in set(); with many
+    // threads writing oversized lists concurrently the count must still be
+    // exact (a plain ++ would drop increments). The writers run on the
+    // WorkerPool: ThreadSanitizer cannot see libgomp's join, so a raw
+    // OpenMP loop here reads as a race.
     const std::size_t n = 20000;
     const unsigned ngmax = 4;
     NeighborList<double> nl(n, ngmax);
@@ -439,11 +560,8 @@ TEST(NeighborList, OverflowCountExactUnderConcurrentWriters)
     for (std::size_t k = 0; k < oversized.size(); ++k)
         oversized[k] = Index(k);
 
-#pragma omp parallel for schedule(dynamic, 64)
-    for (std::size_t i = 0; i < n; ++i)
-    {
-        nl.set(i, oversized);
-    }
+    parallelFor(n, [&](std::size_t i, std::size_t) { nl.set(i, oversized); },
+                {SchedulingStrategy::SelfScheduling});
 
     EXPECT_EQ(nl.overflowCount(), n);
     for (std::size_t i = 0; i < n; ++i)
