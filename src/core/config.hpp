@@ -175,7 +175,11 @@ struct SimulationConfig
     // --- discretization control ---
     unsigned targetNeighbors = 100;  ///< ~10^2 per the paper
     unsigned neighborTolerance = 10;
-    unsigned ngmax = 384;            ///< neighbor list capacity
+    /// Per-row cap of the neighbor lists: a longer neighborhood is cut at
+    /// ngmax and counted as an overflow (StepReport::neighborOverflow).
+    /// Not the allocation unit: rows are packed into a grow-only arena
+    /// (tree/neighbors.hpp) sized by what the neighborhoods hold.
+    unsigned ngmax = 384;
     unsigned treeLeafSize = 64;
     /// Curve of the SFC reorder (phase L), the octree (phases A/B) and the
     /// SFC decomposition. Hilbert is the default: its locality (no octant-

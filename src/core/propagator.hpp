@@ -126,6 +126,7 @@ public:
         rep.neighborInteractions = ctx.neighborInteractions;
         rep.activeParticles      = ctx.activeParticles;
         rep.hIterations          = ctx.hIterations;
+        rep.hUnconverged         = ctx.hUnconverged;
         rep.neighborOverflow     = ctx.neighborOverflow;
         rep.gravityStats         = ctx.gravityStats;
         rep.phaseLoad            = ctx.phaseLoad;
@@ -252,7 +253,8 @@ PhaseOp<T> smoothingLength(bool activeSubsetIterates = false)
                 auto hres = updateSmoothingLengths(ctx.ps, ctx.tree, ctx.nl, hp,
                                                    ctx.activeSpan(), /*reuseLists*/ true,
                                                    ctx.loopPolicy(Phase::C_SmoothingLength));
-                ctx.hIterations = hres.iterations;
+                ctx.hIterations  = hres.iterations;
+                ctx.hUnconverged = hres.unconverged;
             }};
 }
 

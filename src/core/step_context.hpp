@@ -49,6 +49,9 @@ struct StepReport
     std::size_t activeParticles = 0;
     GravityStats gravityStats{};
     unsigned hIterations = 0;
+    /// Particles whose neighbor count phase C left outside the tolerance
+    /// band after its last iteration (SmoothingLengthResult::unconverged).
+    std::size_t hUnconverged = 0;
     /// Neighbor-list fills that exceeded ngmax this step (truncated lists).
     /// Zero in a healthy run; the shared-memory driver warns once per step
     /// when it is not, instead of silently losing interactions.
@@ -139,6 +142,7 @@ struct StepContext
     /// zero outside the ghostCreate..ghostRemove bracket.
     std::size_t nGhosts = 0;
     unsigned hIterations = 0;
+    std::size_t hUnconverged = 0;
     std::size_t neighborInteractions = 0;
     std::size_t activeParticles = 0;
     std::size_t neighborOverflow = 0;

@@ -34,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -223,6 +224,11 @@ public:
 
     /// Run job(worker) once per worker; returns when all workers finished.
     /// Not reentrant: a job must not itself call run().
+    ///
+    /// A job that throws ends only its own worker's share: the others run
+    /// theirs to completion (they may reference the caller's frame), and
+    /// then the exception of the lowest-numbered worker that threw is
+    /// rethrown on the caller, whatever the timing. The pool stays usable.
     void run(const std::function<void(std::size_t)>& job)
     {
         if (nWorkers_ == 1)
@@ -230,6 +236,7 @@ public:
             job(0);
             return;
         }
+        errors_.assign(nWorkers_, nullptr);
         {
             std::lock_guard<std::mutex> lock(mu_);
             job_ = &job;
@@ -237,10 +244,16 @@ public:
             pending_ = nWorkers_ - 1;
         }
         cv_.notify_all();
-        job(0);
-        std::unique_lock<std::mutex> lock(mu_);
-        doneCv_.wait(lock, [&] { return pending_ == 0; });
-        job_ = nullptr;
+        runCaught(job, 0);
+        {
+            std::unique_lock<std::mutex> lock(mu_);
+            doneCv_.wait(lock, [&] { return pending_ == 0; });
+            job_ = nullptr;
+        }
+        for (const auto& e : errors_)
+        {
+            if (e) std::rethrow_exception(e);
+        }
     }
 
     ~WorkerPool() { stopThreads(); }
@@ -287,14 +300,27 @@ private:
             seen = generation_;
             const auto* job = job_;
             lock.unlock();
-            (*job)(id);
+            runCaught(*job, id);
             lock.lock();
             if (--pending_ == 0) doneCv_.notify_all();
         }
     }
 
+    void runCaught(const std::function<void(std::size_t)>& job, std::size_t id)
+    {
+        try
+        {
+            job(id);
+        }
+        catch (...)
+        {
+            errors_[id] = std::current_exception();
+        }
+    }
+
     std::size_t nWorkers_;
     std::vector<std::thread> threads_;
+    std::vector<std::exception_ptr> errors_; ///< per worker, of the running job
     std::mutex mu_;
     std::condition_variable cv_, doneCv_;
     const std::function<void(std::size_t)>* job_{nullptr};
@@ -349,7 +375,9 @@ struct alignas(64) WorkerSlot
 /// depend on which worker executes which iteration except through
 /// per-worker scratch slots (the exact-reduction idiom: each worker folds
 /// into slot `worker` — use WorkerSlot — and the caller combines the slots
-/// afterwards).
+/// afterwards). An exception thrown by the body reaches the caller once
+/// the region has finished (WorkerPool::run); iterations after it in the
+/// throwing worker's share are skipped.
 template<class Body>
 inline void parallelFor(std::size_t n, Body&& body, const LoopPolicy& policy = {})
 {

@@ -62,7 +62,8 @@ T updateH(T h, unsigned count, unsigned target)
 /// initial global walk happens inside. A non-empty subset restricts the
 /// iteration to those indices (a distributed rank's owned particles) and
 /// always assumes current lists — both drivers then follow the exact same
-/// h path.
+/// h path. Every loop, the h update and both walks, runs under \p policy,
+/// so its stats sink sees the whole phase.
 template<class T>
 SmoothingLengthResult
 updateSmoothingLengths(ParticleSet<T>& ps, const Octree<T>& tree, NeighborList<T>& nl,
@@ -75,7 +76,7 @@ updateSmoothingLengths(ParticleSet<T>& ps, const Octree<T>& tree, NeighborList<T
     if (subset.empty() && !reuseLists)
     {
         findNeighborsGlobal(tree, std::span<const T>(ps.x), std::span<const T>(ps.y),
-                            std::span<const T>(ps.z), std::span<const T>(ps.h), nl);
+                            std::span<const T>(ps.z), std::span<const T>(ps.h), nl, policy);
     }
 
     SmoothingLengthResult res;
@@ -109,7 +110,7 @@ updateSmoothingLengths(ParticleSet<T>& ps, const Octree<T>& tree, NeighborList<T
 
         findNeighborsIndividual(tree, std::span<const T>(ps.x), std::span<const T>(ps.y),
                                 std::span<const T>(ps.z), std::span<const T>(ps.h), active,
-                                nl);
+                                nl, policy);
     }
 
     for (std::size_t k = 0; k < n; ++k)

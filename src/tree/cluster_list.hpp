@@ -5,8 +5,8 @@
 /// sorted-reorder + cluster subsystem (tree/sfc_sort.hpp).
 ///
 /// Fixed-size runs of consecutive SFC-sorted particles form clusters with
-/// tight AABBs. Instead of one octree walk per particle (ngmax-bounded tree
-/// walk of tree/neighbors.hpp), the search walks the tree once per CLUSTER:
+/// tight AABBs. Instead of one octree walk per particle (findNeighborsGlobal
+/// in tree/neighbors.hpp), the search walks the tree once per CLUSTER:
 /// nodes are pruned by cluster-AABB-to-node-AABB distance against the
 /// cluster's largest support radius, surviving leaves are gathered into a
 /// packed candidate buffer, and every member then scans that contiguous
@@ -26,9 +26,11 @@
 /// (gated by tests/test_cluster_list.cpp and the golden gallery).
 ///
 /// The search runs through parallelFor (one iteration per cluster); each
-/// cluster writes only its own members' list slots, so results are bitwise
+/// cluster writes only its own members' rows, so results are bitwise
 /// invariant under pool size and scheduling strategy like every other hot
-/// loop.
+/// loop. The rows go through the worker's arena cursor one after another,
+/// so each cluster's rows form one packed block of the arena (split only
+/// where a page ends), claimed with no shared operation per row.
 
 #include <algorithm>
 #include <cstddef>
@@ -105,6 +107,7 @@ void findNeighborsClustered(const Octree<T>& tree, std::type_identity_t<std::spa
 
     std::vector<WorkerSlot<std::size_t>> visited(ws.workers.size());
 
+    nl.beginFill(n, n == nl.size());
     parallelFor(
         nClusters,
         [&](std::size_t c, std::size_t worker) {
@@ -210,10 +213,11 @@ void findNeighborsClustered(const Octree<T>& tree, std::type_identity_t<std::spa
                     outp[cnt] = cdp[k];
                     cnt += std::size_t((d2p[k] < r2) & (cdp[k] != Index(i)));
                 }
-                nl.set(i, std::span<const Index>(outp, cnt));
+                nl.place(i, std::span<const Index>(outp, cnt), worker);
             }
         },
         policy);
+    nl.endFill();
 
     ws.candidatesVisited = 0;
     for (const auto& v : visited)

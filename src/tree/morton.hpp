@@ -8,6 +8,7 @@
 /// they drive the SFC-based domain decomposition (Table 4).
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "domain/box.hpp"
 #include "math/vec.hpp"
@@ -64,10 +65,18 @@ inline constexpr void mortonDecode(std::uint64_t key, std::uint64_t& ix, std::ui
     iz = detail::compactBits3(key);
 }
 
-/// Map a normalized coordinate in [0, 1) to an integer cell coordinate.
+/// Map a normalized coordinate in [0, 1) to an integer cell coordinate,
+/// clamping finite values outside that range. A NaN or infinite coordinate
+/// has no cell: it throws std::domain_error instead of reaching the
+/// integer cast. Every SFC key (phase L's sort, phase A's build, the SFC
+/// decomposition) passes through here, so a non-finite position stops the
+/// step loudly.
 template<class T>
 constexpr std::uint64_t toCellCoord(T xNorm)
 {
+    // x - x is 0 for every finite x and NaN for NaN and +-inf (a constexpr
+    // std::isfinite)
+    if (!(xNorm - xNorm == T(0))) throw std::domain_error("SFC key of a non-finite coordinate");
     if (xNorm <= T(0)) return 0;
     if (xNorm >= T(1)) return sfcCellsPerDim - 1;
     auto c = static_cast<std::uint64_t>(xNorm * T(sfcCellsPerDim));

@@ -8,20 +8,26 @@
 ///  - Individual tree walk (ChaNGa): only an active subset searches — the
 ///    mode used with individual (multi-) time-stepping.
 ///
-/// Neighbor lists are stored flat with a fixed per-particle capacity
-/// (ngmax), the layout used by the production SPH-EXA mini-app; overflow is
-/// recorded rather than silently truncated.
+/// Neighbor lists live in one grow-only arena (NeighborList): row i is
+/// (offset, count), packed by the fills rather than strided by ngmax, so
+/// the lists cost what the neighborhoods hold. ngmax is the per-row cap;
+/// a longer neighborhood is truncated and counted as one overflow.
 ///
 /// The walks run through parallelFor (parallel/parallel_for.hpp) with
-/// per-worker scratch buffers: iteration i writes only list slot i, so the
-/// produced lists are bitwise identical for any pool size and strategy.
-/// symmetrizeNeighborList (phase D) completes the lists pairwise, in
-/// place and with the same invariance.
+/// per-worker scratch buffers and per-worker arena cursors: iteration i
+/// writes only row i, so the produced lists are bitwise identical for any
+/// pool size and strategy (only where a row sits in the arena depends on
+/// the schedule). symmetrizeNeighborList (phase D) completes the lists
+/// pairwise, with the same invariance.
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <mutex>
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -33,28 +39,63 @@
 
 namespace sphexa {
 
-/// Flat fixed-capacity neighbor lists.
+/// Neighbor lists packed into one grow-only arena.
+///
+/// Row i is (offset, count): its entries sit at [offset, offset + count)
+/// inside a place of room(i) >= count entries. The arena is a sequence of
+/// fixed-size pages, allocated on first use and never freed or moved, so
+/// no write ever reallocates entries another thread may be writing. Rows
+/// are placed through cursors, each bump-allocating inside a page of its
+/// own and claiming the next free page when a row does not fit (rows never
+/// straddle pages):
+///
+///  - a parallel fill (beginFill / place / endFill) gives every worker its
+///    own cursor, so the rows one worker writes consecutively — a
+///    cluster's members in the cluster search — form one packed block, and
+///    the only shared operation is one page claim per filled page;
+///  - set() and append() are the single-row writers (tests, oracles,
+///    serial callers); they share one cursor under a lock, so they are
+///    safe for distinct rows from concurrent callers;
+///  - phase D's extension sizes every row first (reserveAppends, serial)
+///    and then appends in parallel without claiming anything.
+///
+/// A row rewritten with no more entries than its room stays in place; one
+/// that outgrows its place moves to fresh space, leaving dead entries
+/// behind. A fill that rewrites every row reclaims every page first; after
+/// any other fill, endFill() compacts the arena once dead entries
+/// outnumber live ones. reset() keeps the pages (the high-water mark), so a
+/// steady-state reset + refill allocates nothing — bench_neighbors
+/// asserts the no-churn property.
 template<class T>
 class NeighborList
 {
 public:
     using Index = typename Octree<T>::Index;
 
+    /// Smallest page, in entries. A page holds at least two rows of ngmax.
+    static constexpr std::size_t minPageEntries = std::size_t(1) << 14;
+
     explicit NeighborList(std::size_t n = 0, unsigned ngmax = 256) { reset(n, ngmax); }
 
-    /// Size the lists for \p n particles and zero the counts. The entry
-    /// storage only ever GROWS: steady-state resets (every step, plus the
-    /// WCSPH ghost bracket growing and shrinking the set within a step)
-    /// reuse the high-water-mark allocation instead of reassigning
-    /// n*ngmax entries — entries are never read past their count, so
-    /// stale storage needs no zeroing (bench_neighbors asserts the
-    /// no-churn property).
+    /// Size the lists for \p n empty rows and zero the overflow counter.
+    /// Allocated pages are kept, and the next writes reuse them from the
+    /// first; stale entries are never read past a count, so nothing is
+    /// zeroed. Only a change of page size (ngmax beyond half a page) drops
+    /// the pages.
     void reset(std::size_t n, unsigned ngmax)
     {
+        std::size_t page = std::max(minPageEntries, 2 * std::bit_ceil(std::size_t(ngmax)));
+        if (page != pageSize() || pages_.empty())
+        {
+            pages_.assign(1, {});
+            shift_ = unsigned(std::countr_zero(page));
+        }
         n_     = n;
         ngmax_ = ngmax;
-        if (list_.size() < n * std::size_t(ngmax)) list_.resize(n * std::size_t(ngmax));
+        offset_.assign(n, 0);
         count_.assign(n, 0);
+        room_.assign(n, 0);
+        releasePages();
         overflow_ = 0;
     }
 
@@ -62,10 +103,19 @@ public:
     /// lists and counts, unlike reset().
     void resetOverflow() { overflow_ = 0; }
 
-    /// Allocated entry storage, in entries (high-water mark across resets).
-    std::size_t entryCapacity() const { return list_.capacity(); }
-    /// Address of the entry storage (stable across steady-state resets).
-    const Index* entryData() const { return list_.data(); }
+    /// Allocated arena, in entries: the pages of the high-water mark.
+    std::size_t entryCapacity() const
+    {
+        std::size_t pages = 0;
+        for (const auto& p : pages_)
+            pages += p.empty() ? 0 : 1;
+        return pages * pageSize();
+    }
+    /// Address of the arena's first page (stable across resets).
+    const Index* entryData() const { return pages_.front().data(); }
+    /// Entries of the pages in use that hold no live entry: the space of
+    /// moved or shrunk rows and the unused ends of full pages.
+    std::size_t deadEntries() const { return claimedEntries() - totalNeighbors(); }
 
     unsigned ngmax() const { return ngmax_; }
     std::size_t size() const { return n_; }
@@ -74,10 +124,7 @@ public:
     unsigned count(std::size_t i) const { return count_[i]; }
 
     /// Neighbor indices of particle i.
-    std::span<const Index> neighbors(std::size_t i) const
-    {
-        return {list_.data() + i * ngmax_, count_[i]};
-    }
+    std::span<const Index> neighbors(std::size_t i) const { return {at(offset_[i]), count_[i]}; }
 
     /// One particle's neighbor row — entry pointer and count from a single
     /// lookup, the flat contiguous form the backend kernels consume
@@ -95,7 +142,7 @@ public:
     };
 
     /// Row accessor: both the entries and the count of particle i in one call.
-    Row row(std::size_t i) const { return {list_.data() + i * ngmax_, count_[i]}; }
+    Row row(std::size_t i) const { return {at(offset_[i]), count_[i]}; }
 
     /// Number of particles whose neighborhood exceeded ngmax in the last fill.
     std::size_t overflowCount() const { return overflow_; }
@@ -109,34 +156,247 @@ public:
         return s;
     }
 
+    /// Row i := \p nbs, truncated at ngmax (one overflow when truncated).
     void set(std::size_t i, std::span<const Index> nbs)
     {
-        unsigned c = unsigned(std::min<std::size_t>(nbs.size(), ngmax_));
-        for (unsigned k = 0; k < c; ++k)
-            list_[i * ngmax_ + k] = nbs[k];
-        count_[i] = c;
-        if (nbs.size() > ngmax_) countOverflow();
+        std::lock_guard<std::mutex> lock(shared_.mutex);
+        ensurePageSlot();
+        write(shared_.cursor, i, nbs);
     }
 
-    /// Extend row i in place by \p extra, past its current count: the
-    /// result set(i, neighbors(i) ++ extra) would give, without the copy.
-    /// Entries beyond ngmax are dropped and the row counts one overflow,
-    /// as a truncated set() does; an empty \p extra changes nothing. Safe
-    /// to call concurrently for distinct i.
+    /// Extend row i by \p extra, past its current count: the result
+    /// set(i, neighbors(i) ++ extra) would give. Entries beyond ngmax are
+    /// dropped and the row counts one overflow, as a truncated set() does;
+    /// an empty \p extra changes nothing.
     void append(std::size_t i, std::span<const Index> extra)
     {
         if (extra.empty()) return;
+        std::lock_guard<std::mutex> lock(shared_.mutex);
+        ensurePageSlot();
         unsigned c    = count_[i];
         unsigned kept = unsigned(std::min<std::size_t>(extra.size(), ngmax_ - c));
-        std::copy_n(extra.begin(), kept, list_.begin() + i * ngmax_ + c);
+        if (c + kept > room_[i]) makeRoom(shared_.cursor, i, c + kept, c);
+        std::copy_n(extra.begin(), kept, at(offset_[i]) + c);
         count_[i] = c + kept;
         if (kept < extra.size()) countOverflow();
     }
 
+    // --- parallel fills -----------------------------------------------------
+
+    /// Open a fill that writes at most \p rows rows through place(). With
+    /// \p everyRow the fill rewrites all rows [0, size()): every row is
+    /// emptied and every page reclaimed first, so the fill packs the arena
+    /// from its start. Serial; sizes the page table for the fill's worst
+    /// case, so place() never reallocates it.
+    void beginFill(std::size_t rows, bool everyRow)
+    {
+        if (everyRow)
+        {
+            count_.assign(n_, 0);
+            room_.assign(n_, 0);
+            releasePages();
+        }
+        cursors_.resize(WorkerPool::instance().size());
+        std::size_t perPage = pageSize() - ngmax_ + 1; // a page closes with more than this
+        std::size_t bound   = pagesInUse_ + rows * ngmax_ / perPage + cursors_.size() + 1;
+        if (pages_.size() < bound) pages_.resize(bound);
+    }
+
+    /// Row i := \p nbs through worker \p w's cursor: in place when the
+    /// row's place holds it, else in fresh space of the worker's pages.
+    /// Inside a fill, safe concurrently for distinct i from distinct w.
+    void place(std::size_t i, std::span<const Index> nbs, std::size_t w)
+    {
+        write(cursors_[w].value, i, nbs);
+    }
+
+    /// Close a fill (serial): compact when dead entries outnumber live ones.
+    void endFill()
+    {
+        std::size_t live = totalNeighbors();
+        if (claimedEntries() - live > live) compact();
+    }
+
+    /// Phase D's sizing pass (serial): row j is about to gain the entries
+    /// of bucket [start[j], start[j+1]), truncated at ngmax. A row whose
+    /// place cannot hold them moves to fresh space now; from[j] keeps where
+    /// its current entries still sit, for appendReserved to copy.
+    void reserveAppends(std::span<const std::size_t> start, std::vector<std::size_t>& from)
+    {
+        std::lock_guard<std::mutex> lock(shared_.mutex);
+        from.resize(n_);
+        for (std::size_t j = 0; j < n_; ++j)
+        {
+            from[j]   = offset_[j];
+            unsigned c = count_[j];
+            unsigned grown =
+                c + unsigned(std::min<std::size_t>(start[j + 1] - start[j], ngmax_ - c));
+            if (grown <= room_[j]) continue;
+            ensurePageSlot();
+            offset_[j] = take(shared_.cursor, grown);
+            room_[j]   = grown;
+        }
+    }
+
+    /// append(j, extra) after reserveAppends gave row j its room: copies
+    /// the row from \p from when it moved, then extends it. Claims nothing,
+    /// so it is safe concurrently for distinct j.
+    void appendReserved(std::size_t j, std::span<const Index> extra, std::size_t from)
+    {
+        if (extra.empty()) return;
+        unsigned c    = count_[j];
+        unsigned kept = unsigned(std::min<std::size_t>(extra.size(), ngmax_ - c));
+        Index* dst    = at(offset_[j]);
+        if (from != offset_[j]) std::copy_n(at(from), c, dst);
+        std::copy_n(extra.begin(), kept, dst + c);
+        count_[j] = c + kept;
+        if (kept < extra.size()) countOverflow();
+    }
+
 private:
-    // set()/append() run concurrently for distinct rows from parallelFor
-    // workers; atomic_ref makes the shared overflow tally atomic while
-    // keeping the member a plain (copyable) size_t.
+    /// Bump allocator over one page: [next, end) is its free tail, in
+    /// arena offsets (page << shift | slot). Empty when next == end.
+    struct Cursor
+    {
+        std::size_t next = 0, end = 0;
+    };
+
+    /// The single-row writers' cursor and its lock. Copying a list gives
+    /// the copy a fresh lock.
+    struct SharedCursor
+    {
+        Cursor cursor;
+        std::mutex mutex;
+
+        SharedCursor() = default;
+        SharedCursor(const SharedCursor& o) : cursor(o.cursor) {}
+        SharedCursor& operator=(const SharedCursor& o)
+        {
+            cursor = o.cursor;
+            return *this;
+        }
+    };
+
+    std::size_t pageSize() const { return std::size_t(1) << shift_; }
+
+    const Index* at(std::size_t off) const
+    {
+        return pages_[off >> shift_].data() + (off & (pageSize() - 1));
+    }
+    Index* at(std::size_t off) { return pages_[off >> shift_].data() + (off & (pageSize() - 1)); }
+
+    void write(Cursor& cur, std::size_t i, std::span<const Index> nbs)
+    {
+        unsigned c = unsigned(std::min<std::size_t>(nbs.size(), ngmax_));
+        if (c > room_[i]) makeRoom(cur, i, c, 0);
+        std::copy_n(nbs.begin(), c, at(offset_[i]));
+        count_[i] = c;
+        if (nbs.size() > ngmax_) countOverflow();
+    }
+
+    /// Give row i a place of \p c > room(i) entries, keeping its first
+    /// \p keep entries: grow it in place when it ends at the cursor's tip
+    /// with space to spare, else move it to fresh space from the cursor.
+    void makeRoom(Cursor& cur, std::size_t i, unsigned c, unsigned keep)
+    {
+        // a cursor's tip is never its page's first slot, so a row ending
+        // there lies in the cursor's page
+        std::size_t off = offset_[i];
+        bool atTip      = room_[i] > 0 && off + room_[i] == cur.next && off + c <= cur.end;
+        if (atTip)
+        {
+            cur.next = off + c;
+        }
+        else
+        {
+            std::size_t to = take(cur, c);
+            std::copy_n(at(off), keep, at(to));
+            offset_[i] = to;
+        }
+        room_[i] = c;
+    }
+
+    /// \p c contiguous entries from \p cur, claiming the next free page
+    /// when the cursor's page cannot hold them.
+    std::size_t take(Cursor& cur, std::size_t c)
+    {
+        if (cur.end - cur.next < c)
+        {
+            std::size_t k =
+                std::atomic_ref<std::size_t>(pagesInUse_).fetch_add(1, std::memory_order_relaxed);
+            if (k >= pages_.size())
+            {
+                throw std::logic_error("NeighborList: place() outside beginFill/endFill");
+            }
+            if (pages_[k].empty()) pages_[k].resize(pageSize());
+            cur.next = k << shift_;
+            cur.end  = cur.next + pageSize();
+        }
+        std::size_t off = cur.next;
+        cur.next += c;
+        return off;
+    }
+
+    /// The single-row writers claim pages outside a fill: keep one slot.
+    void ensurePageSlot()
+    {
+        if (pages_.size() <= pagesInUse_) pages_.resize(pagesInUse_ + 1);
+    }
+
+    /// Every page free again; the cursors start over from the first page.
+    void releasePages()
+    {
+        pagesInUse_ = 0;
+        for (auto& c : cursors_)
+            c.value = {};
+        shared_.cursor = {};
+    }
+
+    /// Entries of the pages in use, less the cursors' free tails.
+    std::size_t claimedEntries() const
+    {
+        std::size_t claimed = pagesInUse_ * pageSize();
+        for (const auto& c : cursors_)
+            claimed -= c.value.end - c.value.next;
+        return claimed - (shared_.cursor.end - shared_.cursor.next);
+    }
+
+    /// Slide every live row down to the front of the arena, in arena
+    /// order, so rows only move toward lower offsets and never over a row
+    /// not yet moved; rows stay inside one page. Frees the pages beyond.
+    void compact()
+    {
+        std::vector<std::size_t> order;
+        order.reserve(n_);
+        for (std::size_t i = 0; i < n_; ++i)
+        {
+            room_[i] = 0;
+            if (count_[i] > 0)
+                order.push_back(i);
+            else
+                offset_[i] = 0;
+        }
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) { return offset_[a] < offset_[b]; });
+        const std::size_t mask = pageSize() - 1;
+        std::size_t next       = 0;
+        for (std::size_t i : order)
+        {
+            unsigned c = count_[i];
+            if ((next & mask) + c > pageSize()) next = (next | mask) + 1;
+            if (next != offset_[i]) std::memmove(at(next), at(offset_[i]), c * sizeof(Index));
+            offset_[i] = next;
+            room_[i]   = c;
+            next += c;
+        }
+        releasePages();
+        pagesInUse_ = (next + mask) >> shift_;
+        if (next & mask) shared_.cursor = {next, (next | mask) + 1};
+    }
+
+    // place()/append() count truncations concurrently for distinct rows;
+    // atomic_ref makes the shared overflow tally atomic while keeping the
+    // member a plain (copyable) size_t.
     void countOverflow()
     {
         std::atomic_ref<std::size_t>(overflow_).fetch_add(1, std::memory_order_relaxed);
@@ -144,9 +404,15 @@ private:
 
     std::size_t n_{0};
     unsigned    ngmax_{256};
-    std::vector<Index>    list_;
-    std::vector<unsigned> count_;
-    std::size_t           overflow_{0};
+    unsigned    shift_{unsigned(std::countr_zero(minPageEntries))};
+    std::vector<std::size_t> offset_;
+    std::vector<unsigned>    count_;
+    std::vector<unsigned>    room_;
+    std::vector<std::vector<Index>> pages_; ///< page table; empty = not yet allocated
+    std::size_t pagesInUse_{0};             ///< pages [0, pagesInUse_) are claimed
+    std::vector<WorkerSlot<Cursor>> cursors_; ///< one per pool worker
+    SharedCursor shared_;
+    std::size_t  overflow_{0};
 };
 
 /// Fill neighbor lists for all particles ("global tree walk").
@@ -163,6 +429,7 @@ void findNeighborsGlobal(const Octree<T>& tree, std::type_identity_t<std::span<c
     std::vector<std::vector<Index>> scratch(parallelForWorkers());
     for (auto& s : scratch)
         s.reserve(nl.ngmax());
+    nl.beginFill(n, n == nl.size());
     parallelFor(n, [&](std::size_t i, std::size_t w) {
         auto& local = scratch[w];
         local.clear();
@@ -171,8 +438,9 @@ void findNeighborsGlobal(const Octree<T>& tree, std::type_identity_t<std::span<c
         tree.forEachNeighbor(pos, radius, [&](Index j, T) {
             if (j != Index(i)) local.push_back(j);
         });
-        nl.set(i, local);
+        nl.place(i, local, w);
     }, policy);
+    nl.endFill();
 }
 
 /// Fill neighbor lists only for the \p active particles ("individual tree
@@ -193,6 +461,7 @@ void findNeighborsIndividual(const Octree<T>& tree, std::type_identity_t<std::sp
     std::vector<std::vector<Index>> scratch(parallelForWorkers());
     for (auto& s : scratch)
         s.reserve(nl.ngmax());
+    nl.beginFill(active.size(), false);
     parallelFor(active.size(), [&](std::size_t a, std::size_t w) {
         std::size_t i = active[a];
         auto& local = scratch[w];
@@ -202,8 +471,9 @@ void findNeighborsIndividual(const Octree<T>& tree, std::type_identity_t<std::sp
         tree.forEachNeighbor(pos, radius, [&](Index j, T) {
             if (j != Index(i)) local.push_back(j);
         });
-        nl.set(i, local);
+        nl.place(i, local, w);
     }, policy);
+    nl.endFill();
 }
 
 /// Brute-force O(N^2) reference used by tests and the neighbor ablation.
@@ -215,6 +485,7 @@ void findNeighborsBruteForce(std::type_identity_t<std::span<const T>> x, std::ty
     using Index = typename Octree<T>::Index;
     std::size_t n = x.size();
     std::vector<std::vector<Index>> scratch(parallelForWorkers());
+    nl.beginFill(n, n == nl.size());
     parallelFor(n, [&](std::size_t i, std::size_t w) {
         auto& local = scratch[w];
         local.clear();
@@ -226,8 +497,9 @@ void findNeighborsBruteForce(std::type_identity_t<std::span<const T>> x, std::ty
             Vec3<T> d = box.delta(pi, Vec3<T>{x[j], y[j], z[j]});
             if (norm2(d) < r2) local.push_back(Index(j));
         }
-        nl.set(i, local);
+        nl.place(i, local, w);
     });
+    nl.endFill();
 }
 
 /// Persistent scratch of symmetrizeNeighborList: the missing sources,
@@ -242,6 +514,7 @@ struct SymmetrizeWorkspace
 
     std::vector<std::size_t> rowStart; ///< bucket of row j: [rowStart[j], rowStart[j+1])
     std::vector<Index> sources;        ///< missing sources, bucketed by row
+    std::vector<std::size_t> from;     ///< where a moved row's entries sat (reserveAppends)
 };
 
 /// Make neighbor lists pair-symmetric (phase D): wherever row(i) lists j
@@ -265,8 +538,11 @@ struct SymmetrizeWorkspace
 /// empty — and append it. The extension is therefore a function of the
 /// pair set and the ids alone, bitwise invariant under pool size and
 /// strategy, and with the ids of an SFC-reordered set it does not depend
-/// on the storage permutation either. Appends truncate at ngmax and count
-/// one overflow per truncated row (NeighborList::append).
+/// on the storage permutation either. Between the second and third sweep,
+/// one serial pass over the bucket sizes (NeighborList::reserveAppends)
+/// moves the rows that outgrow their place, so the appends claim no arena
+/// space. Appends truncate at ngmax and count one overflow per truncated
+/// row, as NeighborList::append does.
 template<class T>
 void symmetrizeNeighborList(NeighborList<T>& nl, std::type_identity_t<std::span<const T>> x,
                             std::type_identity_t<std::span<const T>> y,
@@ -322,6 +598,7 @@ void symmetrizeNeighborList(NeighborList<T>& nl, std::type_identity_t<std::span<
     forEachMissing([&](Index j, Index i) {
         ws.sources[atomicAt(j).fetch_sub(1, std::memory_order_relaxed) - 1] = i;
     });
+    nl.reserveAppends(ws.rowStart, ws.from);
 
     parallelFor(
         n,
@@ -339,7 +616,7 @@ void symmetrizeNeighborList(NeighborList<T>& nl, std::type_identity_t<std::span<
                     return ids[a] != ids[b] ? ids[a] < ids[b] : a < b;
                 });
             }
-            nl.append(j, std::span<const Index>(first, last));
+            nl.appendReserved(j, std::span<const Index>(first, last), ws.from[j]);
         },
         policy);
 }

@@ -252,7 +252,14 @@ TEST(ClusterList, OverflowCountMatchesTreeWalk)
 
 TEST(NeighborListStorage, ResetReusesHighWaterMarkAllocation)
 {
+    using Index = NeighborList<double>::Index;
+    auto fill = [](NeighborList<double>& nl, std::size_t n) {
+        std::vector<Index> row(64);
+        for (std::size_t i = 0; i < n; ++i)
+            nl.set(i, row);
+    };
     NeighborList<double> nl(1000, 64);
+    fill(nl, 1000);
     const auto* data      = nl.entryData();
     std::size_t capacity  = nl.entryCapacity();
     ASSERT_GE(capacity, 1000u * 64u);
@@ -267,8 +274,14 @@ TEST(NeighborListStorage, ResetReusesHighWaterMarkAllocation)
     EXPECT_EQ(nl.totalNeighbors(), 0u);
     EXPECT_EQ(nl.overflowCount(), 0u);
 
+    // the same-shape refill packs into the same pages
+    fill(nl, 1000);
+    EXPECT_EQ(nl.entryData(), data);
+    EXPECT_EQ(nl.entryCapacity(), capacity);
+
     // growing past the mark is the only path that may reallocate
     nl.reset(2000, 64);
+    fill(nl, 2000);
     EXPECT_GE(nl.entryCapacity(), 2000u * 64u);
 }
 

@@ -11,6 +11,8 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #ifdef _OPENMP
@@ -170,6 +172,68 @@ TEST(ParallelFor, EveryIterationExactlyOnceUnderEveryStrategyAndPoolSize)
                 ASSERT_EQ(hits[i].load(), 1)
                     << schedulingName(s) << " pool=" << pool << " i=" << i;
             }
+        }
+    }
+}
+
+TEST(ParallelFor, BodyExceptionReachesTheCallerAndThePoolStaysUsable)
+{
+    // a body that throws on a pool thread must not end in std::terminate:
+    // the region finishes, the caller catches, and the pool runs the next
+    // loop (measured and unmeasured paths alike)
+    const std::size_t n = 1000;
+    for (std::size_t pool : {1u, 2u, 4u})
+    {
+        PoolSizeGuard guard(pool);
+        for (auto s : kAllStrategies)
+        {
+            for (bool measured : {false, true})
+            {
+                PhaseLoadStats stats;
+                std::vector<double> awf;
+                LoopPolicy pol;
+                pol.strategy = s;
+                if (measured)
+                {
+                    pol.stats      = &stats;
+                    pol.awfWeights = &awf;
+                }
+                EXPECT_THROW(parallelFor(
+                                 n,
+                                 [&](std::size_t i, std::size_t) {
+                                     if (i == n - 1) throw std::domain_error("last index");
+                                 },
+                                 pol),
+                             std::domain_error)
+                    << schedulingName(s) << " pool=" << pool << " measured=" << measured;
+
+                std::vector<std::atomic<int>> hits(n);
+                parallelFor(n, [&](std::size_t i, std::size_t) { hits[i].fetch_add(1); }, pol);
+                for (std::size_t i = 0; i < n; ++i)
+                {
+                    ASSERT_EQ(hits[i].load(), 1)
+                        << schedulingName(s) << " pool=" << pool << " i=" << i;
+                }
+            }
+        }
+    }
+}
+
+TEST(WorkerPool, RethrowsTheLowestThrowingWorkersException)
+{
+    PoolSizeGuard guard(4);
+    for (int rep = 0; rep < 20; ++rep)
+    {
+        try
+        {
+            WorkerPool::instance().run([](std::size_t w) {
+                if (w > 0) throw std::runtime_error(std::to_string(w));
+            });
+            FAIL() << "no exception";
+        }
+        catch (const std::runtime_error& e)
+        {
+            EXPECT_STREQ(e.what(), "1");
         }
     }
 }

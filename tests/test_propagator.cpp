@@ -188,6 +188,36 @@ TEST(Propagator, SymmetrizePhaseReportsWorkerBusyTime)
     EXPECT_GT(busy, 0.0);
 }
 
+TEST(Propagator, StepReportCarriesPhaseCUnconvergedCount)
+{
+    // a zero tolerance band leaves particles unconverged after the last
+    // h iteration; the report must say how many instead of dropping it
+    auto run = [](unsigned tolerance) {
+        ParticleSetD ps;
+        SedovConfig<double> ic;
+        ic.nSide   = 8;
+        auto setup = makeSedov(ps, ic);
+        SimulationConfig<double> cfg;
+        cfg.neighborTolerance = tolerance;
+        Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos), cfg);
+        auto rep = sim.computeForces();
+
+        // the same iteration, replayed on the final state, agrees with it
+        std::size_t outside = 0;
+        for (std::size_t i = 0; i < sim.particles().size(); ++i)
+        {
+            outside += neighborCountConverged(unsigned(sim.particles().nc[i]),
+                                              cfg.targetNeighbors, tolerance)
+                           ? 0
+                           : 1;
+        }
+        EXPECT_EQ(rep.hUnconverged, outside) << "tolerance " << tolerance;
+        return rep.hUnconverged;
+    };
+    EXPECT_GT(run(0), 0u);
+    EXPECT_EQ(run(40), 0u);
+}
+
 TEST(Propagator, CustomPipelineRunsSelectedPhasesOnly)
 {
     auto patch = makePatch();

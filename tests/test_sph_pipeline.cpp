@@ -185,6 +185,42 @@ TEST(SmoothingLength, InitialGuessGivesRoughlyTarget)
     }
 }
 
+TEST(SmoothingLength, StatsSinkSeesTheReWalkAsWellAsTheUpdate)
+{
+    // phase C's policy reaches both of its loops, so its load accounting
+    // covers the re-walk that rewrites the rows, not just the h update
+    ParticleSetD ps;
+    Box<double> box{{0, 0, 0}, {1, 1, 1}, true, true, true};
+    cubicLattice(ps, 10, 10, 10, box);
+    for (std::size_t i = 0; i < ps.size(); ++i)
+        ps.h[i] = (i % 3 == 0 ? 1.4 : 1.0) * initialSmoothingLength(ps.size(), box, 60);
+    Octree<double> tree;
+    tree.build(ps.x, ps.y, ps.z, box);
+    NeighborList<double> nl(ps.size(), 384);
+    findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
+
+    std::size_t active = 0;
+    for (std::size_t i = 0; i < ps.size(); ++i)
+        active += neighborCountConverged(nl.count(i), 60, 5) ? 0 : 1;
+    ASSERT_GT(active, 0u);
+
+    SmoothingLengthParams<double> hp;
+    hp.targetNeighbors = 60;
+    hp.tolerance       = 5;
+    hp.maxIterations   = 1;
+    PhaseLoadStats stats;
+    LoopPolicy pol;
+    pol.stats = &stats;
+    auto res  = updateSmoothingLengths(ps, tree, nl, hp, {}, /*reuseLists*/ true, pol);
+    ASSERT_EQ(res.iterations, 1u);
+
+    EXPECT_EQ(stats.invocations, 2u); // the h update and the re-walk
+    std::size_t iterations = 0;
+    for (auto it : stats.workerIterations)
+        iterations += it;
+    EXPECT_EQ(iterations, 2 * active);
+}
+
 // --- gradients ----------------------------------------------------------------
 
 class GradientSweep : public ::testing::TestWithParam<double> // jitter

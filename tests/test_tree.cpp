@@ -7,10 +7,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <ostream>
 #include <set>
 
+#include "core/simulation.hpp"
+#include "ic/sedov.hpp"
 #include "math/rng.hpp"
 #include "sph/particles.hpp"
 #include "tree/cluster_list.hpp"
@@ -68,6 +71,41 @@ TEST(Morton, Monotonicity)
         EXPECT_GT(k, prev);
         prev = k;
     }
+}
+
+TEST(SfcKey, CellCoordClampsFiniteAndRejectsNonFinite)
+{
+    EXPECT_EQ(toCellCoord(-0.5), 0u);
+    EXPECT_EQ(toCellCoord(0.5), sfcCellsPerDim / 2);
+    EXPECT_EQ(toCellCoord(1.5), sfcCellsPerDim - 1);
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(toCellCoord(std::numeric_limits<double>::quiet_NaN()), std::domain_error);
+    EXPECT_THROW(toCellCoord(inf), std::domain_error);
+    EXPECT_THROW(toCellCoord(-inf), std::domain_error);
+    Box<double> box{{0, 0, 0}, {1, 1, 1}};
+    Vec3<double> bad{0.5, std::numeric_limits<double>::quiet_NaN(), 0.5};
+    EXPECT_THROW(mortonKey(bad, box), std::domain_error);
+    EXPECT_THROW(hilbertKey(bad, box), std::domain_error);
+}
+
+TEST(SfcKey, NonFinitePositionStopsTheForcePass)
+{
+    // a NaN coordinate must never reach the SFC key's integer cast: phase
+    // L's sort throws instead, on a pool thread and on the caller alike
+    const std::size_t saved = WorkerPool::instance().size();
+    for (std::size_t pool : {1u, 4u})
+    {
+        WorkerPool::instance().resize(pool);
+        ParticleSetD ps;
+        SedovConfig<double> ic;
+        ic.nSide   = 8;
+        auto setup = makeSedov(ps, ic);
+        ps.x[ps.size() / 2] = std::numeric_limits<double>::quiet_NaN();
+        Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos),
+                               SimulationConfig<double>{});
+        EXPECT_THROW(sim.computeForces(), std::domain_error) << "pool " << pool;
+    }
+    WorkerPool::instance().resize(saved);
 }
 
 // --- Hilbert keys -----------------------------------------------------------
