@@ -43,8 +43,7 @@ using namespace sphexa;
 
 namespace {
 
-constexpr unsigned kNgmax       = 192;
-constexpr unsigned kClusterSize = 32;
+constexpr unsigned kNgmax = 192;
 
 /// Jittered unit-box lattice sized for ~100 neighbors per particle (the
 /// paper's working point), fully periodic like the Sedov box.

@@ -55,8 +55,7 @@ using namespace sphexa;
 
 namespace {
 
-constexpr unsigned kNgmax       = 192;
-constexpr unsigned kClusterSize = 32;
+constexpr unsigned kNgmax = 192;
 
 double envDouble(const char* name, double fallback)
 {

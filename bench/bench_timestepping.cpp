@@ -2,9 +2,10 @@
 /// Time-stepping ablation: Global vs Adaptive vs Individual (2^k bins) —
 /// Table 2's three modes, run to a MATCHED end time on the Evrard collapse
 /// (dense center vs diffuse edge: the widest per-particle dt range of our
-/// scenarios). The Individual mode runs the binned-integration pipeline
-/// (PipelineFactory::individual): only active bins are walked and kicked,
-/// so its cost metric is the particle-update count, not the step count.
+/// scenarios). The Individual mode runs binned integration (the
+/// compressible pipeline over ActiveSubset walks): only active bins are
+/// walked and kicked, so its cost metric is the particle-update count, not
+/// the step count.
 ///
 /// Emits one JSON document (BENCH_timestepping.json) and FAILS (exit 1)
 /// when a gate breaks:

@@ -53,24 +53,6 @@ constexpr std::string_view neighborModeName(NeighborMode m)
     return m == NeighborMode::GlobalTreeWalk ? "Global Tree Walk" : "Individual Tree Walk";
 }
 
-/// How a global search fills the neighbor lists (tree/cluster_list.hpp):
-/// one octree walk per particle (the seed path, and the only shape the
-/// active-subset and per-rank walks support), or one walk per cluster of
-/// consecutive SFC-sorted particles expanded into the same flat lists —
-/// the large-N fast path. The two modes are bitwise-equivalent on every
-/// downstream field (tests/test_cluster_list.cpp, golden gallery).
-enum class NeighborSearchMode
-{
-    TreeWalk,
-    ClusterList,
-};
-
-constexpr std::string_view neighborSearchModeName(NeighborSearchMode m)
-{
-    return m == NeighborSearchMode::TreeWalk ? "per-particle tree walk"
-                                             : "cluster interaction lists";
-}
-
 /// Domain decomposition method (Tables 3 and 4). Slab1D is SPHYNX's
 /// "Straightforward" decomposition: contiguous slabs along one axis —
 /// simple, but with the worst surface-to-volume ratio of the three.
@@ -148,9 +130,9 @@ struct SimulationConfig
     VolumeElements volumeElements = VolumeElements::Generalized;
     T veExponent = T(0.9);
     /// Time-step control (sph/timestep.hpp). Individual mode together with
-    /// IndividualTreeWalk below selects the binned-integration pipeline
-    /// (PipelineFactory::individual + the shared-memory driver's binned
-    /// kick/drift path): forces are recomputed only for the active 2^k bins
+    /// IndividualTreeWalk below makes the shared-memory driver run binned
+    /// integration: the same force pipeline as global stepping, with every
+    /// pass after set-up walking only the active 2^k bins (ActiveSubset)
     /// while the rest of the set is drifted. Individual mode with a global
     /// walk, or any non-Compressible hydroMode, degenerates to global
     /// stepping at the controller's base dt.
@@ -181,28 +163,12 @@ struct SimulationConfig
     /// (tree/neighbors.hpp) sized by what the neighborhoods hold.
     unsigned ngmax = 384;
     unsigned treeLeafSize = 64;
-    /// Curve of the SFC reorder (phase L), the octree (phases A/B) and the
-    /// SFC decomposition. Hilbert is the default: its locality (no octant-
-    /// boundary jumps) gives ClusterList mode ~1.6x fewer candidate tests
-    /// per cluster member than Morton, which stays selectable and keeps
-    /// the seed's tree ordering bitwise.
+    /// Curve of the SFC reorder (phase L, run on every Global walk), the
+    /// octree (phases A/B) and the SFC decomposition. Hilbert is the
+    /// default: its locality (no octant-boundary jumps) gives the cluster
+    /// search ~1.6x fewer candidate tests per cluster member than Morton,
+    /// which stays selectable.
     SfcCurve sfcCurve = SfcCurve::Hilbert;
-    /// Global-walk neighbor discovery shape. ClusterList implies the SFC
-    /// reorder below (clusters are runs of consecutive particles, tight
-    /// only in curve order) and is the default: the cluster path wins from
-    /// ~1e5 particles up (BENCH_neighbors.json) and is bitwise-equivalent
-    /// to TreeWalk on every downstream field. Select TreeWalk for the
-    /// subset/per-rank walk shapes or to pin the unreordered seed layout.
-    NeighborSearchMode searchMode = NeighborSearchMode::ClusterList;
-    /// Particles per cluster in ClusterList mode: large enough to amortize
-    /// one tree traversal, small enough to keep the cluster's candidate
-    /// superset tight (~2x the per-particle candidates at 32).
-    unsigned clusterSize = 32;
-    /// Physically reorder the ParticleSet along the SFC each step (phase L,
-    /// tree/sfc_sort.hpp) even in TreeWalk mode — cache locality without
-    /// the cluster lists. Forced on by ClusterList mode (so the default
-    /// pipeline runs reordered); turn both off to pin the seed layout.
-    bool sfcReorder = true;
     bool parallelTreeBuild = false;  ///< SPHYNX v1.3.1 built its tree serially
     bool symmetrizeNeighbors = true; ///< exact pairwise momentum conservation
 

@@ -146,21 +146,15 @@ namespace phase_ops {
 /// and the cluster search's fixed-size runs of consecutive particles are
 /// spatially tight. Placed FIRST in the pipelines that carry it — before
 /// the WCSPH ghost bracket (ghosts never move) and before the tree build
-/// (every list is rebuilt over the new order). Self-gates on the config
-/// (ClusterList search implies it) and runs only on Global walks: an
-/// active-subset step reuses neighbor lists whose entries reference
-/// pre-reorder slots, and the distributed driver orders particles in its
-/// decomposition glue instead.
+/// (every list is rebuilt over the new order). Runs on every Global walk
+/// and only there: an active-subset step reuses neighbor lists whose
+/// entries reference pre-reorder slots, and the distributed driver orders
+/// particles in its decomposition glue instead.
 template<class T>
 PhaseOp<T> sfcReorder()
 {
     return {Phase::L_SfcSort, [](StepContext<T>& ctx) {
                 if (ctx.walkMode != WalkMode::Global) return;
-                if (!ctx.cfg.sfcReorder &&
-                    ctx.cfg.searchMode != NeighborSearchMode::ClusterList)
-                {
-                    return;
-                }
                 SfcSorter<T>  local;
                 SfcSorter<T>& sorter = ctx.sorter ? *ctx.sorter : local;
                 sorter.apply(ctx.ps, ctx.box, ctx.cfg.sfcCurve);
@@ -191,22 +185,15 @@ PhaseOp<T> neighborSearch()
                 switch (ctx.walkMode)
                 {
                     case WalkMode::Global:
-                        if (ctx.cfg.searchMode == NeighborSearchMode::ClusterList)
-                        {
-                            ClusterWorkspace<T>  local;
-                            ClusterWorkspace<T>& ws =
-                                ctx.clusters ? *ctx.clusters : local;
-                            findNeighborsClustered(ctx.tree, ps.x, ps.y, ps.z, ps.h,
-                                                   ctx.nl, ws, ctx.cfg.clusterSize,
-                                                   ctx.loopPolicy(Phase::B_NeighborSearch));
-                        }
-                        else
-                        {
-                            findNeighborsGlobal(ctx.tree, ps.x, ps.y, ps.z, ps.h, ctx.nl,
-                                                ctx.loopPolicy(Phase::B_NeighborSearch));
-                        }
+                    {
+                        ClusterWorkspace<T>  local;
+                        ClusterWorkspace<T>& ws = ctx.clusters ? *ctx.clusters : local;
+                        findNeighborsClustered(ctx.tree, ps.x, ps.y, ps.z, ps.h, ctx.nl, ws,
+                                               kClusterSize,
+                                               ctx.loopPolicy(Phase::B_NeighborSearch));
                         ctx.activeParticles = ps.size();
                         break;
+                    }
                     case WalkMode::ActiveSubset:
                         if (ctx.controller)
                         {
@@ -228,19 +215,10 @@ PhaseOp<T> neighborSearch()
             }};
 }
 
-/// \param activeSubsetIterates whether an ActiveSubset walk runs the h
-/// iteration over the active set (the binned-integration pipeline, where
-/// every subset step is a real force evaluation for its active particles)
-/// or reuses the converged h of the last full walk (the legacy behaviour,
-/// kept as the default for bespoke subset pipelines).
 template<class T>
-PhaseOp<T> smoothingLength(bool activeSubsetIterates = false)
+PhaseOp<T> smoothingLength()
 {
-    return {Phase::C_SmoothingLength, [activeSubsetIterates](StepContext<T>& ctx) {
-                if (ctx.walkMode == WalkMode::ActiveSubset && !activeSubsetIterates)
-                {
-                    return;
-                }
+    return {Phase::C_SmoothingLength, [](StepContext<T>& ctx) {
                 if (ctx.skipEmptyWalk()) return;
                 SmoothingLengthParams<T> hp;
                 hp.targetNeighbors = ctx.cfg.targetNeighbors;
@@ -451,7 +429,7 @@ class PipelineFactory
 {
 public:
     /// Hydro-only force pipeline: phases A..H (square patch, Sedov),
-    /// preceded by the self-gating SFC reorder of phase L.
+    /// preceded by phase L's SFC reorder, which runs on every Global walk.
     static Propagator<T> hydro()
     {
         return custom({phase_ops::sfcReorder<T>(), phase_ops::treeBuild<T>(),
@@ -491,37 +469,16 @@ public:
         return custom(std::move(ops));
     }
 
-    /// Binned-integration ("individual time-stepping") pipeline: the hydro
-    /// phases with every post-search op running over the controller's
-    /// active bins. Phase B fills the active set (the force/kick-end set,
-    /// see sph/timestep.hpp) and walks it individually; phase C iterates h
-    /// for the active particles; D..H(..I) evaluate densities, gradients
-    /// and forces for the subset only, while inactive particles are merely
-    /// drifted by the driver. The paper's Table 1/2 ChaNGa row.
-    static Propagator<T> individual(const SimulationConfig<T>& cfg)
-    {
-        std::vector<PhaseOp<T>> ops{
-            phase_ops::sfcReorder<T>(), phase_ops::treeBuild<T>(),
-            phase_ops::neighborSearch<T>(),
-            phase_ops::smoothingLength<T>(/*activeSubsetIterates*/ true),
-            phase_ops::neighborSymmetrize<T>(), phase_ops::density<T>(),
-            phase_ops::eosAndIad<T>(), phase_ops::divCurl<T>(),
-            phase_ops::momentumEnergy<T>()};
-        if (cfg.selfGravity) ops.push_back(phase_ops::selfGravity<T>());
-        return custom(std::move(ops));
-    }
-
-    /// Shared-memory pipeline for a configuration: the scenario (gravity or
-    /// not, compressible or WCSPH, binned integration or global steps)
-    /// selects the phase list.
+    /// Shared-memory pipeline for a configuration: the closure (WCSPH or
+    /// compressible) and self-gravity select the phase list. Binned
+    /// integration (the paper's Table 1/2 ChaNGa row) runs the compressible
+    /// list too; only the driver's walk mode differs: on an ActiveSubset
+    /// walk phase B fills and walks the controller's force set (see
+    /// sph/timestep.hpp), C iterates h for it and D..H(..I) evaluate the
+    /// subset only, while inactive particles are merely drifted.
     static Propagator<T> singleRank(const SimulationConfig<T>& cfg)
     {
         if (cfg.hydroMode == HydroMode::WeaklyCompressible) return wcsph(cfg);
-        if (cfg.timestep.mode == TimesteppingMode::Individual &&
-            cfg.neighborMode == NeighborMode::IndividualTreeWalk)
-        {
-            return individual(cfg);
-        }
         return cfg.selfGravity ? hydroGravity() : hydro();
     }
 

@@ -228,12 +228,7 @@ public:
             local.resize(nLocal_[r]); // drop any ghosts
             out.append(local);
         }
-        // sort by id
-        std::vector<std::size_t> order(out.size());
-        std::iota(order.begin(), order.end(), std::size_t(0));
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) { return out.id[a] < out.id[b]; });
-        out.reorder(order);
+        out.reorder(out.idOrder());
         return out;
     }
 

@@ -16,9 +16,14 @@
 ///    momentum, energy) beyond tolerance — an algorithm-based (ABFT-style)
 ///    end-to-end check.
 ///
+/// The temporal and checksum detectors follow particles by id, not by
+/// slot: the phase-L SFC reorder (tree/sfc_sort.hpp) permutes the set on
+/// every Global walk, and a permutation is not a corruption.
+///
 /// SdcInjector flips a chosen bit of a chosen field element so detector
 /// recall/overhead can be measured (bench_sdc).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -84,31 +89,54 @@ public:
     {
     }
 
-    /// Record the current state as the reference.
+    /// Record the current state as the reference (stored in id order).
     void snapshot(ParticleSet<T>& ps)
     {
+        auto slots = ps.idOrder();
+        ids_.resize(slots.size());
+        for (std::size_t k = 0; k < slots.size(); ++k)
+            ids_[k] = ps.id[slots[k]];
         prev_.clear();
         for (const auto& f : fields_)
         {
-            prev_.push_back(ps.field(f));
+            const auto& v = ps.field(f);
+            auto& old     = prev_.emplace_back(slots.size());
+            for (std::size_t k = 0; k < slots.size(); ++k)
+                old[k] = v[slots[k]];
         }
         armed_ = true;
     }
 
-    /// Compare against the snapshot.
+    /// Compare every particle with its snapshot entry of the same id;
+    /// detections name the particle's current slot. Particles absent from
+    /// the snapshot are not compared.
     SdcReport scan(ParticleSet<T>& ps) const
     {
         SdcReport report;
         if (!armed_) return report;
+        constexpr std::size_t none = std::size_t(-1);
+        std::vector<std::size_t> ref(ps.size(), none);
+        for (std::size_t i = 0; i < ps.size() && !ids_.empty(); ++i)
+        {
+            // ids are usually one contiguous range: try its direct entry first
+            std::uint64_t k = ps.id[i] - ids_.front();
+            if (k < ids_.size() && ids_[k] == ps.id[i])
+            {
+                ref[i] = std::size_t(k);
+                continue;
+            }
+            auto it = std::lower_bound(ids_.begin(), ids_.end(), ps.id[i]);
+            if (it != ids_.end() && *it == ps.id[i]) ref[i] = std::size_t(it - ids_.begin());
+        }
         for (std::size_t f = 0; f < fields_.size(); ++f)
         {
             const auto& cur = ps.field(fields_[f]);
             const auto& old = prev_[f];
-            std::size_t n = std::min(cur.size(), old.size());
-            for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t i = 0; i < cur.size(); ++i)
             {
-                T scale = std::max(std::abs(old[i]), T(1e-12));
-                if (std::abs(cur[i] - old[i]) > threshold_ * scale)
+                if (ref[i] == none) continue;
+                T scale = std::max(std::abs(old[ref[i]]), T(1e-12));
+                if (std::abs(cur[i] - old[ref[i]]) > threshold_ * scale)
                 {
                     report.push_back({"temporal", fields_[f], i, "jump"});
                 }
@@ -120,7 +148,8 @@ public:
 private:
     std::vector<std::string> fields_;
     T threshold_;
-    std::vector<std::vector<T>> prev_;
+    std::vector<std::uint64_t> ids_;   ///< snapshot ids, ascending
+    std::vector<std::vector<T>> prev_; ///< snapshot values, in ids_ order
     bool armed_ = false;
 };
 
@@ -140,7 +169,7 @@ public:
         crcs_.clear();
         for (const auto& f : fields_)
         {
-            crcs_.push_back(crcOf(ps.field(f)));
+            crcs_.push_back(crcOf(ps.id, ps.field(f)));
         }
         armed_ = true;
     }
@@ -151,7 +180,7 @@ public:
         if (!armed_) return report;
         for (std::size_t f = 0; f < fields_.size(); ++f)
         {
-            if (crcOf(ps.field(fields_[f])) != crcs_[f])
+            if (crcOf(ps.id, ps.field(fields_[f])) != crcs_[f])
             {
                 report.push_back({"checksum", fields_[f], 0, "crc mismatch"});
             }
@@ -160,10 +189,20 @@ public:
     }
 
 private:
-    static std::uint64_t crcOf(const std::vector<T>& v)
+    /// Sum (mod 2^64) of the CRC of every particle's (id, value) pair: it
+    /// does not depend on storage order, and a change to any one value
+    /// changes its pair's CRC (a burst of at most 64 bits) and so the sum.
+    static std::uint64_t crcOf(const std::vector<std::uint64_t>& ids, const std::vector<T>& v)
     {
-        return Crc64::compute(reinterpret_cast<const std::byte*>(v.data()),
-                              v.size() * sizeof(T));
+        std::uint64_t sum = 0;
+        for (std::size_t i = 0; i < v.size(); ++i)
+        {
+            std::byte pair[sizeof(std::uint64_t) + sizeof(T)];
+            std::memcpy(pair, &ids[i], sizeof(std::uint64_t));
+            std::memcpy(pair + sizeof(std::uint64_t), &v[i], sizeof(T));
+            sum += Crc64::compute(pair, sizeof pair);
+        }
+        return sum;
     }
 
     std::vector<std::string> fields_;

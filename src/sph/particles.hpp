@@ -10,7 +10,9 @@
 /// Fields are enumerable by name so the checkpoint/restart, SDC-detection and
 /// I/O substrates can treat the container generically.
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -188,6 +190,17 @@ public:
         id.insert(id.end(), other.id.begin(), other.id.end());
         nc.insert(nc.end(), other.nc.begin(), other.nc.end());
         bin.insert(bin.end(), other.bin.begin(), other.bin.end());
+    }
+
+    /// Slots in ascending id order: the permutation reorder() takes to store
+    /// the set in id order, and the join of two sets on particle id.
+    std::vector<std::size_t> idOrder() const
+    {
+        std::vector<std::size_t> order(size());
+        std::iota(order.begin(), order.end(), std::size_t(0));
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) { return id[a] < id[b]; });
+        return order;
     }
 
     /// Reorder all fields by the permutation \p order (order[k] = old index

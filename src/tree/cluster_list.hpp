@@ -2,7 +2,8 @@
 
 /// \file cluster_list.hpp
 /// Cluster (pseudo-Verlet) neighbor search: the "cluster" half of the
-/// sorted-reorder + cluster subsystem (tree/sfc_sort.hpp).
+/// sorted-reorder + cluster subsystem (tree/sfc_sort.hpp), and the one
+/// Global search of the pipeline (phase B after the phase L reorder).
 ///
 /// Fixed-size runs of consecutive SFC-sorted particles form clusters with
 /// tight AABBs. Instead of one octree walk per particle (findNeighborsGlobal
@@ -22,8 +23,9 @@
 /// (aabbDistanceSq, domain/box.hpp), every leaf a per-particle walk visits
 /// survives cluster pruning. Each particle therefore receives the same
 /// neighbor indices in the same order as findNeighborsGlobal — so every
-/// downstream SPH sum is bitwise identical between the two search modes
-/// (gated by tests/test_cluster_list.cpp and the golden gallery).
+/// downstream SPH sum is bitwise what the per-particle walk would give
+/// (lists gated by tests/test_cluster_list.cpp, the step end to end by
+/// Propagator.SingleRankAndOneRankDistributedAreBitwiseIdentical).
 ///
 /// The search runs through parallelFor (one iteration per cluster); each
 /// cluster writes only its own members' rows, so results are bitwise
@@ -45,6 +47,11 @@
 #include "tree/octree.hpp"
 
 namespace sphexa {
+
+/// Particles per cluster of the Global search: large enough to amortize one
+/// tree traversal, small enough to keep the cluster's candidate superset
+/// tight (~2x the per-particle candidates at 32).
+inline constexpr unsigned kClusterSize = 32;
 
 /// Persistent scratch of the cluster search: per-worker candidate buffers
 /// that survive across steps, so a steady-state search allocates nothing.
@@ -81,7 +88,7 @@ void findNeighborsClustered(const Octree<T>& tree, std::type_identity_t<std::spa
                             std::type_identity_t<std::span<const T>> y,
                             std::type_identity_t<std::span<const T>> z,
                             std::type_identity_t<std::span<const T>> h, NeighborList<T>& nl,
-                            ClusterWorkspace<T>& ws, unsigned clusterSize = 32,
+                            ClusterWorkspace<T>& ws, unsigned clusterSize,
                             const LoopPolicy& policy = {})
 {
     using Index = typename Octree<T>::Index;
@@ -181,9 +188,10 @@ void findNeighborsClustered(const Octree<T>& tree, std::type_identity_t<std::spa
             // ordered compaction (write always, advance on accept) with the
             // walk's exact predicate, so accepted candidates land in
             // traversal order with no data-dependent branch. This is where
-            // cluster mode beats the walk: the walk retests ~O(r^3) scattered
-            // candidates per particle through branchy code, while this loop
-            // streams a filtered contiguous buffer the whole cluster shares.
+            // the cluster search beats the walk: the walk retests ~O(r^3)
+            // scattered candidates per particle through branchy code, while
+            // this loop streams a filtered contiguous buffer the whole
+            // cluster shares.
             std::size_t nCand = scr.candidates.size();
             if (scr.d2.size() < nCand) scr.d2.resize(nCand);
             if (scr.list.size() < nCand) scr.list.resize(nCand);

@@ -415,10 +415,14 @@ private:
     std::size_t  overflow_{0};
 };
 
-/// Fill neighbor lists for all particles ("global tree walk").
+/// Fill neighbor lists for all particles with one walk per particle.
 ///
 /// The search radius of particle i is 2 h_i (kernel support). Self is
 /// excluded from the list; SPH sums add the self contribution analytically.
+/// The pipeline's Global search is findNeighborsClustered
+/// (tree/cluster_list.hpp), which yields these exact lists; this walk is
+/// its reference: the tests' oracle, the layer benches' baseline,
+/// CostModel's search, and updateSmoothingLengths' walk without reuseLists.
 template<class T>
 void findNeighborsGlobal(const Octree<T>& tree, std::type_identity_t<std::span<const T>> x, std::type_identity_t<std::span<const T>> y,
                          std::type_identity_t<std::span<const T>> z, std::type_identity_t<std::span<const T>> h, NeighborList<T>& nl,
@@ -445,12 +449,12 @@ void findNeighborsGlobal(const Octree<T>& tree, std::type_identity_t<std::span<c
 
 /// Fill neighbor lists only for the \p active particles ("individual tree
 /// walk", ChaNGa-style): the inactive entries keep their previous lists.
-/// This is the phase-B search of every subset walk — the binned-integration
-/// pipeline (PipelineFactory::individual, where \p active is the time-step
-/// controller's force set) and the distributed driver's per-rank walk. No
-/// ClusterList counterpart exists: clusters are runs of consecutive
-/// SFC-sorted slots and an active bin scatters across them, so the
-/// per-particle walk remains the subset path (open item in the ROADMAP).
+/// This is the phase-B search of every subset walk — a binned step's
+/// ActiveSubset walk (\p active is the time-step controller's force set)
+/// and the distributed driver's per-rank walk. No cluster counterpart
+/// exists: clusters are runs of consecutive SFC-sorted slots and an active
+/// bin scatters across them, so the per-particle walk remains the subset
+/// path (open item in the ROADMAP).
 template<class T>
 void findNeighborsIndividual(const Octree<T>& tree, std::type_identity_t<std::span<const T>> x,
                              std::type_identity_t<std::span<const T>> y, std::type_identity_t<std::span<const T>> z,

@@ -94,9 +94,18 @@ public:
                 keys_[i] = sfcKey(params.curve, Vec3<T>{x[i], y[i], z[i]}, box);
         }
 
+        // (key, index) order. Phase L leaves key ties in id order
+        // (SfcSorter), so a set that stores its ties in id order, as the
+        // initial conditions do, and its sorted copy give the same tree
+        // order of ids. After phase L the keys are already in order and the
+        // identity is exactly this order, so the sort is skipped.
         std::iota(order_.begin(), order_.end(), Index(0));
-        std::sort(order_.begin(), order_.end(),
-                  [&](Index a, Index b) { return keys_[a] < keys_[b]; });
+        if (!std::is_sorted(keys_.begin(), keys_.end()))
+        {
+            std::sort(order_.begin(), order_.end(), [&](Index a, Index b) {
+                return keys_[a] != keys_[b] ? keys_[a] < keys_[b] : a < b;
+            });
+        }
 
         sortedKeys_.resize(n_);
         for (std::size_t i = 0; i < n_; ++i)

@@ -12,7 +12,10 @@
 /// interaction lists group by (Gonnet arXiv:1404.2303; Shamrock's
 /// sort-then-cluster GPU pipeline, arXiv:2503.09713).
 ///
-/// The sorter is deterministic (key ties break by pre-sort index), applies
+/// The sorter is deterministic: key ties break by particle id, then by
+/// pre-sort index, so the sorted order is a function of the particles, not
+/// of the order they were stored in (the octree, which breaks ties by
+/// index, then finds them in id order). It applies
 /// ParticleSet::reorder to every per-particle field — kinematics, the
 /// Adams-Bashforth du_m1 history, ids, time-step bins — and keeps its key
 /// and permutation buffers across steps so a steady-state resort allocates
@@ -75,11 +78,13 @@ public:
 
         perm_.resize(n);
         std::iota(perm_.begin(), perm_.end(), std::size_t(0));
-        if (std::is_sorted(keys_.begin(), keys_.end())) return false;
+        auto before = [&](std::size_t a, std::size_t b) {
+            if (keys_[a] != keys_[b]) return keys_[a] < keys_[b];
+            return ps.id[a] != ps.id[b] ? ps.id[a] < ps.id[b] : a < b;
+        };
+        if (std::is_sorted(perm_.begin(), perm_.end(), before)) return false;
 
-        std::sort(perm_.begin(), perm_.end(), [&](std::size_t a, std::size_t b) {
-            return keys_[a] != keys_[b] ? keys_[a] < keys_[b] : a < b;
-        });
+        std::sort(perm_.begin(), perm_.end(), before);
         ps.reorder(perm_);
         return true;
     }

@@ -312,10 +312,6 @@ TEST_P(DistributedEquivalence, MatchesSharedMemoryDriver)
     cfg.neighborTolerance = 10;
     cfg.decomposition = method;
     cfg.symmetrizeNeighbors = false; // the distributed driver can't (halo pairs)
-    // index-aligned comparison below: the distributed pipeline has no phase L,
-    // so keep the shared-memory driver on the seed layout too
-    cfg.searchMode = NeighborSearchMode::TreeWalk;
-    cfg.sfcReorder = false;
 
     Simulation<double> shared(ps, setup.box, Eos<double>(setup.eos), cfg);
     DistributedSimulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, P);
@@ -327,18 +323,22 @@ TEST_P(DistributedEquivalence, MatchesSharedMemoryDriver)
         dist.advance();
     }
 
-    auto g = dist.gather();
+    auto g = dist.gather(); // id order
     const auto& ref = shared.particles();
     ASSERT_EQ(g.size(), ref.size());
+    // join on id: the shared-memory driver stores its set in curve order,
+    // so the gather's i-th particle is ref's i-th in id order
+    auto refById = ref.idOrder();
     double maxDx = 0, maxDv = 0;
     for (std::size_t i = 0; i < g.size(); ++i)
     {
-        ASSERT_EQ(g.id[i], ref.id[i]);
-        maxDx = std::max(maxDx, std::abs(g.x[i] - ref.x[i]) + std::abs(g.y[i] - ref.y[i]) +
-                                    std::abs(g.z[i] - ref.z[i]));
-        maxDv = std::max(maxDv, std::abs(g.vx[i] - ref.vx[i]) +
-                                    std::abs(g.vy[i] - ref.vy[i]) +
-                                    std::abs(g.vz[i] - ref.vz[i]));
+        std::size_t j = refById[i];
+        ASSERT_EQ(g.id[i], ref.id[j]);
+        maxDx = std::max(maxDx, std::abs(g.x[i] - ref.x[j]) + std::abs(g.y[i] - ref.y[j]) +
+                                    std::abs(g.z[i] - ref.z[j]));
+        maxDv = std::max(maxDv, std::abs(g.vx[i] - ref.vx[j]) +
+                                    std::abs(g.vy[i] - ref.vy[j]) +
+                                    std::abs(g.vz[i] - ref.vz[j]));
     }
     // same algorithm, different summation order: tight but not bitwise
     EXPECT_LT(maxDx, 1e-9);

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <numeric>
 
 #include "core/simulation.hpp"
 #include "ft/checkpoint.hpp"
@@ -385,6 +387,43 @@ TEST(Sdc, ChecksumDetectorCatchesConstantFieldCorruption)
     auto report = det.scan(ps);
     ASSERT_FALSE(report.empty());
     EXPECT_EQ(report[0].field, "m");
+}
+
+TEST(Sdc, DetectorsFollowParticlesThroughAPermutation)
+{
+    // the phase-L SFC reorder permutes the set between snapshot and scan:
+    // a pure permutation is no corruption, a changed value still is, and
+    // the temporal report names the particle's current slot. Ids in one
+    // contiguous range and ids with gaps take different temporal lookups.
+    for (std::uint64_t stride : {1u, 7u})
+    {
+        SCOPED_TRACE(stride);
+        auto ps = makeState(300, 19);
+        for (std::size_t i = 0; i < ps.size(); ++i)
+            ps.id[i] = 1000 + stride * i;
+        TemporalDetector<double> temporal({"x", "rho"}, 0.5);
+        ChecksumDetector<double> crc({"x", "m"});
+        temporal.snapshot(ps);
+        crc.snapshot(ps);
+
+        std::vector<std::size_t> perm(ps.size());
+        std::iota(perm.begin(), perm.end(), std::size_t(0));
+        std::reverse(perm.begin(), perm.end());
+        std::rotate(perm.begin(), perm.begin() + 37, perm.end());
+        ps.reorder(perm);
+        EXPECT_TRUE(temporal.scan(ps).empty());
+        EXPECT_TRUE(crc.scan(ps).empty());
+
+        std::size_t slot = 123;
+        ps.x[slot] *= 100.0;
+        auto report = temporal.scan(ps);
+        ASSERT_EQ(report.size(), 1u);
+        EXPECT_EQ(report[0].field, "x");
+        EXPECT_EQ(report[0].particle, slot);
+        auto crcReport = crc.scan(ps);
+        ASSERT_EQ(crcReport.size(), 1u);
+        EXPECT_EQ(crcReport[0].field, "x");
+    }
 }
 
 TEST(Sdc, ConservationDetectorCatchesEnergyDrift)

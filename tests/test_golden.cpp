@@ -34,6 +34,7 @@
 #include "math/series.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sph/eos_wcsph.hpp"
+#include "step_variants.hpp"
 
 using namespace sphexa;
 
@@ -323,18 +324,28 @@ TEST_P(GoldenGallery, PipelinesBitwiseEquivalentOnWallFreeScenario)
     }
 }
 
-// --- scenario 4b: neighbor-search mode equivalence ---------------------------
+// --- scenario 4b: one Global search, physics of the per-particle walk --------
 
 TEST_P(GoldenGallery, ClusterSearchModePhysicsBitwiseMatchesTreeWalk)
 {
     // The cluster search (tree/cluster_list.hpp) must not change physics at
-    // all: after un-permuting the SFC reorder it implies, every field is
-    // bit-identical to the per-particle tree walk. The compressible leg runs
-    // Sedov CROSS-frame (the TreeWalk reference stays in lattice order, the
-    // cluster run is SFC-sorted every step); the WCSPH leg runs the dam
-    // break — walls, ghosts, body force — same-frame (both runs reorder, so
-    // the comparison isolates the search mode under the ghost bracket).
-    auto runScenario = [&](bool cluster) {
+    // all: after un-permuting the SFC reorder, every field is bit-identical
+    // to a run whose phase B walks the tree per particle. The compressible
+    // leg runs Sedov CROSS-frame (the per-particle reference drops phase L
+    // and stays in lattice order, the shipped run is SFC-sorted every step)
+    // and adds a third run, the shipped op list without phase L, which must
+    // match too: phase L only changes where particles are stored. The WCSPH
+    // leg runs the dam break — walls, ghosts, body force — same-frame (both
+    // runs reorder, so the comparison isolates the search under the ghost
+    // bracket; under walls a run without phase L is not bitwise, as mirror
+    // ghosts take their source's id and clamp onto boundary keys).
+    auto runScenario = [&](bool reorder, bool perParticleWalk) {
+        auto vary = [&](Simulation<double>& sim) {
+            if (!reorder || perParticleWalk)
+            {
+                sim.setPipeline(variantOf(sim.pipeline(), reorder, perParticleWalk));
+            }
+        };
         if (leg() == Leg::Compressible)
         {
             ParticleSetD ps;
@@ -345,12 +356,10 @@ TEST_P(GoldenGallery, ClusterSearchModePhysicsBitwiseMatchesTreeWalk)
             cfg.targetNeighbors    = 50;
             cfg.neighborTolerance  = 10;
             cfg.timestep.initialDt = 1e-6;
-            cfg.sfcReorder = false; // cross-frame: only the cluster run sorts
-            cfg.searchMode = cluster ? NeighborSearchMode::ClusterList
-                                     : NeighborSearchMode::TreeWalk;
-            cfg.kernelBackend = backend();
+            cfg.kernelBackend      = backend();
             Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos),
                                    cfg);
+            vary(sim);
             sim.computeForces();
             sim.run(4);
             return sim;
@@ -364,51 +373,29 @@ TEST_P(GoldenGallery, ClusterSearchModePhysicsBitwiseMatchesTreeWalk)
         cfg.targetNeighbors    = 60;
         cfg.neighborTolerance  = 10;
         cfg.timestep.initialDt = 1e-4;
-        cfg.sfcReorder         = true; // same frame for both search modes
-        cfg.searchMode = cluster ? NeighborSearchMode::ClusterList
-                                 : NeighborSearchMode::TreeWalk;
-        cfg.kernelBackend = backend();
+        cfg.kernelBackend      = backend();
         Simulation<double> sim(std::move(ps), setup.box, cfg);
+        vary(sim);
         sim.computeForces();
         sim.run(4);
         return sim;
     };
 
-    auto a = runScenario(false);
-    auto b = runScenario(true);
-    const auto& pa = a.particles();
-    const auto& pb = b.particles();
-    ASSERT_EQ(pa.size(), pb.size());
-
-    // join on particle id: the cluster run's storage order is SFC-permuted
-    std::vector<std::size_t> slotOfId(pb.size());
-    for (std::size_t k = 0; k < pb.size(); ++k)
-        slotOfId[pb.id[k]] = k;
-    for (std::size_t i = 0; i < pa.size(); ++i)
+    auto shipped = runScenario(true, false);
+    if (leg() == Leg::Wcsph)
     {
-        std::size_t j = slotOfId[pa.id[i]];
-        ASSERT_EQ(pa.x[i], pb.x[j]) << "id " << pa.id[i];
-        ASSERT_EQ(pa.y[i], pb.y[j]) << "id " << pa.id[i];
-        ASSERT_EQ(pa.z[i], pb.z[j]) << "id " << pa.id[i];
-        ASSERT_EQ(pa.vx[i], pb.vx[j]) << "id " << pa.id[i];
-        ASSERT_EQ(pa.vy[i], pb.vy[j]) << "id " << pa.id[i];
-        ASSERT_EQ(pa.vz[i], pb.vz[j]) << "id " << pa.id[i];
-        ASSERT_EQ(pa.rho[i], pb.rho[j]) << "id " << pa.id[i];
-        ASSERT_EQ(pa.u[i], pb.u[j]) << "id " << pa.id[i];
-        ASSERT_EQ(pa.p[i], pb.p[j]) << "id " << pa.id[i];
-        ASSERT_EQ(pa.du[i], pb.du[j]) << "id " << pa.id[i];
-        ASSERT_EQ(pa.h[i], pb.h[j]) << "id " << pa.id[i];
+        expectSamePhysicsById(runScenario(true, true), shipped);
+        return;
     }
+    expectSamePhysicsById(runScenario(false, true), shipped);
 
-    // diagnostics sum in storage order, so they may differ by FP
-    // re-association only — never by physics
-    auto ca = a.conservation();
-    auto cb = b.conservation();
-    EXPECT_NEAR(cb.kineticEnergy, ca.kineticEnergy,
-                1e-12 * std::max(1.0, std::abs(ca.kineticEnergy)));
-    EXPECT_NEAR(cb.internalEnergy, ca.internalEnergy,
-                1e-12 * std::max(1.0, std::abs(ca.internalEnergy)));
-    EXPECT_EQ(cb.mass, ca.mass);
+    auto unsorted = runScenario(false, false);
+    const auto& ids = shipped.particles().id;
+    std::size_t permuted = 0;
+    for (std::size_t k = 0; k < ids.size(); ++k)
+        permuted += ids[k] != unsorted.particles().id[k];
+    EXPECT_GT(permuted, ids.size() / 2) << "phase L did not permute the set";
+    expectSamePhysicsById(unsorted, shipped);
 }
 
 // --- scenario 5: dam break --------------------------------------------------

@@ -118,10 +118,6 @@ TEST(DistributedGravity, MatchesSharedMemoryDriver)
     cfg.targetNeighbors   = 50;
     cfg.neighborTolerance = 10;
     cfg.symmetrizeNeighbors = false;
-    // index-aligned comparison below: the distributed pipeline has no phase L,
-    // so keep the shared-memory driver on the seed layout too
-    cfg.searchMode = NeighborSearchMode::TreeWalk;
-    cfg.sfcReorder = false;
 
     Simulation<double> shared(ps, setup.box, Eos<double>(setup.eos), cfg);
     DistributedSimulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, 4);
@@ -133,14 +129,19 @@ TEST(DistributedGravity, MatchesSharedMemoryDriver)
         dist.advance();
     }
 
-    auto g = dist.gather();
+    auto g = dist.gather(); // id order
     const auto& ref = shared.particles();
     ASSERT_EQ(g.size(), ref.size());
+    // join on id: the shared-memory driver stores its set in curve order,
+    // so the gather's i-th particle is ref's i-th in id order
+    auto refById = ref.idOrder();
     double maxDv = 0;
     for (std::size_t i = 0; i < g.size(); ++i)
     {
-        maxDv = std::max({maxDv, std::abs(g.vx[i] - ref.vx[i]),
-                          std::abs(g.vy[i] - ref.vy[i]), std::abs(g.vz[i] - ref.vz[i])});
+        std::size_t j = refById[i];
+        ASSERT_EQ(g.id[i], ref.id[j]);
+        maxDv = std::max({maxDv, std::abs(g.vx[i] - ref.vx[j]),
+                          std::abs(g.vy[i] - ref.vy[j]), std::abs(g.vz[i] - ref.vz[j])});
     }
     // gravity tree differs (replicated global tree vs per-rank local tree
     // in the shared driver they are the same tree here) — tolerance-based
@@ -246,11 +247,6 @@ TEST(SedovIntegration, ShockExpandsAndEnergyConserved)
 TEST(SdcLive, InjectedCorruptionCaughtMidRun)
 {
     auto s = makePatch(12, 6);
-    // the temporal detector diffs snapshots per index; the phase-L SFC
-    // reorder permutes the set between steps, which would read as mass
-    // corruption — pin the seed layout
-    s.cfg.searchMode = NeighborSearchMode::TreeWalk;
-    s.cfg.sfcReorder = false;
     Simulation<double> sim(s.ps, s.box, s.eos, s.cfg);
     sim.computeForces();
     sim.run(2);

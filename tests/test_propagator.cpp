@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
+#include <vector>
 
 #include "core/code_profiles.hpp"
 #include "core/propagator.hpp"
@@ -15,6 +17,8 @@
 #include "domain/distributed.hpp"
 #include "ic/sedov.hpp"
 #include "ic/square_patch.hpp"
+#include "math/rng.hpp"
+#include "step_variants.hpp"
 
 using namespace sphexa;
 
@@ -54,10 +58,10 @@ TEST(PipelineFactory, PhaseOrderMatchesFig4Sequence)
     cfg.selfGravity = true;
     auto phases = PipelineFactory<double>::singleRank(cfg).phases();
 
-    // the full hydro+gravity force pipeline is the L sfc-sort op (self-gated,
-    // a no-op unless cfg.sfcReorder / ClusterList mode asks for it) followed
-    // by exactly A..I in Fig. 4 order (phase J brackets the pipeline in the
-    // driver's kick-drift-kick)
+    // the full hydro+gravity force pipeline is the L sfc-sort op (run on
+    // every Global walk, a no-op on a binned step's ActiveSubset walks)
+    // followed by exactly A..I in Fig. 4 order (phase J brackets the
+    // pipeline in the driver's kick-drift-kick)
     ASSERT_EQ(phases.size(), 10u);
     EXPECT_EQ(phases.front(), Phase::L_SfcSort);
     for (std::size_t k = 1; k < phases.size(); ++k)
@@ -266,14 +270,14 @@ TEST(Propagator, ComputeForcesReportsTimeAndDt)
 
 TEST(Propagator, SingleRankAndOneRankDistributedAreBitwiseIdentical)
 {
+    // the shipped step (phase L, then the cluster search over the sorted
+    // set) against the per-particle walk over the unsorted set: the
+    // distributed pipeline has no phase L and walks per particle, so the
+    // two agree bitwise only if neither the reorder nor the search shape
+    // changes a single summation order
     auto patch = makePatch();
     SimulationConfig<double> cfg = patchConfig();
     cfg.symmetrizeNeighbors = false; // the distributed driver can't (halo pairs)
-    // pin the per-particle walk over the unreordered frame: the distributed
-    // pipeline has no phase L, so the drivers only share a summation order
-    // when the shared-memory one keeps the seed layout too
-    cfg.searchMode = NeighborSearchMode::TreeWalk;
-    cfg.sfcReorder = false;
 
     Simulation<double> shared(patch.ps, patch.setup.box, Eos<double>(patch.setup.eos),
                               cfg);
@@ -287,9 +291,19 @@ TEST(Propagator, SingleRankAndOneRankDistributedAreBitwiseIdentical)
         dist.advance();
     }
 
-    auto g = dist.gather();
+    auto g = dist.gather(); // id order
     const auto& ref = shared.particles();
     ASSERT_EQ(g.size(), ref.size());
+
+    // join on id: the shared-memory set is stored in curve order, so the
+    // gather's i-th particle is ref's i-th in id order
+    auto refById = ref.idOrder();
+    std::size_t permuted = 0;
+    for (std::size_t k = 0; k < ref.size(); ++k)
+        permuted += refById[k] != k;
+    EXPECT_GT(permuted, ref.size() / 2) << "phase L left the set in id order";
+    for (std::size_t i = 0; i < g.size(); ++i)
+        ASSERT_EQ(g.id[i], ref.id[refById[i]]);
 
     // both drivers executed phases A..H through the same PhaseOp units, so
     // with one rank (no summation-order changes from halos) the particle
@@ -298,10 +312,9 @@ TEST(Propagator, SingleRankAndOneRankDistributedAreBitwiseIdentical)
                              const char* field) {
         for (std::size_t i = 0; i < a.size(); ++i)
         {
-            ASSERT_EQ(a[i], b[i]) << field << "[" << i << "]";
+            ASSERT_EQ(a[i], b[refById[i]]) << field << " of id " << g.id[i];
         }
     };
-    ASSERT_EQ(g.id, ref.id);
     expectBitwise(g.x, ref.x, "x");
     expectBitwise(g.y, ref.y, "y");
     expectBitwise(g.z, ref.z, "z");
@@ -313,6 +326,38 @@ TEST(Propagator, SingleRankAndOneRankDistributedAreBitwiseIdentical)
     expectBitwise(g.u, ref.u, "u");
     expectBitwise(g.p, ref.p, "p");
     expectBitwise(g.c, ref.c, "c");
+}
+
+TEST(Propagator, SfcReorderIsPhysicsNeutralOnNearCoincidentParticles)
+{
+    // a periodic cloud where every 20th particle sits 1e-8 from its
+    // predecessor, i.e. in the same SFC cell: the shipped step and the same
+    // op list without phase L must agree bitwise per particle, which holds
+    // only if tied keys take the same tree order in both storage frames
+    auto run = [](bool reorder) {
+        const std::size_t n = 6000;
+        ParticleSetD ps(n);
+        Xoshiro256pp rng(5);
+        for (std::size_t i = 0; i < n; ++i)
+        {
+            bool twin = i % 20 == 19;
+            ps.x[i]  = twin ? ps.x[i - 1] + 1e-8 : rng.uniform();
+            ps.y[i]  = twin ? ps.y[i - 1] : rng.uniform();
+            ps.z[i]  = twin ? ps.z[i - 1] : rng.uniform();
+            ps.m[i]  = 1.0 / double(n);
+            ps.u[i]  = 1.0;
+            ps.h[i]  = 0.5 * std::cbrt(3.0 * 50.0 / (4.0 * std::numbers::pi * double(n)));
+            ps.id[i] = i;
+        }
+        Box<double> box{{0, 0, 0}, {1, 1, 1}, true, true, true};
+        Simulation<double> sim(std::move(ps), box, Eos<double>(IdealGasEos<double>(5.0 / 3.0)),
+                               patchConfig());
+        if (!reorder) sim.setPipeline(variantOf(sim.pipeline(), false, false));
+        sim.computeForces();
+        sim.run(2);
+        return sim;
+    };
+    expectSamePhysicsById(run(false), run(true));
 }
 
 TEST(Propagator, DistributedPhaseLogCoversAllRanks)

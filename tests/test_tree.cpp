@@ -22,6 +22,7 @@
 #include "tree/morton.hpp"
 #include "tree/neighbors.hpp"
 #include "tree/octree.hpp"
+#include "tree/sfc_sort.hpp"
 
 using namespace sphexa;
 
@@ -326,6 +327,43 @@ TEST(Octree, HandlesDuplicatePositions)
     EXPECT_GT(tree.nodeCount(), 0u);
 }
 
+TEST(Octree, TiedKeysGiveTheSameIdOrderInEveryFrame)
+{
+    // every 4th particle sits 1e-9 from its predecessor, inside its SFC
+    // cell: the tree must order such ties the same way (as ids) in a set
+    // and in its phase-L sorted copy, or the two frames sum neighbors in
+    // different orders
+    ParticleSetD ps(4000);
+    Xoshiro256pp rng(17);
+    for (std::size_t i = 0; i < ps.size(); ++i)
+    {
+        bool twin = i % 4 == 3;
+        ps.x[i]  = twin ? ps.x[i - 1] + 1e-9 : rng.uniform();
+        ps.y[i]  = twin ? ps.y[i - 1] : rng.uniform();
+        ps.z[i]  = twin ? ps.z[i - 1] : rng.uniform();
+        ps.id[i] = i;
+    }
+    Box<double> box{{0, 0, 0}, {1, 1, 1}, true, true, true};
+    ParticleSetD sorted = ps;
+    SfcSorter<double>().apply(sorted, box, SfcCurve::Hilbert);
+
+    Octree<double>::BuildParams params;
+    params.curve = SfcCurve::Hilbert;
+    auto treeIds = [&](const ParticleSetD& set) {
+        Octree<double> tree;
+        tree.build(set.x, set.y, set.z, box, params);
+        std::size_t ties = 0;
+        for (std::size_t k = 1; k < set.size(); ++k)
+            ties += tree.sortedKeys()[k] == tree.sortedKeys()[k - 1];
+        EXPECT_GT(ties, 900u);
+        std::vector<std::uint64_t> ids;
+        for (auto i : tree.order())
+            ids.push_back(set.id[i]);
+        return ids;
+    };
+    EXPECT_EQ(treeIds(ps), treeIds(sorted));
+}
+
 TEST(Octree, EmptyAndSingle)
 {
     std::vector<double> x, y, z;
@@ -516,7 +554,7 @@ TEST(DeepestTree, NeighborWalksMatchBruteForce)
     std::iota(all.begin(), all.end(), std::size_t(0));
     findNeighborsIndividual(tree, c.x, c.y, c.z, c.h, all, individual);
     ClusterWorkspace<double> ws;
-    findNeighborsClustered(tree, c.x, c.y, c.z, c.h, clustered, ws);
+    findNeighborsClustered(tree, c.x, c.y, c.z, c.h, clustered, ws, kClusterSize);
 
     EXPECT_EQ(brute.overflowCount(), 0u);
     for (std::size_t i = 0; i < n; ++i)
