@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <stdexcept>
 
 #include "math/vec.hpp"
 
@@ -68,13 +69,23 @@ struct Box
         return d;
     }
 
-    /// Wrap a point back into the box along periodic axes.
+    /// Wrap a point back into the box along periodic axes. A periodic
+    /// coordinate that is non-finite or lies more than one box length
+    /// outside the box throws std::domain_error: no drift of a sane state
+    /// gets there, and the wrap below would never end for +-inf (inf - L
+    /// is inf) and would take |p| / L rounds for a huge finite value.
     Vec3<T> wrap(Vec3<T> p) const
     {
         for (int ax = 0; ax < 3; ++ax)
         {
             if (!pbc[ax]) continue;
             T L = length(ax);
+            // false for NaN and +-inf as well
+            if (!(p[ax] - hi[ax] <= L && lo[ax] - p[ax] <= L))
+            {
+                throw std::domain_error("Box::wrap: periodic coordinate is non-finite or "
+                                        "more than one box length outside the box");
+            }
             while (p[ax] >= hi[ax]) p[ax] -= L;
             while (p[ax] < lo[ax]) p[ax] += L;
         }

@@ -164,6 +164,22 @@ public:
     {
     }
 
+    /// Sum (mod 2^64) of the CRC of every particle's (id, value) pair: it
+    /// does not depend on storage order, and a change to any one value
+    /// changes its pair's CRC (a burst of at most 64 bits) and so the sum.
+    static std::uint64_t crcOf(const std::vector<std::uint64_t>& ids, const std::vector<T>& v)
+    {
+        std::uint64_t sum = 0;
+        for (std::size_t i = 0; i < v.size(); ++i)
+        {
+            std::byte pair[sizeof(std::uint64_t) + sizeof(T)];
+            std::memcpy(pair, &ids[i], sizeof(std::uint64_t));
+            std::memcpy(pair + sizeof(std::uint64_t), &v[i], sizeof(T));
+            sum += Crc64::compute(pair, sizeof pair);
+        }
+        return sum;
+    }
+
     void snapshot(ParticleSet<T>& ps)
     {
         crcs_.clear();
@@ -189,22 +205,6 @@ public:
     }
 
 private:
-    /// Sum (mod 2^64) of the CRC of every particle's (id, value) pair: it
-    /// does not depend on storage order, and a change to any one value
-    /// changes its pair's CRC (a burst of at most 64 bits) and so the sum.
-    static std::uint64_t crcOf(const std::vector<std::uint64_t>& ids, const std::vector<T>& v)
-    {
-        std::uint64_t sum = 0;
-        for (std::size_t i = 0; i < v.size(); ++i)
-        {
-            std::byte pair[sizeof(std::uint64_t) + sizeof(T)];
-            std::memcpy(pair, &ids[i], sizeof(std::uint64_t));
-            std::memcpy(pair + sizeof(std::uint64_t), &v[i], sizeof(T));
-            sum += Crc64::compute(pair, sizeof pair);
-        }
-        return sum;
-    }
-
     std::vector<std::string> fields_;
     std::vector<std::uint64_t> crcs_;
     bool armed_ = false;

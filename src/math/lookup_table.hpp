@@ -8,9 +8,9 @@
 /// transcendental evaluation dominates the density loop otherwise. The table
 /// is sampled uniformly in q over the kernel support.
 
-#include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 namespace sphexa {
@@ -23,12 +23,17 @@ class LookupTable
 public:
     LookupTable() = default;
 
-    /// Tabulate f over [a, b] with n samples (n >= 2).
+    /// Tabulate f over [a, b] with n samples. Throws std::invalid_argument
+    /// unless n >= 2 and b > a: evaluation reads two adjacent samples.
     template<class F>
-    LookupTable(const F& f, T a, T b, std::size_t n)
-        : a_(a), b_(b), inv_dx_(T(n - 1) / (b - a)), values_(n)
+    LookupTable(const F& f, T a, T b, std::size_t n) : a_(a), b_(b)
     {
-        assert(n >= 2 && b > a);
+        if (n < 2 || !(b > a))
+        {
+            throw std::invalid_argument("LookupTable: needs n >= 2 samples and b > a");
+        }
+        inv_dx_ = T(n - 1) / (b - a);
+        values_.resize(n);
         T dx = (b - a) / T(n - 1);
         for (std::size_t i = 0; i < n; ++i)
         {

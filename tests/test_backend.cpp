@@ -22,6 +22,7 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -37,6 +38,7 @@
 #include "sph/divcurl.hpp"
 #include "sph/eos.hpp"
 #include "sph/iad.hpp"
+#include "sph/kernels.hpp"
 #include "sph/momentum_energy.hpp"
 #include "sph/particles.hpp"
 #include "sph/smoothing_length.hpp"
@@ -277,6 +279,20 @@ TEST(LaneKernel, NaNLaneStaysNaNAndLeavesOtherLanesUnchanged)
             EXPECT_EQ(fd[l], dfRef[l]) << "lane " << l;
         }
     }
+}
+
+TEST(LaneKernel, SincTableOfFewerThanTwoSamplesThrows)
+{
+    // both public ways to size a Sinc table reach LookupTable's check: a
+    // 1-sample table would read past its end, a 0-sample one an empty vector
+    Kernel<double> sinc(KernelType::Sinc);
+    for (std::size_t n : {0u, 1u})
+    {
+        EXPECT_THROW(LaneKernel<double>(sinc, n), std::invalid_argument) << n;
+        EXPECT_THROW(TabulatedKernel<double>(sinc, n), std::invalid_argument) << n;
+    }
+    EXPECT_NO_THROW(LaneKernel<double>(sinc, 2));
+    EXPECT_NO_THROW(TabulatedKernel<double>(sinc, 2));
 }
 
 // --- Scalar backend vs the seed loops --------------------------------------

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "core/simulation.hpp"
 #include "domain/distributed.hpp"
@@ -410,4 +412,59 @@ TEST(Distributed, TrafficIsRecorded)
     for (const auto& r : rep.ranks)
         ghosts += r.ghostParticles;
     EXPECT_GT(ghosts, 0u);
+}
+
+// --- Box::wrap --------------------------------------------------------------
+
+TEST(Box, WrapRejectsNonFinitePeriodicCoordinate)
+{
+    // inf - L is inf: the wrap loop would never end
+    Box<double> box{{0, 0, 0}, {1, 1, 1}, true, false, true};
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {inf, -inf, std::numeric_limits<double>::quiet_NaN()})
+    {
+        EXPECT_THROW(box.wrap({bad, 0.5, 0.5}), std::domain_error) << bad;
+        EXPECT_THROW(box.wrap({0.5, 0.5, bad}), std::domain_error) << bad;
+    }
+    // an open axis is not wrapped and passes its value through
+    EXPECT_EQ(box.wrap({0.5, inf, 0.5}).y, inf);
+}
+
+TEST(Box, WrapRejectsCoordinateBeyondOneBoxLength)
+{
+    // 1e12 is 1e8 box lengths out: a wrap loop would shift it 1e8 times
+    Box<double> wide{{0, 0, 0}, {1e4, 1e4, 1e4}, true, true, true};
+    EXPECT_THROW(wide.wrap({1e12, 5e3, 5e3}), std::domain_error);
+    EXPECT_THROW(wide.wrap({5e3, -1e12, 5e3}), std::domain_error);
+    Box<double> box{{0, 0, 0}, {1, 1, 1}, true, true, true};
+    EXPECT_THROW(box.wrap({0.5, 0.5, 2.5}), std::domain_error);
+    // within one length it is still one shift by L, bit for bit
+    const double above = 1.75, below = -0.25;
+    Vec3<double> w = box.wrap({above, below, 0.5});
+    EXPECT_EQ(w.x, above - 1.0);
+    EXPECT_EQ(w.y, below + 1.0);
+    EXPECT_EQ(w.z, 0.5);
+}
+
+TEST(Box, BlownUpVelocityStopsTheStepInsteadOfHanging)
+{
+    // the drift of phase J wraps on a pool thread; parallelFor forwards the
+    // throw out of advance() at every pool size
+    const std::size_t saved = WorkerPool::instance().size();
+    for (std::size_t pool : {1u, 4u})
+    {
+        WorkerPool::instance().resize(pool);
+        ParticleSetD ps;
+        SquarePatchConfig<double> pc;
+        pc.nx = pc.ny = 8;
+        pc.nz         = 4;
+        auto setup    = makeSquarePatch(ps, pc); // periodic in z
+        SimulationConfig<double> cfg;
+        cfg.targetNeighbors = 40;
+        Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos), cfg);
+        sim.computeForces();
+        sim.particles().vz[sim.particles().size() / 2] = 1e300;
+        EXPECT_THROW(sim.advance(), std::domain_error) << "pool " << pool;
+    }
+    WorkerPool::instance().resize(saved);
 }

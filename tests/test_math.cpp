@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <stdexcept>
 
 #include "math/lookup_table.hpp"
 #include "math/matrix3.hpp"
@@ -251,6 +252,21 @@ TEST(LookupTable, PropagatesNaN)
     EXPECT_TRUE(std::isnan(t(nan)));
     EXPECT_TRUE(std::isnan(t(-nan)));
     EXPECT_DOUBLE_EQ(t(1.5), 1.5);
+}
+
+TEST(LookupTable, RejectsFewerThanTwoSamplesOrAnEmptyInterval)
+{
+    // evaluation reads samples i and i + 1, so a 0- or 1-sample table has
+    // nothing to interpolate (checked in every build type)
+    auto f = [](double x) { return x; };
+    EXPECT_THROW(LookupTable<double>(f, 0.0, 2.0, 0), std::invalid_argument);
+    EXPECT_THROW(LookupTable<double>(f, 0.0, 2.0, 1), std::invalid_argument);
+    EXPECT_THROW(LookupTable<double>(f, 2.0, 2.0, 11), std::invalid_argument);
+    EXPECT_THROW(LookupTable<double>(f, 2.0, 1.0, 11), std::invalid_argument);
+    EXPECT_THROW(LookupTable<double>(f, 0.0, std::numeric_limits<double>::quiet_NaN(), 11),
+                 std::invalid_argument);
+    LookupTable<double> two(f, 0.0, 2.0, 2);
+    EXPECT_DOUBLE_EQ(two(0.5), 0.5);
 }
 
 TEST(Statistics, BasicAggregates)
