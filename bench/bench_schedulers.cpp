@@ -2,9 +2,10 @@
 /// Load-balancing ablation: the self-scheduling strategies of Table 4
 /// ("DLB with self-scheduling") in two settings.
 ///
-/// First the synthetic harness (executeLoop): uniform and linearly
-/// increasing workloads show each strategy's balance/overhead character in
-/// isolation. Then the in-situ ablation: a real Sedov run whose hot phases
+/// First two synthetic workloads, uniform and linearly increasing, each
+/// one measured parallelFor loop on the worker pool: they show each
+/// strategy's balance/overhead character in isolation. Then the in-situ
+/// ablation: a real Sedov run whose hot phases
 /// (density, EOS+IAD, div/curl, momentum-energy) execute through the
 /// persistent-pool ParallelFor layer under each strategy, with per-phase
 /// load-balance efficiency read back from the StepReport's measured
@@ -35,7 +36,8 @@ const std::vector<SchedulingStrategy> kStrategies = {
 void runWorkload(const char* name, const std::vector<double>& weights)
 {
     const std::size_t workers = 8;
-    auto body = [&](std::size_t i) {
+    WorkerPool::instance().resize(workers);
+    auto body = [&](std::size_t i, std::size_t) {
         volatile double sink = 0;
         auto reps = std::size_t(weights[i] * 20);
         for (std::size_t k = 0; k < reps; ++k)
@@ -47,10 +49,14 @@ void runWorkload(const char* name, const std::vector<double>& weights)
     std::printf("%-8s %14s %12s %14s\n", "sched", "loadBalance", "chunks", "wall_ms");
     for (auto s : kStrategies)
     {
-        auto rep = executeLoop(weights.size(), workers, s, body);
+        PhaseLoadStats stats;
+        LoopPolicy pol;
+        pol.strategy = s;
+        pol.stats    = &stats;
+        parallelFor(weights.size(), body, pol);
         std::printf("%-8s %14.3f %12zu %14.2f\n",
-                    std::string(schedulingName(s)).c_str(), rep.loadBalance(),
-                    rep.chunks, rep.wallSeconds * 1e3);
+                    std::string(schedulingName(s)).c_str(), stats.loadBalance(),
+                    stats.chunks, stats.wallSeconds * 1e3);
     }
 }
 

@@ -13,7 +13,7 @@
 #include "backend/kernel_backend.hpp"
 #include "core/phases.hpp"
 #include "math/vec.hpp"
-#include "parallel/schedulers.hpp"
+#include "parallel/parallel_for.hpp"
 #include "sph/boundaries.hpp"
 #include "sph/density.hpp"
 #include "sph/eos_wcsph.hpp"
@@ -114,6 +114,22 @@ struct PhaseSchedule
     constexpr SchedulingStrategy operator[](Phase p) const
     {
         return strategies[std::size_t(p)];
+    }
+
+    /// The LoopPolicy phase \p p's ParallelFor loops run under: its
+    /// strategy, the phase's persistent AWF weights from \p awf (when one
+    /// is attached and the strategy is AWF), busy-time accounting into
+    /// \p stats. Both drivers build every phase policy here.
+    LoopPolicy loopPolicy(Phase p, AwfWeightStore* awf, PhaseLoadStats& stats) const
+    {
+        LoopPolicy pol;
+        pol.strategy = (*this)[p];
+        if (pol.strategy == SchedulingStrategy::AdaptiveWeightedFactoring && awf)
+        {
+            pol.awfWeights = &awf->weightsFor(std::size_t(p));
+        }
+        pol.stats = &stats;
+        return pol;
     }
 
     std::array<SchedulingStrategy, phaseCount> strategies{};

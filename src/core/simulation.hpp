@@ -165,14 +165,9 @@ public:
 
         // phase J runs under the configured strategy like any hot loop; its
         // busy times land in the report harvested from the force pass below
-        LoopPolicy jPolicy;
-        jPolicy.strategy = cfg_.phaseSchedule[Phase::J_TimestepUpdate];
-        if (jPolicy.strategy == SchedulingStrategy::AdaptiveWeightedFactoring)
-        {
-            jPolicy.awfWeights = &awf_.weightsFor(std::size_t(Phase::J_TimestepUpdate));
-        }
         PhaseLoadStats jLoad;
-        jPolicy.stats = &jLoad;
+        const LoopPolicy jPolicy =
+            cfg_.phaseSchedule.loopPolicy(Phase::J_TimestepUpdate, &awf_, jLoad);
 
         bool binned = binnedIntegration();
 

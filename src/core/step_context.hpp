@@ -149,20 +149,12 @@ struct StepContext
     GravityStats gravityStats{};
     std::array<PhaseLoadStats, phaseCount> phaseLoad{};
 
-    /// The LoopPolicy a phase's ParallelFor loops run under: strategy from
-    /// the config's per-phase schedule, persistent AWF weights from the
-    /// driver's store (when attached), busy-time accounting into this
-    /// context's phaseLoad slot.
+    /// The LoopPolicy a phase's ParallelFor loops run under
+    /// (PhaseSchedule::loopPolicy), accounting into this context's
+    /// phaseLoad slot.
     LoopPolicy loopPolicy(Phase p)
     {
-        LoopPolicy pol;
-        pol.strategy = cfg.phaseSchedule[p];
-        if (pol.strategy == SchedulingStrategy::AdaptiveWeightedFactoring && awf)
-        {
-            pol.awfWeights = &awf->weightsFor(std::size_t(p));
-        }
-        pol.stats = &phaseLoad[int(p)];
-        return pol;
+        return cfg.phaseSchedule.loopPolicy(p, awf, phaseLoad[int(p)]);
     }
 
     /// The compute-backend selection the SPH phase shells dispatch on:

@@ -93,7 +93,11 @@ struct DistributedStepReport
     }
 };
 
-/// Distributed-memory simulation over P simulated ranks.
+/// Distributed-memory simulation over P simulated ranks. Runs the
+/// compressible pipeline at one global dt; the constructor rejects
+/// (std::invalid_argument) a WeaklyCompressible config, whose mirror ghosts
+/// and body force the distributed assembly lacks, and any timestep mode but
+/// Global, since its dt is a bare global minimum.
 template<class T>
 class DistributedSimulation
 {
@@ -113,6 +117,12 @@ public:
     {
         if (global.empty())
             throw std::invalid_argument("DistributedSimulation: empty particle set");
+        if (cfg_.hydroMode != HydroMode::Compressible)
+            throw std::invalid_argument(
+                "DistributedSimulation: only Compressible hydro is supported");
+        if (cfg_.timestep.mode != TimesteppingMode::Global)
+            throw std::invalid_argument(
+                "DistributedSimulation: only Global time-stepping is supported");
         // initial decomposition: all particles start on rank 0 and are
         // migrated, as a real code would bootstrap
         locals_[0] = std::move(global);
@@ -174,15 +184,8 @@ public:
         std::vector<PhaseLoadStats> jLoad(comm_.size());
         std::vector<double> jSeconds(comm_.size(), 0.0);
         auto jPolicyFor = [&](int r) {
-            LoopPolicy pol;
-            pol.strategy = cfg_.phaseSchedule[Phase::J_TimestepUpdate];
-            if (pol.strategy == SchedulingStrategy::AdaptiveWeightedFactoring)
-            {
-                pol.awfWeights =
-                    &rankAwf_[r].weightsFor(std::size_t(Phase::J_TimestepUpdate));
-            }
-            pol.stats = &jLoad[r];
-            return pol;
+            return cfg_.phaseSchedule.loopPolicy(Phase::J_TimestepUpdate, &rankAwf_[r],
+                                                 jLoad[r]);
         };
         for (int r = 0; r < comm_.size(); ++r)
         {

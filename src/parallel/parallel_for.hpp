@@ -17,8 +17,8 @@
 /// Three properties the SPH pipeline relies on:
 ///
 ///  - Persistence: WorkerPool threads are created once and reused by every
-///    phase of every step (executeLoop() in schedulers.hpp spawns threads
-///    per call; that harness remains for the synthetic ablation only).
+///    phase of every step; the pool is the only place in src/ that starts
+///    a thread (lint rule `one-executor`).
 ///  - Determinism: every loop body dispatched here is accumulate-to-self
 ///    (iteration i writes only slot i) and reductions are exact min/max
 ///    over per-worker partials, so particle state is bitwise identical for
@@ -343,21 +343,6 @@ struct LoopPolicy
     PhaseLoadStats* stats = nullptr;
 };
 
-namespace detail {
-
-/// The contiguous block worker w owns under STATIC chunking (matches
-/// chunkSequence(n, p, Static): first n%p workers get one extra).
-inline std::pair<std::size_t, std::size_t> staticBlock(std::size_t n, std::size_t p,
-                                                       std::size_t w)
-{
-    std::size_t base = n / p, extra = n % p;
-    std::size_t begin = w * base + std::min(w, extra);
-    std::size_t count = base + (w < extra ? 1 : 0);
-    return {begin, begin + count};
-}
-
-} // namespace detail
-
 /// Cache-line-padded per-worker scratch slot for the exact-reduction idiom:
 /// adjacent workers' partials never share a line, so the per-iteration
 /// read-modify-write of the hot loops does not ping-pong cache lines.
@@ -390,49 +375,32 @@ inline void parallelFor(std::size_t n, Body&& body, const LoopPolicy& policy = {
                           policy.awfWeights != nullptr;
     const bool measure = policy.stats != nullptr || adaptive;
 
-    // unmeasured paths: no per-chunk timing, no accounting allocations
-    if (!measure)
-    {
-        if (policy.strategy == SchedulingStrategy::Static)
-        {
-            pool.run([&](std::size_t w) {
-                auto [b, e] = detail::staticBlock(n, p, w);
-                for (std::size_t i = b; i < e; ++i)
-                    body(i, w);
-            });
-        }
-        else
-        {
-            LoopScheduler sched(n, p, policy.strategy);
-            pool.run([&](std::size_t w) {
-                while (true)
-                {
-                    auto [b, e] = sched.next(w);
-                    if (b == e) break;
-                    for (std::size_t i = b; i < e; ++i)
-                        body(i, w);
-                }
-            });
-        }
-        return;
-    }
-
+    // per-worker accounting: allocated, and each chunk timed, only when
+    // measured
     Timer wall;
-    std::vector<double> busy(p, 0.0);
-    std::vector<std::size_t> iters(p, 0);
-    std::size_t chunks = 0;
-
-    if (policy.strategy == SchedulingStrategy::Static)
-    {
-        // fast path: precomputed contiguous blocks, no work queue
-        pool.run([&](std::size_t w) {
-            auto [b, e] = detail::staticBlock(n, p, w);
-            if (b == e) return;
-            Timer t;
+    std::vector<double> busy(measure ? p : 0, 0.0);
+    std::vector<std::size_t> iters(measure ? p : 0, 0);
+    auto runChunk = [&](std::size_t b, std::size_t e, std::size_t w) {
+        if (!measure)
+        {
             for (std::size_t i = b; i < e; ++i)
                 body(i, w);
-            busy[w] = t.elapsed();
-            iters[w] = e - b;
+            return;
+        }
+        Timer t;
+        for (std::size_t i = b; i < e; ++i)
+            body(i, w);
+        busy[w] += t.elapsed();
+        iters[w] += e - b;
+    };
+
+    std::size_t chunks = 0;
+    if (policy.strategy == SchedulingStrategy::Static)
+    {
+        // fast path: each worker runs its own block, no work queue
+        pool.run([&](std::size_t w) {
+            auto [b, e] = detail::staticBlock(n, p, w);
+            if (b < e) runChunk(b, e, w);
         });
         chunks = std::min(n, p);
     }
@@ -446,26 +414,18 @@ inline void parallelFor(std::size_t n, Body&& body, const LoopPolicy& policy = {
         }
         LoopScheduler sched(n, p, policy.strategy, std::move(weights));
         pool.run([&](std::size_t w) {
-            Timer t;
-            double total = 0;
-            std::size_t done = 0;
             while (true)
             {
                 auto [b, e] = sched.next(w);
                 if (b == e) break;
-                t.reset();
-                for (std::size_t i = b; i < e; ++i)
-                    body(i, w);
-                total += t.elapsed();
-                done += e - b;
+                runChunk(b, e, w);
             }
-            busy[w] = total;
-            iters[w] = done;
         });
         chunks = sched.chunksHanded();
-        if (adaptive) adaptAwfWeights(*policy.awfWeights, iters, busy);
     }
 
+    if (!measure) return;
+    if (adaptive) adaptAwfWeights(*policy.awfWeights, iters, busy);
     if (policy.stats) policy.stats->accumulate(busy, iters, chunks, wall.elapsed());
 }
 

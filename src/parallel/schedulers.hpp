@@ -17,27 +17,22 @@
 ///                 adapted to measured execution rates (Banicescu et al.,
 ///                 ref [3])
 ///
-/// chunkSequence() is the pure chunking rule (unit-testable against the
-/// published sequences); LoopScheduler is the thread-safe work queue used in
-/// parallel loops; executeLoop() is a measurement harness that runs a loop
-/// under a strategy and reports per-worker busy times for the synthetic
-/// scheduling ablation (bench_schedulers). The production SPH loops drain
-/// the same LoopScheduler through the persistent worker pool of
-/// parallel/parallel_for.hpp.
+/// LoopScheduler::next is the one chunk rule: the thread-safe work queue
+/// every parallelFor() loop drains on the persistent worker pool
+/// (parallel/parallel_for.hpp), whose STATIC path hands each worker its
+/// detail::staticBlock directly. chunkSequence() drains a LoopScheduler
+/// from a single worker, so the published-sequence tests check the rule
+/// the solver runs.
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <functional>
 #include <mutex>
 #include <numeric>
-#include <span>
 #include <stdexcept>
 #include <string_view>
-#include <thread>
+#include <utility>
 #include <vector>
-
-#include "perf/timer.hpp"
 
 namespace sphexa {
 
@@ -65,97 +60,52 @@ constexpr std::string_view schedulingName(SchedulingStrategy s)
     return "?";
 }
 
-/// The deterministic chunk-size sequence a strategy produces for n
-/// iterations on p workers (worker identity ignored; AWF reduces to FAC
-/// with equal weights here). Used by tests and for analysis.
-inline std::vector<std::size_t> chunkSequence(std::size_t n, std::size_t p,
-                                              SchedulingStrategy s)
+namespace detail {
+
+/// The STATIC rule: the contiguous block [begin, end) that block \p w of
+/// \p p owns; the first n%p blocks get one extra iteration.
+inline std::pair<std::size_t, std::size_t> staticBlock(std::size_t n, std::size_t p,
+                                                       std::size_t w)
 {
-    if (p == 0) throw std::invalid_argument("chunkSequence: p must be positive");
-    std::vector<std::size_t> chunks;
-    std::size_t remaining = n;
-    switch (s)
-    {
-        case SchedulingStrategy::Static:
-        {
-            std::size_t base = n / p, extra = n % p;
-            for (std::size_t w = 0; w < p && remaining > 0; ++w)
-            {
-                std::size_t c = base + (w < extra ? 1 : 0);
-                if (c == 0) continue;
-                chunks.push_back(c);
-                remaining -= c;
-            }
-            break;
-        }
-        case SchedulingStrategy::SelfScheduling:
-        {
-            chunks.assign(n, 1);
-            break;
-        }
-        case SchedulingStrategy::Guided:
-        {
-            while (remaining > 0)
-            {
-                std::size_t c = std::max<std::size_t>(1, remaining / p);
-                chunks.push_back(c);
-                remaining -= c;
-            }
-            break;
-        }
-        case SchedulingStrategy::Trapezoid:
-        {
-            // first chunk f = n/(2p), last chunk l = 1, linear decrement
-            std::size_t f = std::max<std::size_t>(1, n / (2 * p));
-            std::size_t l = 1;
-            std::size_t steps = (2 * n) / (f + l); // number of chunks N
-            double delta = steps > 1 ? double(f - l) / double(steps - 1) : 0.0;
-            double cur = double(f);
-            while (remaining > 0)
-            {
-                auto c = std::min<std::size_t>(remaining,
-                                               std::max<std::size_t>(1, std::size_t(cur)));
-                chunks.push_back(c);
-                remaining -= c;
-                cur = std::max(1.0, cur - delta);
-            }
-            break;
-        }
-        case SchedulingStrategy::Factoring:
-        case SchedulingStrategy::AdaptiveWeightedFactoring:
-        {
-            while (remaining > 0)
-            {
-                std::size_t batchChunk = std::max<std::size_t>(
-                    1, std::size_t(std::ceil(double(remaining) / double(2 * p))));
-                for (std::size_t w = 0; w < p && remaining > 0; ++w)
-                {
-                    std::size_t c = std::min(batchChunk, remaining);
-                    chunks.push_back(c);
-                    remaining -= c;
-                }
-            }
-            break;
-        }
-    }
-    return chunks;
+    std::size_t base = n / p, extra = n % p;
+    std::size_t begin = w * base + std::min(w, extra);
+    std::size_t count = base + (w < extra ? 1 : 0);
+    return {begin, begin + count};
 }
 
+} // namespace detail
+
 /// Thread-safe self-scheduling work queue over the iteration space [0, n).
+/// Worker weights apply to AWF only (normalized to mean 1); every other
+/// strategy, and AWF without weights, runs at unit weight, where AWF's
+/// chunks are FAC's.
 class LoopScheduler
 {
 public:
     LoopScheduler(std::size_t n, std::size_t workers, SchedulingStrategy strategy,
                   std::vector<double> workerWeights = {})
-        : n_(n), p_(workers), strategy_(strategy), weights_(std::move(workerWeights))
+        : n_(n), p_(workers), strategy_(strategy)
     {
         if (p_ == 0) throw std::invalid_argument("LoopScheduler: workers must be positive");
-        if (weights_.empty()) weights_.assign(p_, 1.0);
-        if (weights_.size() != p_)
-            throw std::invalid_argument("LoopScheduler: weight count mismatch");
-        double wsum = std::accumulate(weights_.begin(), weights_.end(), 0.0);
-        for (auto& w : weights_)
-            w = w * double(p_) / wsum; // normalize to mean 1
+        if (strategy_ == SchedulingStrategy::AdaptiveWeightedFactoring &&
+            !workerWeights.empty())
+        {
+            if (workerWeights.size() != p_)
+                throw std::invalid_argument("LoopScheduler: weight count mismatch");
+            weights_ = std::move(workerWeights);
+            double wsum = std::accumulate(weights_.begin(), weights_.end(), 0.0);
+            for (auto& w : weights_)
+                w = w * double(p_) / wsum; // normalize to mean 1
+        }
+        if (strategy_ == SchedulingStrategy::Trapezoid)
+        {
+            // first chunk f = n/(2p), last chunk 1, linear decrement over
+            // the 2n/(f+1) chunks of the published rule
+            std::size_t first = std::max<std::size_t>(1, n_ / (2 * p_));
+            std::size_t steps = (2 * n_) / (first + 1);
+            tssDelta_ = steps > 1 ? double(first - 1) / double(steps - 1) : 0.0;
+            tssCur_   = double(first);
+        }
     }
 
     /// Claim the next chunk for \p worker. Returns {begin, end}; begin==end
@@ -169,37 +119,20 @@ public:
         switch (strategy_)
         {
             case SchedulingStrategy::Static:
-                c = std::max<std::size_t>(1, n_ / p_ + (handed_ < n_ % p_ ? 1 : 0));
+            {
+                auto [b, e] = detail::staticBlock(n_, p_, handed_);
+                c = e - b;
                 break;
+            }
             case SchedulingStrategy::SelfScheduling: c = 1; break;
             case SchedulingStrategy::Guided:
                 c = std::max<std::size_t>(1, remaining / p_);
                 break;
             case SchedulingStrategy::Trapezoid:
-            {
-                if (tssFirst_ == 0)
-                {
-                    tssFirst_ = std::max<std::size_t>(1, n_ / (2 * p_));
-                    std::size_t steps = (2 * n_) / (tssFirst_ + 1);
-                    tssDelta_ = steps > 1 ? double(tssFirst_ - 1) / double(steps - 1) : 0.0;
-                    tssCur_   = double(tssFirst_);
-                }
                 c = std::max<std::size_t>(1, std::size_t(tssCur_));
                 tssCur_ = std::max(1.0, tssCur_ - tssDelta_);
                 break;
-            }
             case SchedulingStrategy::Factoring:
-            {
-                if (batchLeft_ == 0)
-                {
-                    batchChunk_ = std::max<std::size_t>(
-                        1, std::size_t(std::ceil(double(remaining) / double(2 * p_))));
-                    batchLeft_ = p_;
-                }
-                c = batchChunk_;
-                --batchLeft_;
-                break;
-            }
             case SchedulingStrategy::AdaptiveWeightedFactoring:
             {
                 if (batchLeft_ == 0)
@@ -208,8 +141,8 @@ public:
                         1, std::size_t(std::ceil(double(remaining) / double(2 * p_))));
                     batchLeft_ = p_;
                 }
-                c = std::max<std::size_t>(
-                    1, std::size_t(std::round(double(batchChunk_) * weights_[worker])));
+                double w = weights_.empty() ? 1.0 : weights_[worker];
+                c = std::max<std::size_t>(1, std::size_t(std::round(double(batchChunk_) * w)));
                 --batchLeft_;
                 break;
             }
@@ -223,35 +156,8 @@ public:
 
     std::size_t chunksHanded() const { return handed_; }
 
-    /// AWF weight adaptation: new weights proportional to measured rates
-    /// (iterations per second); call between loop executions.
-    void adaptWeights(std::span<const double> rates)
-    {
-        if (rates.size() != p_) throw std::invalid_argument("adaptWeights: size mismatch");
-        double sum = 0;
-        for (double r : rates)
-            sum += r;
-        if (sum <= 0) return;
-        for (std::size_t w = 0; w < p_; ++w)
-        {
-            weights_[w] = rates[w] * double(p_) / sum;
-        }
-        cursor_ = 0;
-        handed_ = 0;
-        batchLeft_ = 0;
-        tssFirst_ = 0;
-    }
-
+    /// The normalized AWF weights; empty at unit weight.
     const std::vector<double>& weights() const { return weights_; }
-
-    void reset()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        cursor_ = 0;
-        handed_ = 0;
-        batchLeft_ = 0;
-        tssFirst_ = 0;
-    }
 
 private:
     std::size_t n_, p_;
@@ -263,69 +169,24 @@ private:
     std::size_t handed_{0};
     std::size_t batchChunk_{0};
     std::size_t batchLeft_{0};
-    std::size_t tssFirst_{0};
     double tssDelta_{0};
     double tssCur_{0};
 };
 
-/// Result of one measured loop execution.
-struct LoopExecutionReport
+/// The chunk sizes a strategy hands out for n iterations on p workers, in
+/// claim order: a LoopScheduler drained by one worker (AWF at unit weight,
+/// i.e. FAC). Used by tests and for analysis.
+inline std::vector<std::size_t> chunkSequence(std::size_t n, std::size_t p,
+                                              SchedulingStrategy s)
 {
-    std::vector<double> workerBusySeconds; ///< per-worker useful time
-    std::size_t chunks = 0;                ///< scheduling events (overhead proxy)
-    double wallSeconds = 0;
-
-    /// POP-style load balance of the execution: mean/max busy time.
-    double loadBalance() const
+    LoopScheduler sched(n, p, s);
+    std::vector<std::size_t> chunks;
+    while (true)
     {
-        double mx = 0, sum = 0;
-        for (double t : workerBusySeconds)
-        {
-            mx = std::max(mx, t);
-            sum += t;
-        }
-        return mx > 0 ? sum / (double(workerBusySeconds.size()) * mx) : 1.0;
+        auto [b, e] = sched.next(0);
+        if (b == e) return chunks;
+        chunks.push_back(e - b);
     }
-};
-
-/// Run body(i) for i in [0, n) on \p workers std::threads under the given
-/// strategy, measuring per-worker busy time. The harness of the synthetic
-/// scheduling ablation only — it spawns fresh threads per call; production
-/// loops go through parallelFor() and its persistent WorkerPool instead.
-inline LoopExecutionReport executeLoop(std::size_t n, std::size_t workers,
-                                       SchedulingStrategy strategy,
-                                       const std::function<void(std::size_t)>& body,
-                                       std::vector<double> weights = {})
-{
-    LoopScheduler sched(n, workers, strategy, std::move(weights));
-    LoopExecutionReport rep;
-    rep.workerBusySeconds.assign(workers, 0.0);
-
-    Timer wall;
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w)
-    {
-        threads.emplace_back([&, w] {
-            Timer busy;
-            double total = 0;
-            while (true)
-            {
-                auto [b, e] = sched.next(w);
-                if (b == e) break;
-                busy.reset();
-                for (std::size_t i = b; i < e; ++i)
-                    body(i);
-                total += busy.elapsed();
-            }
-            rep.workerBusySeconds[w] = total;
-        });
-    }
-    for (auto& t : threads)
-        t.join();
-    rep.wallSeconds = wall.elapsed();
-    rep.chunks = sched.chunksHanded();
-    return rep;
 }
 
 } // namespace sphexa

@@ -64,8 +64,7 @@ inline PopMetrics computePopMetrics(std::span<const double> usefulSeconds, doubl
 /// Metrics from one phase's measured ParallelFor executions (the in-situ
 /// shared-memory lanes): per-worker busy time is the useful time, the
 /// summed loop wall time is the runtime. This is how a StepReport's
-/// phaseLoad entries become POP numbers — the real-solver counterpart of
-/// the synthetic executeLoop() ablation.
+/// phaseLoad entries become POP numbers.
 inline PopMetrics computePopMetrics(const PhaseLoadStats& stats)
 {
     if (stats.workerBusySeconds.empty() || stats.wallSeconds <= 0)

@@ -354,6 +354,35 @@ INSTANTIATE_TEST_SUITE_P(
                                          DecompositionMethod::OrthogonalRecursiveBisection,
                                          DecompositionMethod::Slab1D)));
 
+TEST(Distributed, RejectsConfigsItCannotRun)
+{
+    // the distributed assembly has no mirror ghosts or body force, and its
+    // dt is a bare global minimum: such configs must throw, not run as
+    // something else
+    ParticleSetD ps;
+    SquarePatchConfig<double> pc;
+    pc.nx = pc.ny = 12;
+    pc.nz = 6;
+    auto setup = makeSquarePatch(ps, pc);
+
+    SimulationConfig<double> wcsph;
+    wcsph.hydroMode = HydroMode::WeaklyCompressible;
+    EXPECT_THROW(DistributedSimulation<double>(ps, setup.box, eosFromConfig(wcsph), wcsph, 2),
+                 std::invalid_argument);
+
+    for (auto mode : {TimesteppingMode::Individual, TimesteppingMode::Adaptive})
+    {
+        SimulationConfig<double> cfg;
+        cfg.timestep.mode = mode;
+        EXPECT_THROW(DistributedSimulation<double>(ps, setup.box, Eos<double>(setup.eos), cfg, 2),
+                     std::invalid_argument)
+            << "timestep mode " << int(mode);
+    }
+
+    EXPECT_NO_THROW(DistributedSimulation<double>(ps, setup.box, Eos<double>(setup.eos),
+                                                  SimulationConfig<double>{}, 2));
+}
+
 TEST(Distributed, ConservationHolds)
 {
     ParticleSetD ps;

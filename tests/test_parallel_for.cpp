@@ -303,6 +303,34 @@ TEST(ParallelFor, StatsRecordIterationsAndBusyTimes)
     EXPECT_EQ(stats.workerIterations[0] + stats.workerIterations[1], 2 * n);
 }
 
+TEST(ParallelFor, ChunkCountsFollowTheRule)
+{
+    // a measured loop records exactly the chunks the scheduling rule hands
+    // out (chunkSequence drains the same LoopScheduler), and its per-worker
+    // iterations cover the loop once; n runs below and above the pool size
+    for (std::size_t pool : {1u, 2u, 4u})
+    {
+        PoolSizeGuard guard(pool);
+        for (auto s : kAllStrategies)
+        {
+            for (std::size_t n : {0u, 1u, 3u, 7u, 1000u, 4097u})
+            {
+                PhaseLoadStats stats;
+                LoopPolicy pol;
+                pol.strategy = s; // AWF without a weight store runs at unit weight
+                pol.stats    = &stats;
+                parallelFor(n, [](std::size_t, std::size_t) {}, pol);
+                EXPECT_EQ(stats.chunks, chunkSequence(n, pool, s).size())
+                    << schedulingName(s) << " pool=" << pool << " n=" << n;
+                EXPECT_EQ(std::accumulate(stats.workerIterations.begin(),
+                                          stats.workerIterations.end(), std::size_t(0)),
+                          n)
+                    << schedulingName(s) << " pool=" << pool << " n=" << n;
+            }
+        }
+    }
+}
+
 TEST(ParallelFor, PopMetricsFromPhaseLoadStats)
 {
     PhaseLoadStats stats;

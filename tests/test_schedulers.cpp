@@ -1,6 +1,7 @@
 /// Loop self-scheduling tests: chunk sequences against the published rules,
 /// full-coverage invariants under concurrency, AWF weight adaptation, and
-/// load-balance improvement on skewed workloads.
+/// load-balance improvement on skewed workloads (measured parallelFor loops
+/// on the worker pool).
 
 #include <gtest/gtest.h>
 
@@ -9,9 +10,40 @@
 #include <thread>
 
 #include "math/rng.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/schedulers.hpp"
 
 using namespace sphexa;
+
+namespace {
+
+/// RAII pool-size override for the measured-loop tests.
+struct PoolSizeGuard
+{
+    std::size_t saved;
+    explicit PoolSizeGuard(std::size_t n) : saved(WorkerPool::instance().size())
+    {
+        WorkerPool::instance().resize(n);
+    }
+    ~PoolSizeGuard() { WorkerPool::instance().resize(saved); }
+};
+
+/// body(i) for i in [0, n) as one measured parallelFor under \p s on a pool
+/// of \p workers; returns the loop's per-worker busy times and chunk count.
+template<class Body>
+PhaseLoadStats measuredLoop(std::size_t n, std::size_t workers, SchedulingStrategy s,
+                            Body body)
+{
+    PoolSizeGuard guard(workers);
+    PhaseLoadStats stats;
+    LoopPolicy pol;
+    pol.strategy = s;
+    pol.stats    = &stats;
+    parallelFor(n, [&](std::size_t i, std::size_t) { body(i); }, pol);
+    return stats;
+}
+
+} // namespace
 
 // --- chunk sequences --------------------------------------------------------
 
@@ -213,9 +245,13 @@ TEST(LoopScheduler, AwfWeightsNormalized)
 
 TEST(LoopScheduler, AwfAdaptsToRates)
 {
-    LoopScheduler sched(100, 2, SchedulingStrategy::AdaptiveWeightedFactoring);
-    std::vector<double> rates{3.0, 1.0}; // worker 0 is 3x faster
-    sched.adaptWeights(rates);
+    // worker 0 measured 3x the rate of worker 1 (same busy time, 3x the
+    // iterations); fully blended, the weights become the normalized rates
+    std::vector<double> weights{1.0, 1.0};
+    std::vector<std::size_t> iters{300, 100};
+    std::vector<double> busy{1.0, 1.0};
+    adaptAwfWeights(weights, iters, busy, /*blend*/ 1.0);
+    LoopScheduler sched(100, 2, SchedulingStrategy::AdaptiveWeightedFactoring, weights);
     EXPECT_NEAR(sched.weights()[0], 1.5, 1e-12);
     EXPECT_NEAR(sched.weights()[1], 0.5, 1e-12);
     // faster worker now receives larger chunks
@@ -260,9 +296,9 @@ TEST(ExecuteLoop, SkewedWorkloadDynamicBeatsStatic)
             sink = sink + double(k) * 1e-9;
     };
 
-    auto stat = executeLoop(n, 4, SchedulingStrategy::Static, body);
-    auto fac  = executeLoop(n, 4, SchedulingStrategy::Factoring, body);
-    auto gss  = executeLoop(n, 4, SchedulingStrategy::Guided, body);
+    auto stat = measuredLoop(n, 4, SchedulingStrategy::Static, body);
+    auto fac  = measuredLoop(n, 4, SchedulingStrategy::Factoring, body);
+    auto gss  = measuredLoop(n, 4, SchedulingStrategy::Guided, body);
 
     EXPECT_LT(stat.loadBalance(), 0.7); // static is badly imbalanced here
     EXPECT_GT(fac.loadBalance(), stat.loadBalance() + 0.1);
@@ -273,8 +309,8 @@ TEST(ExecuteLoop, ChunkCountsMatchStrategyCharacter)
 {
     const std::size_t n = 1000;
     auto body = [](std::size_t) {};
-    auto ss  = executeLoop(n, 4, SchedulingStrategy::SelfScheduling, body);
-    auto fac = executeLoop(n, 4, SchedulingStrategy::Factoring, body);
+    auto ss  = measuredLoop(n, 4, SchedulingStrategy::SelfScheduling, body);
+    auto fac = measuredLoop(n, 4, SchedulingStrategy::Factoring, body);
     EXPECT_EQ(ss.chunks, n);      // one scheduling event per iteration
     EXPECT_LT(fac.chunks, n / 4); // far fewer scheduling events
 }

@@ -10,6 +10,14 @@ relies on but the compiler never enforces (docs/ARCHITECTURE.md,
                    loop through parallelFor(); a raw OpenMP region
                    reintroduces scheduling the bitwise thread/strategy
                    invariance suite cannot see.
+  one-executor     No std::thread, std::jthread or std::async under src/
+                   except src/parallel/parallel_for.hpp: the WorkerPool is
+                   the only executor, and its threads the only ones the
+                   loop layer starts. Static members such as
+                   std::thread::hardware_concurrency stay allowed. A
+                   thread started elsewhere runs work the scheduling
+                   strategies, the busy-time accounting and the bitwise
+                   invariance suite cannot see.
   nondeterminism   No nondeterminism sources in the solver directories
                    (src/sph/, src/tree/, src/core/): std::random_device,
                    std::rand/srand, std::time/clock seeds, and unordered
@@ -62,6 +70,7 @@ SRC = "src"
 SOLVER_DIRS = ("src/sph/", "src/tree/", "src/core/")
 KERNEL_DIRS = ("src/sph/", "src/tree/")
 RAW_OMP_ALLOWED = ("src/parallel/parallel_for.hpp",)
+EXECUTOR_ALLOWED = ("src/parallel/parallel_for.hpp",)
 
 ALLOW_RE = re.compile(r"//\s*lint:allow\(([a-z-]+)\)")
 
@@ -161,6 +170,27 @@ def check_raw_omp(path: str, text: str):
                 "raw-omp", path, lineno,
                 "raw OpenMP pragma outside src/parallel/parallel_for.hpp — "
                 "route the loop through parallelFor()"))
+    return out
+
+
+# a thread object or an async task; `std::thread::` (a static member such
+# as hardware_concurrency, or the id type) names no new thread
+EXECUTOR_RE = re.compile(r"\bstd\s*::\s*(j?thread\b(?!\s*::)|async\b)")
+
+
+def check_one_executor(path: str, text: str):
+    if path in EXECUTOR_ALLOWED:
+        return []
+    out = []
+    for lineno, line, raw in iter_code_lines(path, text):
+        if "one-executor" in allowed_rules(raw):
+            continue
+        m = EXECUTOR_RE.search(line)
+        if m:
+            out.append(Violation(
+                "one-executor", path, lineno,
+                f"std::{m.group(1)} outside src/parallel/parallel_for.hpp — "
+                "run the work through parallelFor() on the WorkerPool"))
     return out
 
 
@@ -304,6 +334,7 @@ def check_simd_containment(path: str, text: str):
 
 CHECKS = [
     check_raw_omp,
+    check_one_executor,
     check_nondeterminism,
     check_io_in_kernels,
     check_pragma_once,
@@ -334,6 +365,14 @@ SELF_TEST_CASES = [
     ("raw-omp", "src/sph/seeded.hpp",
      "#pragma once\nvoid f(){\n#pragma omp parallel for\nfor(;;);}\n",
      "#pragma once\n// mentions #pragma omp in a comment only\nvoid f();\n"),
+    ("one-executor", "src/perf/seeded_thread.hpp",
+     "#pragma once\n#include <thread>\nvoid f(){ std::thread t([]{}); t.join(); }\n",
+     "#pragma once\n#include <thread>\n// std::thread in a comment is fine\n"
+     "unsigned f(){ return std::thread::hardware_concurrency(); }\n"),
+    ("one-executor", "src/sph/seeded_async.hpp",
+     "#pragma once\n#include <future>\n"
+     "int f(){ return std::async([]{ return 1; }).get(); }\n",
+     '#pragma once\n#include "parallel/parallel_for.hpp"\nvoid f();\n'),
     ("nondeterminism", "src/tree/seeded.hpp",
      "#pragma once\n#include <random>\nint f(){ std::random_device rd; return rd(); }\n",
      '#pragma once\n#include "math/rng.hpp"\nint f();\n'),
