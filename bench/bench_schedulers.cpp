@@ -4,8 +4,12 @@
 ///
 /// First two synthetic workloads, uniform and linearly increasing, each
 /// one measured parallelFor loop on the worker pool: they show each
-/// strategy's balance/overhead character in isolation. Then the in-situ
-/// ablation: a real Sedov run whose hot phases
+/// strategy's balance/overhead character in isolation. Each loop lasts
+/// tens of ms, so thread wake-up skew does not swamp the balance it
+/// measures. Both tables run on a pool of WorkerPool::defaultSize()
+/// workers (OMP_NUM_THREADS, else the hardware's), so they never measure
+/// oversubscription. Then the in-situ ablation: a real Sedov run whose
+/// hot phases
 /// (density, EOS+IAD, div/curl, momentum-energy) execute through the
 /// persistent-pool ParallelFor layer under each strategy, with per-phase
 /// load-balance efficiency read back from the StepReport's measured
@@ -33,19 +37,39 @@ const std::vector<SchedulingStrategy> kStrategies = {
     SchedulingStrategy::Guided,          SchedulingStrategy::Trapezoid,
     SchedulingStrategy::Factoring,       SchedulingStrategy::AdaptiveWeightedFactoring};
 
-void runWorkload(const char* name, const std::vector<double>& weights)
+/// Dependent adds per unit of synthetic weight: ~3.5 ns each on a 4-vCPU
+/// Xeon VM, so a 20,000-iteration loop of unit weight is ~140 ms of serial
+/// work, ~35 ms on four workers.
+constexpr double kAddsPerWeight = 2000;
+
+/// One synthetic loop body: iteration i does weights[i] * kAddsPerWeight
+/// dependent adds.
+auto syntheticBody(const std::vector<double>& weights)
 {
-    const std::size_t workers = 8;
-    WorkerPool::instance().resize(workers);
-    auto body = [&](std::size_t i, std::size_t) {
+    return [&weights](std::size_t i, std::size_t) {
         volatile double sink = 0;
-        auto reps = std::size_t(weights[i] * 20);
+        auto reps = std::size_t(weights[i] * kAddsPerWeight);
         for (std::size_t k = 0; k < reps; ++k)
             sink = sink + double(k);
     };
+}
+
+/// Untimed STATIC passes over \p weights for about a second: on a VM the
+/// first second of multi-threaded work after an idle spell runs up to 4x
+/// slow, which would charge the first strategies measured.
+void warmUp(const std::vector<double>& weights)
+{
+    Timer t;
+    while (t.elapsed() < 1.0)
+        parallelFor(weights.size(), syntheticBody(weights));
+}
+
+void runWorkload(const char* name, const std::vector<double>& weights)
+{
+    auto body = syntheticBody(weights);
 
     std::printf("\n-- synthetic workload: %s (%zu iterations, %zu workers) --\n", name,
-                weights.size(), workers);
+                weights.size(), parallelForWorkers());
     std::printf("%-8s %14s %12s %14s\n", "sched", "loadBalance", "chunks", "wall_ms");
     for (auto s : kStrategies)
     {
@@ -63,10 +87,8 @@ void runWorkload(const char* name, const std::vector<double>& weights)
 /// In-situ ablation: run a Sedov blast with every hot phase scheduled under
 /// strategy \p s and report the per-phase POP load balance measured by the
 /// ParallelFor layer (StepReport::phaseLoad), averaged over \p nSteps.
-void runSedovInSitu(SchedulingStrategy s, std::size_t workers, std::uint64_t nSteps)
+void runSedovInSitu(SchedulingStrategy s, std::uint64_t nSteps)
 {
-    WorkerPool::instance().resize(workers);
-
     ParticleSetD ps;
     SedovConfig<double> sc;
     sc.nSide   = 20; // 8000 particles
@@ -116,7 +138,11 @@ int main()
 {
     std::printf("== Scheduling ablation (Table 4: DLB with self-scheduling) ==\n");
 
+    const std::size_t workers = WorkerPool::defaultSize();
+    WorkerPool::instance().resize(workers);
+
     std::vector<double> uniform(20000, 1.0);
+    warmUp(uniform);
     runWorkload("uniform", uniform);
 
     std::vector<double> ramp(20000);
@@ -124,7 +150,6 @@ int main()
         ramp[i] = 0.1 + 2.0 * double(i) / double(ramp.size());
     runWorkload("linear ramp", ramp);
 
-    const std::size_t workers  = 8;
     const std::uint64_t nSteps = 3;
     std::printf("\n-- in-situ: Sedov blast (8000 particles, %zu pool workers, "
                 "%llu steps) --\n",
@@ -134,7 +159,7 @@ int main()
                 "G:divcurl", "H:momentum", "H-chunks");
     for (auto s : kStrategies)
     {
-        runSedovInSitu(s, workers, nSteps);
+        runSedovInSitu(s, nSteps);
     }
 
     std::printf("\nreadout: STATIC suffices for uniform work; the factoring family\n"
