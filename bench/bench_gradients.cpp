@@ -41,7 +41,8 @@ int main()
         tree.build(ps.x, ps.y, ps.z, box);
         NeighborList<double> nl(ps.size(), 384);
         SmoothingLengthParams<double> hp;
-        updateSmoothingLengths(ps, tree, nl, hp);
+        ClusterWorkspace<double> clusters;
+        updateSmoothingLengths(ps, tree, nl, clusters, hp);
 
         Kernel<double> kernel(KernelType::Sinc);
         computeVolumeElementWeights(ps, VolumeElements::Standard);

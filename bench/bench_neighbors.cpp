@@ -1,17 +1,21 @@
 /// \file bench_neighbors.cpp
-/// Neighbor-search crossover sweep: per-particle tree walk vs the SFC-sorted
-/// cluster search (tree/sfc_sort.hpp + tree/cluster_list.hpp) over a jittered
-/// gas lattice at N = 1e4 .. 1e6, worker pools {1, 4}. Emits one JSON record
-/// per (N, pool, mode) point with tree-build, sort and search timings — the
+/// Neighbor-search crossover sweep: the per-particle tree walk (the test
+/// oracle tests/neighbor_oracle.hpp) vs the SFC-sorted cluster search
+/// (tree/sfc_sort.hpp + tree/cluster_list.hpp) over a jittered gas lattice
+/// at N = 1e4 .. 1e6, worker pools {1, 4}, plus subset searches of 5% and
+/// 50% of the particles (the binned step's and the h iteration's shape)
+/// against the per-particle Individual walk. Emits one JSON record per
+/// (N, pool, mode) point with tree-build, sort and search timings — the
 /// data behind BENCH_neighbors.json, the crossover trajectory tracked across
 /// commits:
 ///
 ///     ./bench_neighbors > BENCH_neighbors.json
 ///
 /// Every cluster point is verified against the tree walk (exact list
-/// equality at the smallest size, total-neighbor equality everywhere), and
-/// the steady-state no-allocation-churn property of the grow-only
-/// NeighborList reset is asserted on every point.
+/// equality at the smallest size, total-neighbor equality everywhere), every
+/// subset point row by row at every size, and the steady-state
+/// no-allocation-churn property of the grow-only NeighborList reset is
+/// asserted on every full-search point.
 ///
 /// Environment:
 ///   SPHEXA_NEIGHBORS_MAXN=NNN  cap the sweep (default 1000000; CI uses a
@@ -31,8 +35,10 @@
 #include <omp.h>
 #endif
 
+#include "../tests/neighbor_oracle.hpp"
 #include "bench_common.hpp"
 #include "ic/lattice.hpp"
+#include "math/rng.hpp"
 #include "parallel/parallel_for.hpp"
 #include "perf/timer.hpp"
 #include "tree/cluster_list.hpp"
@@ -71,7 +77,9 @@ struct Point
     double sortSeconds{};
     double searchSeconds{};
     std::size_t neighbors{};
-    double speedupVsWalk{}; ///< cluster records only: walk/cluster search time
+    double speedupVsWalk{}; ///< cluster and subset records: walk/cluster search time
+    double fraction{};      ///< subset records: share of the particles searched
+    double walkSeconds{};   ///< subset records: the per-particle walk of the subset
 };
 
 void setWorkers(std::size_t pool)
@@ -108,8 +116,22 @@ void printPoint(const Point& p, bool last)
                 "\"search_seconds\": %.6f, \"neighbors\": %zu",
                 p.n, p.pool, p.mode.c_str(), p.treeSeconds, p.sortSeconds,
                 p.searchSeconds, p.neighbors);
-    if (p.mode == "cluster") std::printf(", \"search_speedup\": %.3f", p.speedupVsWalk);
+    if (p.mode == "subset")
+    {
+        std::printf(", \"fraction\": %.2f, \"walk_seconds\": %.6f", p.fraction, p.walkSeconds);
+    }
+    if (p.mode != "treewalk") std::printf(", \"search_speedup\": %.3f", p.speedupVsWalk);
     std::printf("}%s\n", last ? "" : ",");
+}
+
+/// About \p fraction of [0, n), ascending, drawn with \p seed.
+std::vector<std::size_t> randomSubset(std::size_t n, double fraction, std::uint64_t seed)
+{
+    Xoshiro256pp rng(seed);
+    std::vector<std::size_t> subset;
+    for (std::size_t i = 0; i < n; ++i)
+        if (rng.uniform() < fraction) subset.push_back(i);
+    return subset;
 }
 
 } // namespace
@@ -153,14 +175,14 @@ int main()
                 double tb = t.lap();
                 nl.reset(n, kNgmax);
                 t.reset();
-                findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
+                oracle::findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
                 double ts = t.lap();
                 if (r == 0 || tb < walk.treeSeconds) walk.treeSeconds = tb;
                 if (r == 0 || ts < walk.searchSeconds) walk.searchSeconds = ts;
             }
             walk.neighbors = nl.totalNeighbors();
             assertNoAllocationChurn(nl, n, [&] {
-                findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
+                oracle::findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
             });
             points.push_back(walk);
 
@@ -174,15 +196,19 @@ int main()
             t.reset();
             // Hilbert, not Morton: its locality keeps consecutive runs of 32
             // particles compact (no octant-boundary jumps), which measures
-            // ~1.6x fewer candidate tests per cluster member
+            // ~1.6x fewer candidate tests per cluster member. The tree takes
+            // the same curve, as in the pipeline: clusters are windows of
+            // its order, which is then the storage order
             sorter.apply(psSorted, box, SfcCurve::Hilbert);
+            Octree<double>::BuildParams hilbert;
+            hilbert.curve = SfcCurve::Hilbert;
             clu.sortSeconds = t.lap();
 
             ClusterWorkspace<double> ws;
             for (std::size_t r = 0; r < reps; ++r)
             {
                 t.reset();
-                tree.build(psSorted.x, psSorted.y, psSorted.z, box);
+                tree.build(psSorted.x, psSorted.y, psSorted.z, box, hilbert);
                 double tb = t.lap();
                 nl.reset(n, kNgmax);
                 t.reset();
@@ -214,8 +240,8 @@ int main()
             if (side == sides.front())
             {
                 NeighborList<double> ref(n, kNgmax);
-                findNeighborsGlobal(tree, psSorted.x, psSorted.y, psSorted.z,
-                                    psSorted.h, ref);
+                oracle::findNeighborsGlobal(tree, psSorted.x, psSorted.y, psSorted.z,
+                                            psSorted.h, ref);
                 for (std::size_t i = 0; i < n; ++i)
                 {
                     auto a = ref.neighbors(i);
@@ -238,6 +264,61 @@ int main()
                          "speedup %.2fx)\n",
                          n, pool, walk.searchSeconds, clu.searchSeconds,
                          clu.sortSeconds, clu.speedupVsWalk);
+
+            // --- subset searches over the sorted set's tree ----------------
+            NeighborList<double> ref(n, kNgmax);
+            for (double fraction : {0.05, 0.5})
+            {
+                auto subset = randomSubset(n, fraction, 1000 * side + std::size_t(100 * fraction));
+                Point sub;
+                sub.n        = n;
+                sub.pool     = pool;
+                sub.mode     = "subset";
+                sub.fraction = fraction;
+                for (std::size_t r = 0; r < reps; ++r)
+                {
+                    ref.reset(n, kNgmax);
+                    t.reset();
+                    oracle::findNeighborsIndividual(tree, psSorted.x, psSorted.y, psSorted.z,
+                                                    psSorted.h, subset, ref);
+                    double tw = t.lap();
+                    nl.reset(n, kNgmax);
+                    t.reset();
+                    findNeighborsClustered(tree, psSorted.x, psSorted.y, psSorted.z, psSorted.h,
+                                           subset, nl, ws, kClusterSize);
+                    double ts = t.lap();
+                    if (r == 0 || tw < sub.walkSeconds) sub.walkSeconds = tw;
+                    if (r == 0 || ts < sub.searchSeconds) sub.searchSeconds = ts;
+                }
+                sub.neighbors     = nl.totalNeighbors();
+                sub.speedupVsWalk = sub.walkSeconds / sub.searchSeconds;
+                // exact rows of the subset, nothing outside it
+                if (sub.neighbors != ref.totalNeighbors())
+                {
+                    std::fprintf(stderr, "FATAL: subset totals differ at n=%zu: walk %zu vs "
+                                         "cluster %zu\n",
+                                 n, ref.totalNeighbors(), sub.neighbors);
+                    return 1;
+                }
+                for (std::size_t i : subset)
+                {
+                    auto a = ref.neighbors(i);
+                    auto b = nl.neighbors(i);
+                    if (a.size() != b.size() || !std::equal(a.begin(), a.end(), b.begin()))
+                    {
+                        std::fprintf(stderr,
+                                     "FATAL: subset list mismatch at particle %zu (n=%zu)\n", i,
+                                     n);
+                        return 1;
+                    }
+                }
+                points.push_back(sub);
+                std::fprintf(stderr,
+                             "n=%7zu pool=%zu subset %.0f%% walk %.4fs cluster %.4fs "
+                             "(speedup %.2fx)\n",
+                             n, pool, 100 * fraction, sub.walkSeconds, sub.searchSeconds,
+                             sub.speedupVsWalk);
+            }
         }
     }
 

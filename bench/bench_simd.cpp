@@ -2,9 +2,11 @@
 /// Backend sweep of the hot SPH sums (phases E-H: density, IAD, div/curl,
 /// momentum-energy): the Scalar (1-lane) vs the Simd (8-lane) instance of
 /// the backend kernels (src/backend/) over a jittered gas lattice at N = 1e4 .. 1e6, in both
-/// neighbor-list frames (per-particle tree walk on the seed layout, SFC
-/// sort + cluster search). Emits one JSON record per (N, mode, backend)
-/// point with per-phase timings — the data behind BENCH_simd.json:
+/// storage frames: the seed layout ("unsorted") and the SFC-sorted one
+/// ("cluster", the shipped frame). The cluster search fills the lists in
+/// both; it gives every particle the same neighbors in either frame.
+/// Emits one JSON record per (N, mode, backend) point with per-phase
+/// timings — the data behind BENCH_simd.json:
 ///
 ///     ./bench_simd > BENCH_simd.json
 ///
@@ -47,7 +49,6 @@
 #include "sph/iad.hpp"
 #include "sph/momentum_energy.hpp"
 #include "tree/cluster_list.hpp"
-#include "tree/neighbors.hpp"
 #include "tree/octree.hpp"
 #include "tree/sfc_sort.hpp"
 
@@ -255,7 +256,7 @@ int main()
         std::size_t n = psBase.size();
         std::size_t reps = bench::envSize("SPHEXA_SIMD_REPS", n <= 200000 ? 3 : 1);
 
-        for (const char* mode : {"treewalk", "cluster"})
+        for (const char* mode : {"unsorted", "cluster"})
         {
             ParticleSetD ps = psBase;
             if (std::string(mode) == "cluster")
@@ -266,15 +267,8 @@ int main()
             Octree<double> tree;
             tree.build(ps.x, ps.y, ps.z, box);
             NeighborList<double> nl(n, kNgmax);
-            if (std::string(mode) == "cluster")
-            {
-                ClusterWorkspace<double> ws;
-                findNeighborsClustered(tree, ps.x, ps.y, ps.z, ps.h, nl, ws, kClusterSize);
-            }
-            else
-            {
-                findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
-            }
+            ClusterWorkspace<double> ws;
+            findNeighborsClustered(tree, ps.x, ps.y, ps.z, ps.h, nl, ws, kClusterSize);
             setWorkers(pool);
             fillUpstream(ps, nl, kernel, box);
 
@@ -313,7 +307,7 @@ int main()
 
             // bitwise pool/strategy invariance of the Simd path, smallest
             // size, seed-layout frame (cheap: 18 full E-H evaluations)
-            if (side == sides.front() && std::string(mode) == "treewalk")
+            if (side == sides.front() && std::string(mode) == "unsorted")
             {
                 invarianceMismatches = checkSimdInvariance(ps, nl, kernel, lanes, box);
                 invarianceChecked    = true;

@@ -149,9 +149,9 @@ struct SimulationConfig
     /// IndividualTreeWalk below makes the shared-memory driver run binned
     /// integration: the same force pipeline as global stepping, with every
     /// pass after set-up walking only the active 2^k bins (ActiveSubset)
-    /// while the rest of the set is drifted. Individual mode with a global
-    /// walk, or any non-Compressible hydroMode, degenerates to global
-    /// stepping at the controller's base dt.
+    /// while the rest of the set is drifted. Simulation rejects either one
+    /// without the other; under a non-Compressible hydroMode the pair
+    /// degenerates to global stepping at the controller's base dt.
     TimestepParams<T> timestep{};
     NeighborMode neighborMode = NeighborMode::GlobalTreeWalk;
 

@@ -182,36 +182,26 @@ PhaseOp<T> neighborSearch()
                 // this step's overflow accounting starts at the search
                 // (phases C/D may add more via their nl.set calls)
                 ctx.nl.resetOverflow();
-                switch (ctx.walkMode)
+                ClusterWorkspace<T>  local;
+                ClusterWorkspace<T>& ws = ctx.clusters ? *ctx.clusters : local;
+                auto pol = ctx.loopPolicy(Phase::B_NeighborSearch);
+                if (ctx.walkMode == WalkMode::Global)
                 {
-                    case WalkMode::Global:
-                    {
-                        ClusterWorkspace<T>  local;
-                        ClusterWorkspace<T>& ws = ctx.clusters ? *ctx.clusters : local;
-                        findNeighborsClustered(ctx.tree, ps.x, ps.y, ps.z, ps.h, ctx.nl, ws,
-                                               kClusterSize,
-                                               ctx.loopPolicy(Phase::B_NeighborSearch));
-                        ctx.activeParticles = ps.size();
-                        break;
-                    }
-                    case WalkMode::ActiveSubset:
-                        if (ctx.controller)
-                        {
-                            ctx.walkIndices = ctx.controller->activeParticles(ps);
-                        }
-                        findNeighborsIndividual(ctx.tree, ps.x, ps.y, ps.z, ps.h,
-                                                ctx.walkIndices, ctx.nl,
-                                                ctx.loopPolicy(Phase::B_NeighborSearch));
-                        ctx.activeParticles = ctx.walkIndices.size();
-                        break;
-                    case WalkMode::LocalIndices:
-                        if (ctx.skipEmptyLocal()) return;
-                        findNeighborsIndividual(ctx.tree, ps.x, ps.y, ps.z, ps.h,
-                                                ctx.walkIndices, ctx.nl,
-                                                ctx.loopPolicy(Phase::B_NeighborSearch));
-                        ctx.activeParticles = ctx.walkIndices.size();
-                        break;
+                    findNeighborsClustered(ctx.tree, ps.x, ps.y, ps.z, ps.h, ctx.nl, ws,
+                                           kClusterSize, pol);
+                    ctx.activeParticles = ps.size();
+                    return;
                 }
+                // a subset walk: the controller's active bins (ActiveSubset)
+                // or the rank's owned particles (LocalIndices); an empty
+                // set fills nothing
+                if (ctx.walkMode == WalkMode::ActiveSubset && ctx.controller)
+                {
+                    ctx.walkIndices = ctx.controller->activeParticles(ps);
+                }
+                findNeighborsClustered(ctx.tree, ps.x, ps.y, ps.z, ps.h, ctx.walkIndices, ctx.nl,
+                                       ws, kClusterSize, pol);
+                ctx.activeParticles = ctx.walkIndices.size();
             }};
 }
 
@@ -223,12 +213,14 @@ PhaseOp<T> smoothingLength()
                 SmoothingLengthParams<T> hp;
                 hp.targetNeighbors = ctx.cfg.targetNeighbors;
                 hp.tolerance       = ctx.cfg.neighborTolerance;
+                ClusterWorkspace<T>  local;
+                ClusterWorkspace<T>& ws = ctx.clusters ? *ctx.clusters : local;
                 // phase B just filled the lists for the current h (all
                 // particles in Global mode, the rank's owned particles in
                 // LocalIndices mode, the controller's active bins in
                 // ActiveSubset mode), so the iteration never repeats the
-                // initial walk — one shared h path for all drivers
-                auto hres = updateSmoothingLengths(ctx.ps, ctx.tree, ctx.nl, hp,
+                // initial search — one shared h path for all drivers
+                auto hres = updateSmoothingLengths(ctx.ps, ctx.tree, ctx.nl, ws, hp,
                                                    ctx.activeSpan(), /*reuseLists*/ true,
                                                    ctx.loopPolicy(Phase::C_SmoothingLength));
                 ctx.hIterations  = hres.iterations;

@@ -59,6 +59,14 @@ public:
         , pipeline_(PipelineFactory<T>::singleRank(cfg_))
     {
         if (ps_.empty()) throw std::invalid_argument("Simulation: empty particle set");
+        // binned integration needs both; either one alone would silently
+        // run global stepping
+        if ((cfg_.timestep.mode == TimesteppingMode::Individual) !=
+            (cfg_.neighborMode == NeighborMode::IndividualTreeWalk))
+        {
+            throw std::invalid_argument("Simulation: Individual time-stepping and the "
+                                        "IndividualTreeWalk neighbor mode go together");
+        }
     }
 
     /// Convenience: derive the EOS from the configuration — the Tait
@@ -241,15 +249,15 @@ public:
 
 private:
     /// Whether this driver runs the binned (individual time-stepping)
-    /// leapfrog: Individual bins + active-subset walks, compressible hydro
-    /// only (the WCSPH ghost bracket would put mirror particles into the
-    /// active set; that combination falls back to global stepping at the
-    /// controller's base dt).
+    /// leapfrog: Individual bins + active-subset walks (the constructor
+    /// admits the two only together), compressible hydro only (the WCSPH
+    /// ghost bracket would put mirror particles into the active set; that
+    /// combination falls back to global stepping at the controller's base
+    /// dt).
     bool binnedIntegration() const
     {
         return cfg_.hydroMode == HydroMode::Compressible &&
-               cfg_.timestep.mode == TimesteppingMode::Individual &&
-               cfg_.neighborMode == NeighborMode::IndividualTreeWalk;
+               cfg_.timestep.mode == TimesteppingMode::Individual;
     }
 
     /// One force-pipeline pass; \p stepId tags the report and the emitted

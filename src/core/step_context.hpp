@@ -121,9 +121,9 @@ struct StepContext
 
     /// Driver-owned persistent buffers of the sorted-reorder + cluster
     /// neighbor-search subsystem (tree/sfc_sort.hpp, tree/cluster_list.hpp):
-    /// key/permutation storage for phase L, per-worker candidate scratch
-    /// for the phase B cluster path and the missing-pair buckets of the
-    /// phase D symmetrization. Null-safe — the phase ops fall back to
+    /// key/permutation storage for phase L, the cluster search's scratch
+    /// for every search of phases B and C, and the missing-pair buckets of
+    /// the phase D symmetrization. Null-safe — the phase ops fall back to
     /// transient local buffers (correct, just re-allocating each step).
     SfcSorter<T>* sorter = nullptr;
     ClusterWorkspace<T>* clusters = nullptr;

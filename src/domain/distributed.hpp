@@ -289,6 +289,7 @@ private:
         rankNl_.resize(P);
         rankVsig_.assign(P, T(0));
         rankAwf_.resize(P);
+        rankClusters_.resize(P);
         std::vector<StepContext<T>> ctxs;
         ctxs.reserve(P);
         for (int r = 0; r < P; ++r)
@@ -298,6 +299,7 @@ private:
                                           rankTree_[r], rankNl_[r]});
             auto& ctx    = ctxs.back();
             ctx.awf      = &rankAwf_[r]; // per-rank AWF weights persist across steps
+            ctx.clusters = &rankClusters_[r]; // as does the cluster-search scratch
             ctx.laneKernel = &laneKernel_; // shared: lane tables are read-only
             ctx.walkMode = WalkMode::LocalIndices;
             ctx.walkIndices.resize(nLocal_[r]);
@@ -541,6 +543,7 @@ private:
     std::vector<NeighborList<T>> rankNl_;
     std::vector<T> rankVsig_;
     std::vector<AwfWeightStore> rankAwf_; ///< per-rank persistent AWF weights
+    std::vector<ClusterWorkspace<T>> rankClusters_; ///< per-rank cluster-search scratch
 
     T time_{0};
     std::uint64_t stepCount_{0};

@@ -40,8 +40,8 @@
 #include "perf/machine.hpp"
 #include "perf/netmodel.hpp"
 #include "sph/smoothing_length.hpp"
+#include "tree/cluster_list.hpp"
 #include "tree/gravity.hpp"
-#include "tree/neighbors.hpp"
 #include "tree/octree.hpp"
 
 namespace sphexa {
@@ -129,6 +129,11 @@ WorkloadProbe probeWorkload(const ParticleSet<T>& global, const Box<T>& box,
     }
 
     // per-rank tree build + neighbor search for locals (with h iteration)
+    ClusterWorkspace<T> ws;
+    SmoothingLengthParams<T> hp;
+    hp.targetNeighbors = cfg.targetNeighbors;
+    hp.tolerance       = cfg.neighborTolerance;
+    hp.maxIterations   = 5;
     for (int r = 0; r < ranks; ++r)
     {
         auto& ps = locals[r];
@@ -144,22 +149,8 @@ WorkloadProbe probeWorkload(const ParticleSet<T>& global, const Box<T>& box,
         std::vector<std::size_t> localIdx(nLoc);
         std::iota(localIdx.begin(), localIdx.end(), std::size_t(0));
         NeighborList<T> nl(ps.size(), cfg.ngmax);
-        findNeighborsIndividual(tree, ps.x, ps.y, ps.z, ps.h, localIdx, nl);
-        for (unsigned it = 0; it < 5; ++it)
-        {
-            std::vector<std::size_t> redo;
-            for (std::size_t i = 0; i < nLoc; ++i)
-            {
-                if (!neighborCountConverged(nl.count(i), cfg.targetNeighbors,
-                                            cfg.neighborTolerance))
-                {
-                    ps.h[i] = updateH(ps.h[i], nl.count(i), cfg.targetNeighbors);
-                    redo.push_back(i);
-                }
-            }
-            if (redo.empty()) break;
-            findNeighborsIndividual(tree, ps.x, ps.y, ps.z, ps.h, redo, nl);
-        }
+        findNeighborsClustered(tree, ps.x, ps.y, ps.z, ps.h, localIdx, nl, ws, kClusterSize);
+        updateSmoothingLengths(ps, tree, nl, ws, hp, localIdx, /*reuseLists*/ true);
         std::size_t inter = 0;
         for (std::size_t i = 0; i < nLoc; ++i)
             inter += nl.count(i);

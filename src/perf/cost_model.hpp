@@ -22,8 +22,8 @@
 #include "sph/iad.hpp"
 #include "sph/momentum_energy.hpp"
 #include "sph/smoothing_length.hpp"
+#include "tree/cluster_list.hpp"
 #include "tree/gravity.hpp"
-#include "tree/neighbors.hpp"
 #include "tree/octree.hpp"
 
 namespace sphexa {
@@ -33,7 +33,7 @@ namespace sphexa {
 struct CostModel
 {
     double secondsPerSphInteraction    = 2.0e-8; ///< density+IAD+divcurl+momentum, per pair visit
-    double secondsPerNeighborSearch    = 4.0e-9; ///< tree walk cost per pair found
+    double secondsPerNeighborSearch    = 4.0e-9; ///< cluster search cost per pair found
     double secondsPerTreeParticle      = 2.0e-7; ///< tree build per particle
     double secondsPerGravityInteraction = 5.0e-8; ///< P2P or M2P, averaged
     double secondsPerParticleOverhead  = 5.0e-8; ///< EOS/update, per particle
@@ -69,7 +69,8 @@ struct CostModel
 
         // neighbor search
         NeighborList<double> nl(n, 256);
-        findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
+        ClusterWorkspace<double> ws;
+        findNeighborsClustered(tree, ps.x, ps.y, ps.z, ps.h, nl, ws, kClusterSize);
         std::size_t pairs = nl.totalNeighbors();
         cm.secondsPerNeighborSearch = t.lap() / double(pairs ? pairs : 1);
 

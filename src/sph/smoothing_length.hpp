@@ -8,7 +8,9 @@
 /// this influences the value of the resulting smoothing length" (paper,
 /// footnote 2). Each particle's h is iterated until its neighbor count is
 /// within tolerance of the target (~10^2 per the paper), re-searching only
-/// the non-converged particles each pass — an individual tree walk.
+/// the non-converged particles each pass: a subset call of the cluster
+/// search (tree/cluster_list.hpp), one tree walk per tree-order window that
+/// holds an unconverged particle, each row the one its own walk would give.
 
 #include <cmath>
 #include <cstddef>
@@ -17,6 +19,7 @@
 
 #include "parallel/parallel_for.hpp"
 #include "sph/particles.hpp"
+#include "tree/cluster_list.hpp"
 #include "tree/neighbors.hpp"
 #include "tree/octree.hpp"
 
@@ -56,18 +59,20 @@ T updateH(T h, unsigned count, unsigned target)
 /// Iterate h and neighbor lists to convergence. The octree must already be
 /// built over current positions; it is reused (h changes don't move
 /// particles). On return, nl holds lists consistent with the final h.
+/// Every search runs through \p ws, the driver's cluster workspace.
 ///
 /// With an empty \p subset, all particles are iterated and (unless
 /// \p reuseLists says the caller just filled nl for the current h) an
-/// initial global walk happens inside. A non-empty subset restricts the
-/// iteration to those indices (a distributed rank's owned particles) and
-/// always assumes current lists — both drivers then follow the exact same
-/// h path. Every loop, the h update and both walks, runs under \p policy,
-/// so its stats sink sees the whole phase.
+/// initial all-particle search happens inside. A non-empty subset
+/// restricts the iteration to those indices (a distributed rank's owned
+/// particles, a binned step's active set) and always assumes current
+/// lists — both drivers then follow the exact same h path. Every loop, the
+/// h update and both searches, runs under \p policy, so its stats sink
+/// sees the whole phase.
 template<class T>
 SmoothingLengthResult
 updateSmoothingLengths(ParticleSet<T>& ps, const Octree<T>& tree, NeighborList<T>& nl,
-                       const SmoothingLengthParams<T>& params = {},
+                       ClusterWorkspace<T>& ws, const SmoothingLengthParams<T>& params = {},
                        std::type_identity_t<std::span<const std::size_t>> subset = {},
                        bool reuseLists = false, const LoopPolicy& policy = {})
 {
@@ -75,8 +80,7 @@ updateSmoothingLengths(ParticleSet<T>& ps, const Octree<T>& tree, NeighborList<T
     auto target   = [&](std::size_t k) { return subset.empty() ? k : subset[k]; };
     if (subset.empty() && !reuseLists)
     {
-        findNeighborsGlobal(tree, std::span<const T>(ps.x), std::span<const T>(ps.y),
-                            std::span<const T>(ps.z), std::span<const T>(ps.h), nl, policy);
+        findNeighborsClustered(tree, ps.x, ps.y, ps.z, ps.h, nl, ws, kClusterSize, policy);
     }
 
     SmoothingLengthResult res;
@@ -108,9 +112,8 @@ updateSmoothingLengths(ParticleSet<T>& ps, const Octree<T>& tree, NeighborList<T
             },
             policy);
 
-        findNeighborsIndividual(tree, std::span<const T>(ps.x), std::span<const T>(ps.y),
-                                std::span<const T>(ps.z), std::span<const T>(ps.h), active,
-                                nl, policy);
+        findNeighborsClustered(tree, ps.x, ps.y, ps.z, ps.h, active, nl, ws, kClusterSize,
+                               policy);
     }
 
     for (std::size_t k = 0; k < n; ++k)

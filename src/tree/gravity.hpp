@@ -25,7 +25,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -100,7 +99,14 @@ public:
         const Octree<T>& tree = *tree_;
         requireSameSet(tree, ps, "accumulate");
 
-        std::span<const Index> members = treeOrderTargets(tree, targets);
+        // the targets in tree order: the tree's own order for all
+        // particles, else the subset filter the neighbor search shares
+        std::span<const Index> members = tree.order();
+        if (!targets.empty())
+        {
+            targets_.assign(tree.order(), targets, kClusterSize, "GravitySolver::accumulate");
+            members = targets_.members();
+        }
         std::size_t count   = members.size();
         std::size_t nGroups = (count + kClusterSize - 1) / kClusterSize;
 
@@ -235,30 +241,6 @@ private:
         }
     }
 
-    /// The targets in tree order: the tree's own order for all particles,
-    /// otherwise its order filtered to the marked targets.
-    std::span<const Index> treeOrderTargets(const Octree<T>& tree,
-                                            std::span<const std::size_t> targets)
-    {
-        const auto& order = tree.order();
-        if (targets.empty()) return order;
-
-        isTarget_.assign(order.size(), 0);
-        for (std::size_t i : targets)
-        {
-            if (i >= order.size())
-            {
-                throw std::invalid_argument("GravitySolver::accumulate: target index " +
-                                            std::to_string(i) + " out of range");
-            }
-            isTarget_[i] = 1;
-        }
-        sortedTargets_.clear();
-        for (Index i : order)
-            if (isTarget_[i]) sortedTargets_.push_back(i);
-        return sortedTargets_;
-    }
-
     /// Walk the tree once for the group members[0..n): a node is accepted
     /// when its box is disjoint from the group's AABB and
     /// size^2 < theta^2 * d^2(com, AABB); an unaccepted leaf goes to the
@@ -315,8 +297,7 @@ private:
     std::vector<Multipole<T>> multipoles_;
     std::vector<T> potScratch_; ///< per-target potential slots, tree order (exact reduction)
     std::vector<WorkerSlot<WorkerLists>> lists_; ///< per-worker interaction lists
-    std::vector<std::uint8_t> isTarget_;            ///< target marks of a subset call
-    std::vector<Index> sortedTargets_;              ///< a subset's targets in tree order
+    TreeOrderSubset<Index> targets_; ///< a subset call's targets in tree order
 };
 
 } // namespace sphexa

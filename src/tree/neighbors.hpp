@@ -1,24 +1,28 @@
 #pragma once
 
 /// \file neighbors.hpp
-/// Neighbor discovery (step 2 of Algorithm 1): tree walks over the octree.
+/// Neighbor lists (step 2 of Algorithm 1) and their pairwise completion
+/// (phase D).
 ///
-/// Per Table 1/2 of the paper, both discovery modes are provided:
-///  - Global tree walk (SPHYNX, SPH-flow): every particle searches each step.
-///  - Individual tree walk (ChaNGa): only an active subset searches — the
-///    mode used with individual (multi-) time-stepping.
+/// Both discovery modes of the paper's Tables 1/2 — the Global tree walk
+/// (SPHYNX, SPH-flow: every particle searches each step) and the
+/// Individual tree walk (ChaNGa: only an active subset searches, with
+/// individual time-stepping) — fill these lists through the one cluster
+/// search of tree/cluster_list.hpp, over all particles or over a subset.
+/// The per-particle walks it replaced are the test oracle
+/// tests/neighbor_oracle.hpp.
 ///
 /// Neighbor lists live in one grow-only arena (NeighborList): row i is
 /// (offset, count), packed by the fills rather than strided by ngmax, so
 /// the lists cost what the neighborhoods hold. ngmax is the per-row cap;
 /// a longer neighborhood is truncated and counted as one overflow.
 ///
-/// The walks run through parallelFor (parallel/parallel_for.hpp) with
-/// per-worker scratch buffers and per-worker arena cursors: iteration i
-/// writes only row i, so the produced lists are bitwise identical for any
-/// pool size and strategy (only where a row sits in the arena depends on
-/// the schedule). symmetrizeNeighborList (phase D) completes the lists
-/// pairwise, with the same invariance.
+/// Fills run through parallelFor (parallel/parallel_for.hpp) with
+/// per-worker arena cursors, each row written by one iteration, so the
+/// lists are bitwise identical for any pool size and strategy (only where
+/// a row sits in the arena depends on the schedule).
+/// symmetrizeNeighborList (phase D) completes the lists pairwise, with the
+/// same invariance.
 
 #include <algorithm>
 #include <atomic>
@@ -415,97 +419,6 @@ private:
     std::size_t  overflow_{0};
 };
 
-/// Fill neighbor lists for all particles with one walk per particle.
-///
-/// The search radius of particle i is 2 h_i (kernel support). Self is
-/// excluded from the list; SPH sums add the self contribution analytically.
-/// The pipeline's Global search is findNeighborsClustered
-/// (tree/cluster_list.hpp), which yields these exact lists; this walk is
-/// its reference: the tests' oracle, the layer benches' baseline,
-/// CostModel's search, and updateSmoothingLengths' walk without reuseLists.
-template<class T>
-void findNeighborsGlobal(const Octree<T>& tree, std::type_identity_t<std::span<const T>> x, std::type_identity_t<std::span<const T>> y,
-                         std::type_identity_t<std::span<const T>> z, std::type_identity_t<std::span<const T>> h, NeighborList<T>& nl,
-                         const LoopPolicy& policy = {})
-{
-    using Index = typename Octree<T>::Index;
-    std::size_t n = x.size();
-    std::vector<std::vector<Index>> scratch(parallelForWorkers());
-    for (auto& s : scratch)
-        s.reserve(nl.ngmax());
-    nl.beginFill(n, n == nl.size());
-    parallelFor(n, [&](std::size_t i, std::size_t w) {
-        auto& local = scratch[w];
-        local.clear();
-        Vec3<T> pos{x[i], y[i], z[i]};
-        T radius = T(2) * h[i];
-        tree.forEachNeighbor(pos, radius, [&](Index j, T) {
-            if (j != Index(i)) local.push_back(j);
-        });
-        nl.place(i, local, w);
-    }, policy);
-    nl.endFill();
-}
-
-/// Fill neighbor lists only for the \p active particles ("individual tree
-/// walk", ChaNGa-style): the inactive entries keep their previous lists.
-/// This is the phase-B search of every subset walk — a binned step's
-/// ActiveSubset walk (\p active is the time-step controller's force set)
-/// and the distributed driver's per-rank walk. No cluster counterpart
-/// exists: clusters are runs of consecutive SFC-sorted slots and an active
-/// bin scatters across them, so the per-particle walk remains the subset
-/// path (open item in the ROADMAP).
-template<class T>
-void findNeighborsIndividual(const Octree<T>& tree, std::type_identity_t<std::span<const T>> x,
-                             std::type_identity_t<std::span<const T>> y, std::type_identity_t<std::span<const T>> z,
-                             std::type_identity_t<std::span<const T>> h, std::type_identity_t<std::span<const std::size_t>> active,
-                             NeighborList<T>& nl, const LoopPolicy& policy = {})
-{
-    using Index = typename Octree<T>::Index;
-    std::vector<std::vector<Index>> scratch(parallelForWorkers());
-    for (auto& s : scratch)
-        s.reserve(nl.ngmax());
-    nl.beginFill(active.size(), false);
-    parallelFor(active.size(), [&](std::size_t a, std::size_t w) {
-        std::size_t i = active[a];
-        auto& local = scratch[w];
-        local.clear();
-        Vec3<T> pos{x[i], y[i], z[i]};
-        T radius = T(2) * h[i];
-        tree.forEachNeighbor(pos, radius, [&](Index j, T) {
-            if (j != Index(i)) local.push_back(j);
-        });
-        nl.place(i, local, w);
-    }, policy);
-    nl.endFill();
-}
-
-/// Brute-force O(N^2) reference used by tests and the neighbor ablation.
-template<class T>
-void findNeighborsBruteForce(std::type_identity_t<std::span<const T>> x, std::type_identity_t<std::span<const T>> y,
-                             std::type_identity_t<std::span<const T>> z, std::type_identity_t<std::span<const T>> h, const Box<T>& box,
-                             NeighborList<T>& nl)
-{
-    using Index = typename Octree<T>::Index;
-    std::size_t n = x.size();
-    std::vector<std::vector<Index>> scratch(parallelForWorkers());
-    nl.beginFill(n, n == nl.size());
-    parallelFor(n, [&](std::size_t i, std::size_t w) {
-        auto& local = scratch[w];
-        local.clear();
-        Vec3<T> pi{x[i], y[i], z[i]};
-        T r2 = T(4) * h[i] * h[i];
-        for (std::size_t j = 0; j < n; ++j)
-        {
-            if (j == i) continue;
-            Vec3<T> d = box.delta(pi, Vec3<T>{x[j], y[j], z[j]});
-            if (norm2(d) < r2) local.push_back(Index(j));
-        }
-        nl.place(i, local, w);
-    });
-    nl.endFill();
-}
-
 /// Persistent scratch of symmetrizeNeighborList: the missing sources,
 /// bucketed by the row that lacks them. Grow-only like the lists
 /// themselves, so a steady-state pass allocates nothing. Owned by a driver
@@ -527,8 +440,8 @@ struct SymmetrizeWorkspace
 /// r < 2 h_i but not r < 2 h_j.
 ///
 /// Precondition: every row is the output of a search over these positions
-/// and smoothing lengths in \p box (findNeighborsGlobal, findNeighborsClustered or
-/// the re-walks of updateSmoothingLengths), so row(j) holds exactly the i
+/// and smoothing lengths in \p box (findNeighborsClustered, over all
+/// particles or over the h iteration's subsets), so row(j) holds exactly the i
 /// with d2(j, i) < (2 h_j)^2, truncated at ngmax. Whether i is in row(j) is
 /// then decided in O(1) by evaluating that predicate from j's side with
 /// the searches' own arithmetic: minimum-image differences x_j - x_i and

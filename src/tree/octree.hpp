@@ -14,7 +14,7 @@
 /// Fig. 4); a task-parallel build is available as the "improved" variant and
 /// is compared in bench_neighbors.
 ///
-/// Neighbor queries over the built tree live in tree/neighbors.hpp; the
+/// Neighbor queries over the built tree live in tree/cluster_list.hpp; the
 /// SFC keys are defined in tree/morton.hpp and tree/hilbert.hpp
 /// (docs/ARCHITECTURE.md §3).
 
@@ -41,10 +41,11 @@ public:
 
     static constexpr int maxDepth = sfcBitsPerDim; // 21
 
-    /// Stack capacity of every depth-first walk over the tree (the neighbor
-    /// walk below, the cluster search, the gravity walk). Internal nodes sit
-    /// at depths 0..maxDepth-1, and expanding one pops it and pushes at most
-    /// 8 children, so a walk holds at most 1 + 7 * maxDepth pending nodes.
+    /// Stack capacity of every depth-first walk over the tree (the cluster
+    /// search, the gravity walk, the tests' per-particle oracles). Internal
+    /// nodes sit at depths 0..maxDepth-1, and expanding one pops it and
+    /// pushes at most 8 children, so a walk holds at most 1 + 7 * maxDepth
+    /// pending nodes.
     static constexpr std::size_t walkStackSize = 1 + 7 * maxDepth;
 
     struct Node
@@ -75,7 +76,6 @@ public:
         n_      = x.size();
         box_    = box;
         params_ = params;
-        x_ = x; y_ = y; z_ = z;
 
         keys_.resize(n_);
         order_.resize(n_);
@@ -116,7 +116,7 @@ public:
         nodes_.push_back(Node{{}, {}, 0, Index(n_), 0, 0, 0});
         if (n_ > params.leafSize) buildChildren(0, 0, Index(n_), 0, 0);
 
-        computeAabbs();
+        computeAabbs(x, y, z);
     }
 
     std::size_t particleCount() const { return n_; }
@@ -148,38 +148,6 @@ public:
         for (const auto& nd : nodes_)
             d = std::max(d, nd.depth);
         return d;
-    }
-
-    /// Visit all particles within \p radius of \p pos (minimum-image in
-    /// periodic boxes). Calls f(originalParticleIndex, distanceSquared).
-    template<class F>
-    void forEachNeighbor(const Vec3<T>& pos, T radius, F&& f) const
-    {
-        if (nodes_.empty() || n_ == 0) return;
-        T r2 = radius * radius;
-        Index stack[walkStackSize];
-        int   sp   = 0;
-        stack[sp++] = 0;
-        while (sp > 0)
-        {
-            const Node& nd = nodes_[stack[--sp]];
-            if (distanceSqToBox(pos, nd.lo, nd.hi, box_) > r2) continue;
-            if (nd.nChildren == 0)
-            {
-                for (Index k = nd.first; k < nd.first + nd.count; ++k)
-                {
-                    Index j = order_[k];
-                    Vec3<T> d = box_.delta(pos, Vec3<T>{x_[j], y_[j], z_[j]});
-                    T dist2 = norm2(d);
-                    if (dist2 < r2) f(j, dist2);
-                }
-            }
-            else
-            {
-                for (int c = 0; c < nd.nChildren; ++c)
-                    stack[sp++] = nd.child + Index(c);
-            }
-        }
     }
 
 private:
@@ -338,7 +306,7 @@ private:
         }
     }
 
-    void computeAabbs()
+    void computeAabbs(std::span<const T> x, std::span<const T> y, std::span<const T> z)
     {
         // Children are always stored after their parent, so a reverse sweep
         // sees children before parents.
@@ -354,7 +322,7 @@ private:
                 for (Index k = nd.first; k < nd.first + nd.count; ++k)
                 {
                     Index j = order_[k];
-                    Vec3<T> p{x_[j], y_[j], z_[j]};
+                    Vec3<T> p{x[j], y[j], z[j]};
                     lo = min(lo, p);
                     hi = max(hi, p);
                 }
@@ -380,7 +348,6 @@ private:
     std::size_t n_{0};
     Box<T>      box_{};
     BuildParams params_{};
-    std::span<const T> x_, y_, z_;
 
     std::vector<KeyType> keys_;       ///< key per original particle index
     std::vector<KeyType> sortedKeys_; ///< keys in SFC order

@@ -15,12 +15,14 @@
 #include <vector>
 
 #include "core/simulation.hpp"
+#include "neighbor_oracle.hpp"
 
 namespace sphexa {
 
 /// \p pipeline's op list without phase L (\p reorder false) and with phase
-/// B's cluster search swapped for the per-particle walk, findNeighborsGlobal
-/// (\p perParticleWalk true). For runs of Global walks only.
+/// B's cluster search swapped for the per-particle walk,
+/// oracle::findNeighborsGlobal (\p perParticleWalk true). For runs of
+/// Global walks only.
 inline Propagator<double> variantOf(const Propagator<double>& pipeline, bool reorder,
                                     bool perParticleWalk)
 {
@@ -35,8 +37,9 @@ inline Propagator<double> variantOf(const Propagator<double>& pipeline, bool reo
                 ops.push_back({Phase::B_NeighborSearch, [](StepContext<double>& ctx) {
                                    auto& ps = ctx.ps;
                                    ctx.nl.resetOverflow();
-                                   findNeighborsGlobal(ctx.tree, ps.x, ps.y, ps.z, ps.h, ctx.nl,
-                                                       ctx.loopPolicy(Phase::B_NeighborSearch));
+                                   oracle::findNeighborsGlobal(
+                                       ctx.tree, ps.x, ps.y, ps.z, ps.h, ctx.nl,
+                                       ctx.loopPolicy(Phase::B_NeighborSearch));
                                    ctx.activeParticles = ps.size();
                                }});
                 continue;

@@ -109,7 +109,8 @@ struct BackendFixture
         SmoothingLengthParams<double> hp;
         hp.targetNeighbors = 60;
         hp.tolerance       = 10;
-        updateSmoothingLengths(ps, tree, nl, hp);
+        ClusterWorkspace<double> clusters;
+        updateSmoothingLengths(ps, tree, nl, clusters, hp);
         SymmetrizeWorkspace<double> ws;
         symmetrizeNeighborList(nl, ps.x, ps.y, ps.z, ps.h, box, ws);
         fillUpstream(ps);

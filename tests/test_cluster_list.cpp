@@ -11,12 +11,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/simulation.hpp"
+#include "deepest_tree.hpp"
 #include "ic/lattice.hpp"
 #include "ic/sedov.hpp"
 #include "math/rng.hpp"
+#include "neighbor_oracle.hpp"
 #include "sph/boundaries.hpp"
 #include "tree/cluster_list.hpp"
 #include "tree/neighbors.hpp"
@@ -76,7 +80,7 @@ void runBothSearches(const ParticleSetD& ps, const Box<double>& box,
     tree.build(ps.x, ps.y, ps.z, box);
 
     NeighborList<double> nlWalk(ps.size(), ngmax);
-    findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nlWalk);
+    oracle::findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nlWalk);
 
     NeighborList<double> nlCluster(ps.size(), ngmax);
     ClusterWorkspace<double> ws;
@@ -239,13 +243,171 @@ TEST(ClusterList, OverflowCountMatchesTreeWalk)
     tree.build(ps.x, ps.y, ps.z, box);
 
     NeighborList<double> nlWalk(ps.size(), 16);
-    findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nlWalk);
+    oracle::findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nlWalk);
     ASSERT_GT(nlWalk.overflowCount(), 0u);
 
     NeighborList<double> nlCluster(ps.size(), 16);
     ClusterWorkspace<double> ws;
     findNeighborsClustered(tree, ps.x, ps.y, ps.z, ps.h, nlCluster, ws, 32);
     EXPECT_EQ(nlCluster.overflowCount(), nlWalk.overflowCount());
+}
+
+// --- subset search vs the per-particle Individual walk -----------------------
+
+namespace {
+
+using Index = NeighborList<double>::Index;
+
+/// About \p fraction of [0, n) in shuffled order, at least one index.
+std::vector<std::size_t> randomSubset(std::size_t n, double fraction, std::uint64_t seed)
+{
+    Xoshiro256pp rng(seed);
+    std::vector<std::size_t> subset;
+    for (std::size_t i = 0; i < n; ++i)
+        if (rng.uniform() < fraction) subset.push_back(i);
+    if (subset.empty()) subset.push_back(rng.uniformInt(n));
+    for (std::size_t k = subset.size(); k > 1; --k)
+        std::swap(subset[k - 1], subset[rng.uniformInt(k)]);
+    return subset;
+}
+
+/// Lists whose row i is {i}: a self entry no search writes, so a row a
+/// subset search left alone is recognizable.
+NeighborList<double> markedLists(std::size_t n)
+{
+    NeighborList<double> nl(n, 384);
+    for (std::size_t i = 0; i < n; ++i)
+    {
+        Index self = Index(i);
+        nl.set(i, std::span<const Index>(&self, 1));
+    }
+    return nl;
+}
+
+/// Subsets of one particle and of ~1%, ~10%, ~50% and 100% of \p ps, under
+/// pools {1, 2, 4}: every subset row equals the Individual walk's entry for
+/// entry, every other row keeps its mark, and the all-index subset equals
+/// the all-particle search.
+void expectSubsetsMatchOracle(const ParticleSetD& ps, const Box<double>& box, std::uint64_t seed)
+{
+    std::size_t n = ps.size();
+    Octree<double> tree;
+    tree.build(ps.x, ps.y, ps.z, box);
+
+    std::vector<std::vector<std::size_t>> subsets{{n / 2}};
+    for (double fraction : {0.01, 0.1, 0.5})
+        subsets.push_back(randomSubset(n, fraction, seed++));
+    subsets.push_back(randomSubset(n, 2.0, seed)); // every index, shuffled
+
+    NeighborList<double> all(n, 384);
+    ClusterWorkspace<double> ws;
+    findNeighborsClustered(tree, ps.x, ps.y, ps.z, ps.h, all, ws, kClusterSize);
+
+    for (std::size_t pool : {1, 2, 4})
+    {
+        PoolSizeGuard guard(pool);
+        for (const auto& subset : subsets)
+        {
+            std::vector<bool> inSubset(n, false);
+            for (std::size_t i : subset)
+                inSubset[i] = true;
+            auto walk = markedLists(n);
+            oracle::findNeighborsIndividual(tree, ps.x, ps.y, ps.z, ps.h, subset, walk);
+            auto clustered = markedLists(n);
+            findNeighborsClustered(tree, ps.x, ps.y, ps.z, ps.h, subset, clustered, ws,
+                                   kClusterSize);
+
+            for (std::size_t i = 0; i < n; ++i)
+            {
+                auto got = clustered.neighbors(i);
+                if (!inSubset[i])
+                {
+                    ASSERT_EQ(got.size(), 1u) << "untouched row " << i;
+                    ASSERT_EQ(got[0], Index(i)) << "untouched row " << i;
+                    continue;
+                }
+                auto expected = walk.neighbors(i);
+                ASSERT_EQ(got.size(), expected.size())
+                    << "particle " << i << ", subset of " << subset.size() << ", pool " << pool;
+                for (std::size_t k = 0; k < got.size(); ++k)
+                    ASSERT_EQ(got[k], expected[k]) << "particle " << i << " entry " << k;
+            }
+            EXPECT_EQ(clustered.overflowCount(), walk.overflowCount());
+            if (subset.size() == n) expectListsIdentical(clustered, all);
+        }
+    }
+}
+
+/// \p ps with its slots shuffled.
+ParticleSetD shuffled(ParticleSetD ps, std::uint64_t seed)
+{
+    std::vector<std::size_t> perm(ps.size());
+    std::iota(perm.begin(), perm.end(), std::size_t(0));
+    Xoshiro256pp rng(seed);
+    for (std::size_t k = perm.size(); k > 1; --k)
+        std::swap(perm[k - 1], perm[rng.uniformInt(k)]);
+    ps.reorder(perm);
+    return ps;
+}
+
+} // namespace
+
+TEST(ClusterSubset, MatchesIndividualWalkOnOpenCloud)
+{
+    auto ps = randomCloudSet(900, 41, 0.07);
+    Box<double> box{{0, 0, 0}, {1, 1, 1}};
+    SfcSorter<double> sorter;
+    sorter.apply(ps, box, SfcCurve::Hilbert);
+    expectSubsetsMatchOracle(ps, box, 1);
+    expectSubsetsMatchOracle(shuffled(ps, 2), box, 11);
+}
+
+TEST(ClusterSubset, MatchesIndividualWalkOnPeriodicLattice)
+{
+    ParticleSetD ps;
+    Box<double> box{{-0.5, -0.5, -0.5}, {0.5, 0.5, 0.5}, true, true, true};
+    cubicLattice(ps, 10, 10, 10, box);
+    jitterPositions(ps, box, 0.1, 0.3, 7);
+    for (std::size_t i = 0; i < ps.size(); ++i)
+        ps.h[i] = (i % 5 == 0 ? 0.14 : 0.1); // unequal radii: maxR of a cluster matters
+    SfcSorter<double> sorter;
+    sorter.apply(ps, box, SfcCurve::Hilbert);
+    expectSubsetsMatchOracle(ps, box, 21);
+    expectSubsetsMatchOracle(shuffled(ps, 3), box, 31);
+}
+
+TEST(ClusterSubset, MatchesIndividualWalkOnDeepestTree)
+{
+    // 21 levels: every window's walk fills the whole DFS stack
+    auto ps = deepestTreeCloud();
+    Box<double> box{{0, 0, 0}, {1, 1, 1}};
+    expectSubsetsMatchOracle(ps, box, 51);
+    expectSubsetsMatchOracle(shuffled(ps, 4), box, 61);
+}
+
+TEST(ClusterSubset, EmptySubsetFillsNothingAndOutOfRangeThrows)
+{
+    auto ps = randomCloudSet(300, 43, 0.1);
+    Box<double> box{{0, 0, 0}, {1, 1, 1}};
+    Octree<double> tree;
+    tree.build(ps.x, ps.y, ps.z, box);
+    ClusterWorkspace<double> ws;
+
+    // an empty subset is no particles, not all of them
+    auto nl = markedLists(ps.size());
+    std::vector<std::size_t> none;
+    findNeighborsClustered(tree, ps.x, ps.y, ps.z, ps.h, none, nl, ws, kClusterSize);
+    EXPECT_EQ(ws.clusters, 0u);
+    for (std::size_t i = 0; i < ps.size(); ++i)
+    {
+        ASSERT_EQ(nl.count(i), 1u) << i;
+        ASSERT_EQ(nl.neighbors(i)[0], Index(i)) << i;
+    }
+
+    std::vector<std::size_t> outOfRange{3, ps.size()};
+    EXPECT_THROW(
+        findNeighborsClustered(tree, ps.x, ps.y, ps.z, ps.h, outOfRange, nl, ws, kClusterSize),
+        std::invalid_argument);
 }
 
 // --- grow-only NeighborList storage ------------------------------------------

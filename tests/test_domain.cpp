@@ -383,6 +383,40 @@ TEST(Distributed, RejectsConfigsItCannotRun)
                                                   SimulationConfig<double>{}, 2));
 }
 
+TEST(Simulation, RejectsConfigsItCannotRun)
+{
+    // binned integration needs Individual time-stepping and the
+    // IndividualTreeWalk together; either one alone used to run global
+    // stepping silently, so it must throw
+    ParticleSetD ps;
+    SquarePatchConfig<double> pc;
+    pc.nx = pc.ny = 12;
+    pc.nz = 6;
+    auto setup = makeSquarePatch(ps, pc);
+    Eos<double> eos(setup.eos);
+
+    for (auto mode : {TimesteppingMode::Global, TimesteppingMode::Adaptive})
+    {
+        SimulationConfig<double> cfg;
+        cfg.timestep.mode = mode;
+        cfg.neighborMode  = NeighborMode::IndividualTreeWalk;
+        EXPECT_THROW(Simulation<double>(ps, setup.box, eos, cfg), std::invalid_argument)
+            << "timestep mode " << int(mode);
+    }
+    SimulationConfig<double> binned;
+    binned.timestep.mode = TimesteppingMode::Individual;
+    EXPECT_THROW(Simulation<double>(ps, setup.box, eos, binned), std::invalid_argument);
+
+    // the pair runs binned; under WCSPH it keeps its documented fallback to
+    // global stepping (the golden gallery's Evrard Wcsph leg runs it)
+    binned.neighborMode = NeighborMode::IndividualTreeWalk;
+    EXPECT_NO_THROW(Simulation<double>(ps, setup.box, eos, binned));
+    SimulationConfig<double> wcsph = binned;
+    wcsph.hydroMode                = HydroMode::WeaklyCompressible;
+    EXPECT_NO_THROW(Simulation<double>(ps, setup.box, eosFromConfig(wcsph), wcsph));
+    EXPECT_NO_THROW(Simulation<double>(ps, setup.box, eos, SimulationConfig<double>{}));
+}
+
 TEST(Distributed, ConservationHolds)
 {
     ParticleSetD ps;

@@ -17,6 +17,7 @@
 #include "ic/evrard.hpp"
 #include "ic/sedov.hpp"
 #include "math/rng.hpp"
+#include "neighbor_oracle.hpp"
 #include "sph/boundaries.hpp"
 #include "tree/neighbors.hpp"
 
@@ -517,7 +518,7 @@ std::size_t firstFillEntries(const ParticleSetD& ps, const Box<double>& box)
     Octree<double> tree;
     tree.build(ps.x, ps.y, ps.z, box);
     NeighborList<double> nl(ps.size(), 384);
-    findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
+    oracle::findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
     return nl.totalNeighbors();
 }
 

@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "domain/box.hpp"
 #include "ic/lattice.hpp"
 #include "math/rng.hpp"
+#include "neighbor_oracle.hpp"
 #include "sph/density.hpp"
 #include "sph/divcurl.hpp"
 #include "sph/iad.hpp"
@@ -53,7 +56,8 @@ struct LatticeFixture
         SmoothingLengthParams<double> hp;
         hp.targetNeighbors = targetNeighbors;
         hp.tolerance       = 5;
-        updateSmoothingLengths(ps, tree, nl, hp);
+        ClusterWorkspace<double> clusters;
+        updateSmoothingLengths(ps, tree, nl, clusters, hp);
     }
 };
 
@@ -197,12 +201,28 @@ TEST(SmoothingLength, StatsSinkSeesTheReWalkAsWellAsTheUpdate)
     Octree<double> tree;
     tree.build(ps.x, ps.y, ps.z, box);
     NeighborList<double> nl(ps.size(), 384);
-    findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
+    oracle::findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
 
+    std::vector<bool> isActive(ps.size());
     std::size_t active = 0;
     for (std::size_t i = 0; i < ps.size(); ++i)
-        active += neighborCountConverged(nl.count(i), 60, 5) ? 0 : 1;
+    {
+        isActive[i] = !neighborCountConverged(nl.count(i), 60, 5);
+        active += isActive[i] ? 1 : 0;
+    }
     ASSERT_GT(active, 0u);
+    // the re-walk runs one iteration per window of kClusterSize tree
+    // positions that holds an active particle
+    const auto& order   = tree.order();
+    std::size_t windows = 0;
+    for (std::size_t first = 0; first < order.size(); first += kClusterSize)
+    {
+        bool any = false;
+        for (std::size_t k = first; k < std::min<std::size_t>(order.size(), first + kClusterSize);
+             ++k)
+            any = any || isActive[order[k]];
+        windows += any ? 1 : 0;
+    }
 
     SmoothingLengthParams<double> hp;
     hp.targetNeighbors = 60;
@@ -211,14 +231,15 @@ TEST(SmoothingLength, StatsSinkSeesTheReWalkAsWellAsTheUpdate)
     PhaseLoadStats stats;
     LoopPolicy pol;
     pol.stats = &stats;
-    auto res  = updateSmoothingLengths(ps, tree, nl, hp, {}, /*reuseLists*/ true, pol);
+    ClusterWorkspace<double> clusters;
+    auto res = updateSmoothingLengths(ps, tree, nl, clusters, hp, {}, /*reuseLists*/ true, pol);
     ASSERT_EQ(res.iterations, 1u);
 
     EXPECT_EQ(stats.invocations, 2u); // the h update and the re-walk
     std::size_t iterations = 0;
     for (auto it : stats.workerIterations)
         iterations += it;
-    EXPECT_EQ(iterations, 2 * active);
+    EXPECT_EQ(iterations, active + windows);
 }
 
 // --- gradients ----------------------------------------------------------------
@@ -559,7 +580,7 @@ TEST(NeighborSymmetrize, MakesListsSymmetric)
     // asymmetric h: double a few particles' radii and re-search
     for (std::size_t i = 0; i < 20; ++i)
         f.ps.h[i] *= 1.3;
-    findNeighborsGlobal(f.tree, f.ps.x, f.ps.y, f.ps.z, f.ps.h, f.nl);
+    oracle::findNeighborsGlobal(f.tree, f.ps.x, f.ps.y, f.ps.z, f.ps.h, f.nl);
     SymmetrizeWorkspace<double> ws;
     symmetrizeNeighborList(f.nl, f.ps.x, f.ps.y, f.ps.z, f.ps.h, f.box, ws);
 

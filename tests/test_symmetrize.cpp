@@ -20,6 +20,7 @@
 #include "ic/dam_break.hpp"
 #include "ic/lattice.hpp"
 #include "math/rng.hpp"
+#include "neighbor_oracle.hpp"
 #include "sph/boundaries.hpp"
 #include "sph/smoothing_length.hpp"
 #include "tree/cluster_list.hpp"
@@ -117,7 +118,7 @@ struct Scene
         NeighborList<double> nl(ps.size(), ngmax);
         if (mode == Search::TreeWalk)
         {
-            findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
+            oracle::findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
         }
         else
         {
@@ -233,7 +234,8 @@ TEST(Symmetrize, DamBreakWithMirrorGhosts)
     SmoothingLengthParams<double> hp;
     hp.targetNeighbors = 60;
     hp.tolerance       = 5;
-    updateSmoothingLengths(s.ps, tree, hLists, hp);
+    ClusterWorkspace<double> clusters;
+    updateSmoothingLengths(s.ps, tree, hLists, clusters, hp);
     s.shuffleIds(5);
     s.expectMatchesOracle();
 

@@ -13,8 +13,10 @@
 #include <set>
 
 #include "core/simulation.hpp"
+#include "deepest_tree.hpp"
 #include "ic/sedov.hpp"
 #include "math/rng.hpp"
+#include "neighbor_oracle.hpp"
 #include "sph/particles.hpp"
 #include "tree/cluster_list.hpp"
 #include "tree/gravity.hpp"
@@ -395,8 +397,8 @@ TEST(Octree, ParallelBuildEquivalent)
     EXPECT_EQ(seq.order(), par.order());
     // neighbor searches must agree
     NeighborList<double> nlSeq(c.x.size(), 64), nlPar(c.x.size(), 64);
-    findNeighborsGlobal(seq, c.x, c.y, c.z, c.h, nlSeq);
-    findNeighborsGlobal(par, c.x, c.y, c.z, c.h, nlPar);
+    oracle::findNeighborsGlobal(seq, c.x, c.y, c.z, c.h, nlSeq);
+    oracle::findNeighborsGlobal(par, c.x, c.y, c.z, c.h, nlPar);
     for (std::size_t i = 0; i < c.x.size(); ++i)
     {
         ASSERT_EQ(nlSeq.count(i), nlPar.count(i)) << i;
@@ -443,8 +445,8 @@ TEST_P(NeighborEquivalence, TreeMatchesBruteForce)
     tree.build(c.x, c.y, c.z, box, params);
 
     NeighborList<double> nlTree(n, 512), nlBrute(n, 512);
-    findNeighborsGlobal(tree, c.x, c.y, c.z, c.h, nlTree);
-    findNeighborsBruteForce<double>(c.x, c.y, c.z, c.h, box, nlBrute);
+    oracle::findNeighborsGlobal(tree, c.x, c.y, c.z, c.h, nlTree);
+    oracle::findNeighborsBruteForce<double>(c.x, c.y, c.z, c.h, box, nlBrute);
 
     for (std::size_t i = 0; i < n; ++i)
     {
@@ -477,56 +479,23 @@ TEST(NeighborSearch, IndividualWalkUpdatesOnlyActive)
     tree.build(c.x, c.y, c.z, box);
 
     NeighborList<double> nl(c.x.size(), 256);
-    findNeighborsGlobal(tree, c.x, c.y, c.z, c.h, nl);
+    oracle::findNeighborsGlobal(tree, c.x, c.y, c.z, c.h, nl);
     auto before = nl.count(0);
 
     // enlarge h of particle 0 only, re-search an active subset without it
     c.h[0] *= 2;
     std::vector<std::size_t> active{1, 2, 3};
-    findNeighborsIndividual(tree, c.x, c.y, c.z, c.h, active, nl);
+    oracle::findNeighborsIndividual(tree, c.x, c.y, c.z, c.h, active, nl);
     EXPECT_EQ(nl.count(0), before); // untouched
 
     active = {0};
-    findNeighborsIndividual(tree, c.x, c.y, c.z, c.h, active, nl);
+    oracle::findNeighborsIndividual(tree, c.x, c.y, c.z, c.h, active, nl);
     EXPECT_GT(nl.count(0), before); // larger radius found more
 }
 
 // --- the deepest tree: the walks' stack bound -------------------------------
 
 namespace {
-
-/// A Morton tree of maximal depth whose walks fill their whole stack: at
-/// each of the maxDepth internal levels one particle sits in each octant
-/// but the high (+x,+y,+z) one, which holds the rest and is pushed last, so
-/// a walk that opens every node keeps 7 siblings pending per level. The
-/// last cell holds more than a leaf but lies at maxDepth, where splitting
-/// stops. h = 1 makes every support radius cover the unit box.
-Cloud deepestTreeCloud()
-{
-    Cloud c;
-    double lo = 0.0, size = 1.0;
-    for (int level = 0; level < Octree<double>::maxDepth; ++level)
-    {
-        double half = size / 2;
-        for (int octant = 0; octant < 7; ++octant)
-        {
-            c.x.push_back(lo + ((octant & 4) ? half : 0.0) + half / 2);
-            c.y.push_back(lo + ((octant & 2) ? half : 0.0) + half / 2);
-            c.z.push_back(lo + ((octant & 1) ? half : 0.0) + half / 2);
-        }
-        lo += half;
-        size = half;
-    }
-    for (int k = 0; k < 70; ++k)
-    {
-        double t = lo + (k + 0.5) / 70 * size;
-        c.x.push_back(t);
-        c.y.push_back(t);
-        c.z.push_back(t);
-    }
-    c.h.assign(c.x.size(), 1.0);
-    return c;
-}
 
 std::set<std::uint32_t> neighborSet(const NeighborList<double>& nl, std::size_t i)
 {
@@ -548,11 +517,11 @@ TEST(DeepestTree, NeighborWalksMatchBruteForce)
     ASSERT_EQ(tree.node(0).nChildren, 8);
 
     NeighborList<double> brute(n, 256), walk(n, 256), individual(n, 256), clustered(n, 256);
-    findNeighborsBruteForce<double>(c.x, c.y, c.z, c.h, box, brute);
-    findNeighborsGlobal(tree, c.x, c.y, c.z, c.h, walk);
+    oracle::findNeighborsBruteForce<double>(c.x, c.y, c.z, c.h, box, brute);
+    oracle::findNeighborsGlobal(tree, c.x, c.y, c.z, c.h, walk);
     std::vector<std::size_t> all(n);
     std::iota(all.begin(), all.end(), std::size_t(0));
-    findNeighborsIndividual(tree, c.x, c.y, c.z, c.h, all, individual);
+    oracle::findNeighborsIndividual(tree, c.x, c.y, c.z, c.h, all, individual);
     ClusterWorkspace<double> ws;
     findNeighborsClustered(tree, c.x, c.y, c.z, c.h, clustered, ws, kClusterSize);
 
@@ -612,7 +581,7 @@ TEST(NeighborList, OverflowDetected)
     Octree<double> tree;
     tree.build(c.x, c.y, c.z, box);
     NeighborList<double> nl(c.x.size(), 8);
-    findNeighborsGlobal(tree, c.x, c.y, c.z, c.h, nl);
+    oracle::findNeighborsGlobal(tree, c.x, c.y, c.z, c.h, nl);
     EXPECT_GT(nl.overflowCount(), 0u);
     for (std::size_t i = 0; i < c.x.size(); ++i)
     {
@@ -658,7 +627,7 @@ TEST(NeighborList, TotalNeighborsConsistent)
     Octree<double> tree;
     tree.build(c.x, c.y, c.z, box);
     NeighborList<double> nl(c.x.size(), 256);
-    findNeighborsGlobal(tree, c.x, c.y, c.z, c.h, nl);
+    oracle::findNeighborsGlobal(tree, c.x, c.y, c.z, c.h, nl);
 
     std::size_t total = 0;
     for (std::size_t i = 0; i < c.x.size(); ++i)
