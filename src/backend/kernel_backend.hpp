@@ -17,7 +17,10 @@
 ///    table (tolerance-gated in tests/test_backend.cpp).
 ///  - Scalar: the 1-lane instance, bitwise identical to the seed solver's
 ///    per-pair loops (kept as the oracle in tests/backend_oracle.hpp): the
-///    exact-Sinc reference and the only path of a TabulatedKernel.
+///    exact-Sinc reference.
+///
+/// For the closed-form kernels both evaluators compute each pair's f and f'
+/// with the one closedFormShape of sph/kernels.hpp, bitwise alike.
 ///
 /// The selection is a SimulationConfig field plumbed by the drivers through
 /// StepContext into the PipelineFactory phase ops; standalone callers of
@@ -25,7 +28,6 @@
 
 #include <cstddef>
 #include <span>
-#include <type_traits>
 
 #include "backend/lane_kernel.hpp"
 #include "backend/simd_tile.hpp"
@@ -60,12 +62,10 @@ namespace backend {
 /// The dispatch block of every phase shell: calls
 /// fn(lanes, wrap, i, nl.row(i), worker) for each particle i of \p active
 /// (all \p n particles when empty) under \p policy. lanes is the evaluator
-/// \p be selects: LaneKernel for Simd, ScalarLane otherwise. Lane
-/// evaluation covers the analytic Kernel only, so other kernel types
-/// (TabulatedKernel) always run the 1-lane instance.
-template<class T, class KernelT, class Fn>
+/// \p be selects: LaneKernel for Simd, ScalarLane otherwise.
+template<class T, class Fn>
 void forEachRow(std::size_t n, std::span<const std::size_t> active, const NeighborList<T>& nl,
-                const KernelT& kernel, const Box<T>& box, const LoopPolicy& policy,
+                const Kernel<T>& kernel, const Box<T>& box, const LoopPolicy& policy,
                 const ComputeBackend<T>& be, Fn&& fn)
 {
     const PeriodicWrap<T> wrap(box);
@@ -78,18 +78,12 @@ void forEachRow(std::size_t n, std::span<const std::size_t> active, const Neighb
             },
             policy);
     };
-    if constexpr (std::is_same_v<KernelT, Kernel<T>>)
-    {
-        if (be.kind == KernelBackend::Simd)
-        {
-            if (be.lanes)
-                run(*be.lanes);
-            else
-                run(LaneKernel<T>(kernel));
-            return;
-        }
-    }
-    run(ScalarLane<T, KernelT>(kernel));
+    if (be.kind == KernelBackend::Scalar)
+        run(ScalarLane<T>(kernel));
+    else if (be.lanes)
+        run(*be.lanes);
+    else
+        run(LaneKernel<T>(kernel));
 }
 
 } // namespace backend

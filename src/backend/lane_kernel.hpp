@@ -5,16 +5,15 @@
 /// and f'(q) over one tile, whose `width` sets the kernels' lane count.
 /// LaneKernel (width kLaneWidth, the shipped Simd backend) is branch-free
 /// across lanes; ScalarLane (width 1, the Scalar reference) calls
-/// KernelT::fq/dfq, so Sinc stays exact and any kernel type works. Both
-/// offer f-only, df-only and f+df calls, so no phase evaluates a shape
-/// function it discards.
+/// Kernel::fq/dfq, so Sinc stays exact. Both offer f-only, df-only and
+/// f+df calls, so no phase evaluates a shape function it discards.
 ///
-/// LaneKernel's closed-form families (spline, Wendland, spiky) replicate
-/// the exact FP expression sequence of Kernel<T>::fq/dfq (sph/kernels.hpp)
-/// with the piecewise branches turned into selects: a lane's value is
-/// bitwise the value the Scalar path computes for the same pair, so
-/// Simd-vs-Scalar differences for these kernels come from neighbor-sum
-/// re-association alone (tight tolerance gates in tests/test_backend.cpp).
+/// LaneKernel's closed-form families (spline, Wendland, spiky) run one lane
+/// loop over closedFormShape (sph/kernels.hpp), the function Kernel::fq/dfq
+/// call too: a lane's value is bitwise the value the Scalar path computes
+/// for the same pair, so Simd-vs-Scalar differences for these kernels come
+/// from neighbor-sum re-association alone (tight tolerance gates in
+/// tests/test_backend.cpp).
 ///
 /// The sinc family has no branch-free closed form (std::pow of a
 /// transcendental per pair — also the Scalar path's dominant cost); the
@@ -40,13 +39,13 @@ namespace sphexa {
 
 /// The 1-lane evaluator of the Scalar backend: a view of the kernel whose
 /// calls are the kernel's own fq/dfq.
-template<class T, class KernelT>
+template<class T>
 class ScalarLane
 {
 public:
     static constexpr std::size_t width = 1;
 
-    explicit ScalarLane(const KernelT& kernel) : kernel_(kernel) {}
+    explicit ScalarLane(const Kernel<T>& kernel) : kernel_(kernel) {}
 
     void fdf(T q, T& f, T& df) const
     {
@@ -58,7 +57,7 @@ public:
     void fdf(const T (&q)[1], T (&f)[1], T (&df)[1]) const { fdf(q[0], f[0], df[0]); }
 
 private:
-    const KernelT& kernel_;
+    const Kernel<T>& kernel_;
 };
 
 /// The kLaneWidth evaluator of the Simd backend: immutable, cheap to share
@@ -107,14 +106,15 @@ public:
 
 private:
     /// Writes f only if F, df only if DF; the shape function a call does not
-    /// store is dead code the compiler drops.
+    /// store is dead code the compiler drops. A closed-form lane is sigma
+    /// times closedFormShape, an exact zero at q >= 2, as Kernel::fq/dfq.
     template<bool F, bool DF>
     void shape(const Tile& q, Tile& f, Tile& df) const
     {
         constexpr std::size_t W = width;
-        auto put = [&](std::size_t l, T qq, T fr, T dr) {
-            if constexpr (F) f[l] = qq >= T(2) ? T(0) : sigma_ * fr;
-            if constexpr (DF) df[l] = qq >= T(2) ? T(0) : sigma_ * dr;
+        auto put = [&](std::size_t l, ShapeTerms<T> s) {
+            if constexpr (F) f[l] = q[l] >= T(2) ? T(0) : sigma_ * s.f;
+            if constexpr (DF) df[l] = q[l] >= T(2) ? T(0) : sigma_ * s.df;
         };
         switch (type_)
         {
@@ -127,54 +127,23 @@ private:
                 break;
             case KernelType::CubicSpline:
                 for (std::size_t l = 0; l < W; ++l)
-                {
-                    T qq = q[l];
-                    T t  = T(2) - qq;
-                    T fi = T(1) - T(1.5) * qq * qq + T(0.75) * qq * qq * qq;
-                    T fo = T(0.25) * t * t * t;
-                    T di = -T(3) * qq + T(2.25) * qq * qq;
-                    T dq = -T(0.75) * t * t;
-                    put(l, qq, qq < T(1) ? fi : fo, qq < T(1) ? di : dq);
-                }
+                    put(l, closedFormShape<KernelType::CubicSpline>(q[l]));
                 break;
             case KernelType::WendlandC2:
                 for (std::size_t l = 0; l < W; ++l)
-                {
-                    T qq = q[l];
-                    T t  = T(1) - qq / 2;
-                    T t2 = t * t;
-                    put(l, qq, t2 * t2 * (T(2) * qq + T(1)), -T(5) * qq * t * t * t);
-                }
+                    put(l, closedFormShape<KernelType::WendlandC2>(q[l]));
                 break;
             case KernelType::WendlandC4:
                 for (std::size_t l = 0; l < W; ++l)
-                {
-                    T qq = q[l];
-                    T t  = T(1) - qq / 2;
-                    T t2 = t * t;
-                    put(l, qq, t2 * t2 * t2 * ((T(35) / 12) * qq * qq + T(3) * qq + T(1)),
-                        -(T(7) / 3) * qq * (T(5) * qq + T(2)) * t2 * t2 * t);
-                }
+                    put(l, closedFormShape<KernelType::WendlandC4>(q[l]));
                 break;
             case KernelType::WendlandC6:
                 for (std::size_t l = 0; l < W; ++l)
-                {
-                    T qq = q[l];
-                    T t  = T(1) - qq / 2;
-                    T t2 = t * t;
-                    T t4 = t2 * t2;
-                    put(l, qq,
-                        t4 * t4 * (T(4) * qq * qq * qq + (T(25) / 4) * qq * qq + T(4) * qq + T(1)),
-                        -(T(11) / 4) * qq * (T(8) * qq * qq + T(7) * qq + T(2)) * t4 * t2 * t);
-                }
+                    put(l, closedFormShape<KernelType::WendlandC6>(q[l]));
                 break;
             case KernelType::DebrunSpiky:
                 for (std::size_t l = 0; l < W; ++l)
-                {
-                    T qq = q[l];
-                    T t  = T(2) - qq;
-                    put(l, qq, t * t * t, -T(3) * t * t);
-                }
+                    put(l, closedFormShape<KernelType::DebrunSpiky>(q[l]));
                 break;
         }
     }

@@ -59,9 +59,13 @@ private:
 
 namespace detail {
 
+// Both skip memcpy for n == 0: the data() of an empty vector may be null,
+// and memcpy must not be passed a null pointer even for zero bytes.
+
 template<class T>
 void appendRaw(std::vector<std::byte>& buf, const T* data, std::size_t n)
 {
+    if (n == 0) return;
     std::size_t off = buf.size();
     buf.resize(off + n * sizeof(T));
     std::memcpy(buf.data() + off, data, n * sizeof(T));
@@ -75,6 +79,7 @@ void readRaw(const std::vector<std::byte>& buf, std::size_t& cursor, T* data,
     {
         throw std::runtime_error("deserialize: truncated buffer");
     }
+    if (n == 0) return;
     std::memcpy(data, buf.data() + cursor, n * sizeof(T));
     cursor += n * sizeof(T);
 }
@@ -129,14 +134,21 @@ DeserializeResult<T> deserialize(const std::vector<std::byte>& buf)
     out.step = header[4];
     detail::readRaw(buf, cursor, &out.time, 1);
 
+    // check both counts against the payload before anything is allocated:
+    // a corrupt count must throw here, not size the particle vectors
+    const std::size_t fieldCount = ParticleSet<T>::realFieldNames().size();
+    if (header[3] != fieldCount) throw std::runtime_error("deserialize: field count mismatch");
+    const std::size_t perParticle = fieldCount * sizeof(T) + sizeof(out.particles.id[0]) +
+                                    sizeof(out.particles.nc[0]) + sizeof(out.particles.bin[0]);
+    const std::size_t payload = buf.size() - cursor;
+    if (header[2] > payload / perParticle || header[2] * perParticle != payload)
+    {
+        throw std::runtime_error("deserialize: particle count does not match the payload");
+    }
+
     std::size_t n = header[2];
     out.particles.resize(n);
-    auto fields = out.particles.realFields();
-    if (fields.size() != header[3])
-    {
-        throw std::runtime_error("deserialize: field count mismatch");
-    }
-    for (auto* f : fields)
+    for (auto* f : out.particles.realFields())
     {
         detail::readRaw(buf, cursor, f->data(), n);
     }

@@ -169,7 +169,7 @@ public:
                 int pos = int(iv.t0 / tEnd * width);
                 if (pos >= 0 && pos < width && header[pos] == ' ')
                 {
-                    header[pos] = "ABCDEFGHIJ"[int(iv.phase)];
+                    header[pos] = phaseName(iv.phase)[0];
                 }
             }
         }

@@ -71,8 +71,8 @@ void computeVolumeElementWeights(ParticleSet<T>& ps, VolumeElements ve, T expone
 ///
 /// Reads x/y/z, h, m, xmass and the neighbor lists; writes kx-based volume
 /// vol, density rho and the grad-h term gradh (Omega_a).
-template<class T, class KernelT>
-void computeDensity(ParticleSet<T>& ps, const NeighborList<T>& nl, const KernelT& kernel,
+template<class T>
+void computeDensity(ParticleSet<T>& ps, const NeighborList<T>& nl, const Kernel<T>& kernel,
                     const Box<T>& box,
                     std::type_identity_t<std::span<const std::size_t>> active = {},
                     const LoopPolicy& policy = {}, const ComputeBackend<T>& be = {})

@@ -28,8 +28,8 @@ namespace sphexa {
 /// coefficients to be up to date. A shell over backend::divCurlParticle,
 /// run by the backend \p be selects (Scalar when defaulted; see
 /// backend/kernel_backend.hpp).
-template<class T, class KernelT>
-void computeDivCurl(ParticleSet<T>& ps, const NeighborList<T>& nl, const KernelT& kernel,
+template<class T>
+void computeDivCurl(ParticleSet<T>& ps, const NeighborList<T>& nl, const Kernel<T>& kernel,
                     const Box<T>& box, GradientMode mode,
                     std::type_identity_t<std::span<const std::size_t>> active = {},
                     const LoopPolicy& policy = {}, const ComputeBackend<T>& be = {})

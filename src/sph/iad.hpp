@@ -43,9 +43,9 @@ constexpr std::string_view gradientModeName(GradientMode g)
 /// particles; stores the 6 independent components in c11..c33. A shell
 /// over backend::iadParticle, run by the backend \p be selects (Scalar
 /// when defaulted; see backend/kernel_backend.hpp).
-template<class T, class KernelT>
+template<class T>
 void computeIadCoefficients(ParticleSet<T>& ps, const NeighborList<T>& nl,
-                            const KernelT& kernel, const Box<T>& box,
+                            const Kernel<T>& kernel, const Box<T>& box,
                             std::type_identity_t<std::span<const std::size_t>> active = {},
                             const LoopPolicy& policy = {}, const ComputeBackend<T>& be = {})
 {
@@ -58,9 +58,9 @@ void computeIadCoefficients(ParticleSet<T>& ps, const NeighborList<T>& nl,
 
 /// IAD kernel-gradient replacement A_ab(h_a) = C(a) . (r_b - r_a) W_ab(h_a).
 /// \p rba must be the minimum-image vector r_b - r_a.
-template<class T, class KernelT>
+template<class T>
 Vec3<T> iadGradient(const ParticleSet<T>& ps, std::size_t i, const Vec3<T>& rba, T r,
-                    const KernelT& kernel)
+                    const Kernel<T>& kernel)
 {
     T w = kernel.value(r, ps.h[i]);
     SymMat3<T> c{ps.c11[i], ps.c12[i], ps.c13[i], ps.c22[i], ps.c23[i], ps.c33[i]};
@@ -70,9 +70,9 @@ Vec3<T> iadGradient(const ParticleSet<T>& ps, std::size_t i, const Vec3<T>& rba,
 /// Estimate the gradient of an arbitrary per-particle scalar field with IAD:
 ///     grad f(a) = sum_b V_b (f_b - f_a) A_ab.
 /// Used by tests (linear-field exactness) and by the gradients ablation.
-template<class T, class KernelT>
+template<class T>
 Vec3<T> iadScalarGradient(const ParticleSet<T>& ps, const NeighborList<T>& nl,
-                          const KernelT& kernel, const Box<T>& box,
+                          const Kernel<T>& kernel, const Box<T>& box,
                           std::span<const T> field, std::size_t i)
 {
     Vec3<T> pi{ps.x[i], ps.y[i], ps.z[i]};
@@ -89,9 +89,9 @@ Vec3<T> iadScalarGradient(const ParticleSet<T>& ps, const NeighborList<T>& nl,
 
 /// Kernel-derivative estimate of the same scalar gradient, for comparison:
 ///     grad f(a) = sum_b V_b (f_b - f_a) grad_a W_ab.
-template<class T, class KernelT>
+template<class T>
 Vec3<T> kernelDerivativeScalarGradient(const ParticleSet<T>& ps, const NeighborList<T>& nl,
-                                       const KernelT& kernel, const Box<T>& box,
+                                       const Kernel<T>& kernel, const Box<T>& box,
                                        std::span<const T> field, std::size_t i)
 {
     Vec3<T> pi{ps.x[i], ps.y[i], ps.z[i]};

@@ -19,6 +19,13 @@
 ///     dW/dr        = sigma / h^4 * f'(q)
 ///     dW/dh        = -sigma / h^4 * (3 f(q) + q f'(q))     (grad-h term)
 ///
+/// Each closed-form family (M4, Wendland C2/C4/C6, Debrun spiky) is written
+/// once, in closedFormShape. Kernel::fq/dfq call it, and so do the lane
+/// loops of LaneKernel (backend/lane_kernel.hpp), so the Scalar and Simd
+/// backends evaluate the same expressions and agree bitwise by
+/// construction. Only the sinc family is evaluated differently by the two:
+/// pow/sin here, lookup tables in LaneKernel.
+///
 /// The sinc normalization has no closed form for arbitrary exponent n; it is
 /// computed at construction by adaptive quadrature (math/quadrature.hpp).
 
@@ -27,9 +34,7 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "math/lookup_table.hpp"
 #include "math/quadrature.hpp"
-#include "math/vec.hpp"
 
 namespace sphexa {
 
@@ -55,6 +60,63 @@ constexpr std::string_view kernelName(KernelType k)
         case KernelType::DebrunSpiky: return "Debrun spiky";
     }
     return "?";
+}
+
+/// Un-normalized shape f(q) and its derivative f'(q) at one q.
+template<class T>
+struct ShapeTerms
+{
+    T f;
+    T df;
+};
+
+/// f(q) and f'(q) of the closed-form family K, un-normalized and without
+/// the support cut (callers zero q >= 2). Branch-free: the M4 spline
+/// evaluates both pieces and selects one, so a lane loop over it
+/// vectorizes; a caller that reads only f or f' lets the compiler drop the
+/// other.
+template<KernelType K, class T>
+constexpr ShapeTerms<T> closedFormShape(T q)
+{
+    static_assert(K != KernelType::Sinc, "the sinc family has no closed form");
+    if constexpr (K == KernelType::CubicSpline)
+    {
+        T t  = T(2) - q;
+        T fi = T(1) - T(1.5) * q * q + T(0.75) * q * q * q;
+        T fo = T(0.25) * t * t * t;
+        T di = -T(3) * q + T(2.25) * q * q;
+        T dq = -T(0.75) * t * t;
+        return {q < T(1) ? fi : fo, q < T(1) ? di : dq};
+    }
+    else if constexpr (K == KernelType::WendlandC2)
+    {
+        T t  = T(1) - q / 2;
+        T t2 = t * t;
+        return {t2 * t2 * (T(2) * q + T(1)), -T(5) * q * t * t * t};
+    }
+    else if constexpr (K == KernelType::WendlandC4)
+    {
+        T t  = T(1) - q / 2;
+        T t2 = t * t;
+        return {t2 * t2 * t2 * ((T(35) / 12) * q * q + T(3) * q + T(1)),
+                -(T(7) / 3) * q * (T(5) * q + T(2)) * t2 * t2 * t};
+    }
+    else if constexpr (K == KernelType::WendlandC6)
+    {
+        T t  = T(1) - q / 2;
+        T t2 = t * t;
+        T t4 = t2 * t2;
+        return {t4 * t4 * (T(4) * q * q * q + (T(25) / 4) * q * q + T(4) * q + T(1)),
+                -(T(11) / 4) * q * (T(8) * q * q + T(7) * q + T(2)) * t4 * t2 * t};
+    }
+    else
+    {
+        static_assert(K == KernelType::DebrunSpiky);
+        // f'(0) = -12: the spiky gradient stays finite and nonzero at the
+        // origin instead of vanishing like the spline family
+        T t = T(2) - q;
+        return {t * t * t, -T(3) * t * t};
+    }
 }
 
 /// A 3D-normalized compact-support SPH kernel.
@@ -133,92 +195,38 @@ private:
     /// Un-normalized shape.
     T fqRaw(T q) const
     {
-        switch (type_)
-        {
-            case KernelType::Sinc:
-            {
-                return std::pow(sinc(std::numbers::pi_v<T> / 2 * q), n_);
-            }
-            case KernelType::CubicSpline:
-            {
-                if (q < T(1)) return T(1) - T(1.5) * q * q + T(0.75) * q * q * q;
-                T t = T(2) - q;
-                return T(0.25) * t * t * t;
-            }
-            case KernelType::WendlandC2:
-            {
-                T t = T(1) - q / 2;
-                T t2 = t * t;
-                return t2 * t2 * (T(2) * q + T(1));
-            }
-            case KernelType::WendlandC4:
-            {
-                T t = T(1) - q / 2;
-                T t2 = t * t;
-                return t2 * t2 * t2 * ((T(35) / 12) * q * q + T(3) * q + T(1));
-            }
-            case KernelType::WendlandC6:
-            {
-                T t = T(1) - q / 2;
-                T t2 = t * t;
-                T t4 = t2 * t2;
-                return t4 * t4 * (T(4) * q * q * q + (T(25) / 4) * q * q + T(4) * q + T(1));
-            }
-            case KernelType::DebrunSpiky:
-            {
-                T t = T(2) - q;
-                return t * t * t;
-            }
-        }
-        return T(0);
+        if (type_ == KernelType::Sinc)
+            return std::pow(sinc(std::numbers::pi_v<T> / 2 * q), n_);
+        return closedForm(q).f;
     }
 
     /// Un-normalized derivative d f / d q.
     T dfqRaw(T q) const
     {
+        if (type_ == KernelType::Sinc)
+        {
+            constexpr T halfPi = std::numbers::pi_v<T> / 2;
+            T x = halfPi * q;
+            T s = sinc(x);
+            // d/dq [S(x)^n] = n S^{n-1} S'(x) * halfPi
+            return n_ * std::pow(s, n_ - T(1)) * dsinc(x) * halfPi;
+        }
+        return closedForm(q).df;
+    }
+
+    /// closedFormShape of this kernel's family (any type but Sinc).
+    ShapeTerms<T> closedForm(T q) const
+    {
         switch (type_)
         {
-            case KernelType::Sinc:
-            {
-                constexpr T halfPi = std::numbers::pi_v<T> / 2;
-                T x = halfPi * q;
-                T s = sinc(x);
-                // d/dq [S(x)^n] = n S^{n-1} S'(x) * halfPi
-                return n_ * std::pow(s, n_ - T(1)) * dsinc(x) * halfPi;
-            }
-            case KernelType::CubicSpline:
-            {
-                if (q < T(1)) return -T(3) * q + T(2.25) * q * q;
-                T t = T(2) - q;
-                return -T(0.75) * t * t;
-            }
-            case KernelType::WendlandC2:
-            {
-                T t = T(1) - q / 2;
-                return -T(5) * q * t * t * t;
-            }
-            case KernelType::WendlandC4:
-            {
-                T t  = T(1) - q / 2;
-                T t2 = t * t;
-                return -(T(7) / 3) * q * (T(5) * q + T(2)) * t2 * t2 * t;
-            }
-            case KernelType::WendlandC6:
-            {
-                T t  = T(1) - q / 2;
-                T t2 = t * t;
-                T t4 = t2 * t2;
-                return -(T(11) / 4) * q * (T(8) * q * q + T(7) * q + T(2)) * t4 * t2 * t;
-            }
-            case KernelType::DebrunSpiky:
-            {
-                // f'(0) = -12: the spiky gradient stays finite and nonzero
-                // at the origin instead of vanishing like the spline family
-                T t = T(2) - q;
-                return -T(3) * t * t;
-            }
+            case KernelType::CubicSpline: return closedFormShape<KernelType::CubicSpline>(q);
+            case KernelType::WendlandC2: return closedFormShape<KernelType::WendlandC2>(q);
+            case KernelType::WendlandC4: return closedFormShape<KernelType::WendlandC4>(q);
+            case KernelType::WendlandC6: return closedFormShape<KernelType::WendlandC6>(q);
+            case KernelType::DebrunSpiky: return closedFormShape<KernelType::DebrunSpiky>(q);
+            case KernelType::Sinc: break; // unreachable; fqRaw/dfqRaw handle sinc
         }
-        return T(0);
+        return {T(0), T(0)};
     }
 
     /// sinc(x) = sin(x)/x with the removable singularity handled by series.
@@ -247,99 +255,5 @@ private:
     T n_;
     T sigma_{};
 };
-
-/// Table-accelerated kernel: SPHYNX-style lookup of f(q) and f'(q).
-///
-/// Density/momentum loops can use this drop-in to avoid transcendental
-/// evaluation of the sinc kernel; accuracy is controlled by table size.
-template<class T>
-class TabulatedKernel
-{
-public:
-    explicit TabulatedKernel(const Kernel<T>& kernel, std::size_t tableSize = 20000)
-        : fTable_([&](T q) { return kernel.fq(q); }, T(0), Kernel<T>::supportRadius, tableSize)
-        , dfTable_([&](T q) { return kernel.dfq(q); }, T(0), Kernel<T>::supportRadius, tableSize)
-        , type_(kernel.type())
-    {
-    }
-
-    KernelType type() const { return type_; }
-
-    T fq(T q) const { return q >= Kernel<T>::supportRadius ? T(0) : fTable_(q); }
-    T dfq(T q) const { return q >= Kernel<T>::supportRadius ? T(0) : dfTable_(q); }
-
-    T value(T r, T h) const { return fq(r / h) / (h * h * h); }
-    T derivative(T r, T h) const { return dfq(r / h) / (h * h * h * h); }
-    T dh(T r, T h) const
-    {
-        T q = r / h;
-        return -(T(3) * fq(q) + q * dfq(q)) / (h * h * h * h);
-    }
-
-private:
-    LookupTable<T> fTable_;
-    LookupTable<T> dfTable_;
-    KernelType type_;
-};
-
-// --- Debrun spiky closed forms ----------------------------------------------
-//
-// The WCSPH pressure kernel as standalone (r, h) functions: W, dW/dr, the
-// radial gradient vector, and the Laplacian nabla^2 W that weakly-
-// compressible viscosity operators use. Equivalent to
-// Kernel<T>(KernelType::DebrunSpiky) but without constructing a kernel, and
-// defined (as zero) for negative r so boundary-distance arithmetic can call
-// them unguarded.
-
-/// 3D spiky normalization sigma = 15/(64 pi) (support radius 2h).
-template<class T>
-constexpr T debrunSpikySigma()
-{
-    return T(15) / (T(64) * std::numbers::pi_v<T>);
-}
-
-/// W(r, h) = sigma/h^3 (2 - r/h)^3 for 0 <= r < 2h, else 0.
-template<class T>
-T debrunSpikyKernel(T r, T h)
-{
-    T q = r / h;
-    if (q < T(0) || q >= T(2)) return T(0);
-    T t = T(2) - q;
-    return debrunSpikySigma<T>() * t * t * t / (h * h * h);
-}
-
-/// dW/dr = -3 sigma/h^4 (2 - r/h)^2: finite and nonzero at r = 0 (the
-/// defining spiky property — spline-family gradients vanish there).
-template<class T>
-T debrunSpikyDwdr(T r, T h)
-{
-    T q = r / h;
-    if (q < T(0) || q >= T(2)) return T(0);
-    T t = T(2) - q;
-    return -T(3) * debrunSpikySigma<T>() * t * t / (h * h * h * h);
-}
-
-/// Gradient vector: d/|d| * dW/dr for separation d (zero at zero distance).
-template<class T>
-Vec3<T> debrunSpikyGradient(const Vec3<T>& d, T h)
-{
-    T r = std::sqrt(norm2(d));
-    if (r <= T(0)) return {T(0), T(0), T(0)};
-    T scale = debrunSpikyDwdr(r, h) / r;
-    return {d.x * scale, d.y * scale, d.z * scale};
-}
-
-/// Radial Laplacian nabla^2 W = sigma/h^5 (f''(q) + 2 f'(q)/q)
-///                            = 12 sigma/h^5 (2 - q)(q - 1)/q.
-/// Singular (-> -inf) as r -> 0, like the classic spiky Laplacian; callers
-/// evaluate it at finite pair separations only.
-template<class T>
-T debrunSpikyLaplacian(T r, T h)
-{
-    T q = r / h;
-    if (q <= T(0) || q >= T(2)) return T(0);
-    T t = T(2) - q;
-    return T(12) * debrunSpikySigma<T>() * t * (q - T(1)) / (q * h * h * h * h * h);
-}
 
 } // namespace sphexa

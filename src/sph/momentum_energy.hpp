@@ -40,9 +40,9 @@ namespace sphexa {
 /// ArtificialViscosity and MomentumEnergyStats), run by the backend \p be
 /// selects (Scalar when defaulted; see backend/kernel_backend.hpp). The
 /// shell owns the cross-particle vsig max reduction.
-template<class T, class KernelT>
+template<class T>
 MomentumEnergyStats<T> computeMomentumEnergy(ParticleSet<T>& ps, const NeighborList<T>& nl,
-                                             const KernelT& kernel, const Box<T>& box,
+                                             const Kernel<T>& kernel, const Box<T>& box,
                                              GradientMode mode,
                                              const ArtificialViscosity<T>& av = {},
                                              std::type_identity_t<std::span<const std::size_t>> active = {},

@@ -114,7 +114,13 @@ public:
         nodes_.clear();
         nodes_.reserve(2 * n_ / std::max(1u, params.leafSize) + 64);
         nodes_.push_back(Node{{}, {}, 0, Index(n_), 0, 0, 0});
-        if (n_ > params.leafSize) buildChildren(0, 0, Index(n_), 0, 0);
+        if (n_ > params.leafSize)
+        {
+            if (params.parallelBuild)
+                buildParallel();
+            else
+                buildBelow(nodes_, 0, 0);
+        }
 
         computeAabbs(x, y, z);
     }
@@ -151,106 +157,35 @@ public:
     }
 
 private:
-    void buildChildren(Index nodeIdx, Index first, Index last, KeyType keyBase, int depth)
+    /// A node still to be split: its index and the SFC key its octant
+    /// starts at.
+    struct Pending
     {
+        Index   node;
+        KeyType base;
+    };
+
+    /// The children of one split that still need splitting: more than
+    /// leafSize particles, less than maxDepth deep.
+    struct Split
+    {
+        Pending child[8];
+        int     count = 0;
+    };
+
+    /// Split out[nodeIdx] into its non-empty octants: appends them to \p out
+    /// as consecutive nodes, links the parent to them, and returns those
+    /// that need splitting further. \p keyBase is the node's first key.
+    Split splitNode(std::vector<Node>& out, Index nodeIdx, KeyType keyBase) const
+    {
+        const Index first = out[nodeIdx].first;
+        const Index last  = first + out[nodeIdx].count;
+        const int   depth = out[nodeIdx].depth;
         // Key width of one child octant at this depth.
         KeyType childWidth = KeyType(1) << (3 * (maxDepth - depth - 1));
 
-        Index childStart = Index(nodes_.size());
-        struct Pending
-        {
-            Index   node;
-            Index   first, last;
-            KeyType base;
-        };
-        Pending pending[8];
-        int nPending = 0;
-
-        Index segFirst = first;
-        for (int c = 0; c < 8; ++c)
-        {
-            KeyType upper = keyBase + KeyType(c + 1) * childWidth;
-            Index segLast;
-            if (c == 7) { segLast = last; }
-            else
-            {
-                auto it = std::lower_bound(sortedKeys_.begin() + segFirst,
-                                           sortedKeys_.begin() + last, upper);
-                segLast = Index(it - sortedKeys_.begin());
-            }
-            if (segLast > segFirst)
-            {
-                Node child;
-                child.first = segFirst;
-                child.count = segLast - segFirst;
-                child.depth = std::uint8_t(depth + 1);
-                Index childIdx = Index(nodes_.size());
-                nodes_.push_back(child);
-                if (child.count > params_.leafSize && depth + 1 < maxDepth)
-                {
-                    pending[nPending++] = {childIdx, segFirst, segLast,
-                                           keyBase + KeyType(c) * childWidth};
-                }
-            }
-            segFirst = segLast;
-        }
-
-        nodes_[nodeIdx].child     = childStart;
-        nodes_[nodeIdx].nChildren = std::uint8_t(nodes_.size() - childStart);
-
-        if (params_.parallelBuild && depth < 3)
-        {
-            // Shallow levels: spawn tasks; nodes_ is pre-sized per child via
-            // sequential splitting above, so only subtree vectors grow.
-            // Recursion below depth 3 is sequential inside each task.
-            // NOTE: nodes_ reallocation is not thread-safe; tasks therefore
-            // build into private subtrees that are spliced afterwards.
-            std::vector<std::vector<Node>> subtrees(nPending);
-            LoopPolicy taskPolicy;
-            taskPolicy.strategy = SchedulingStrategy::SelfScheduling; // 1 subtree per chunk
-            parallelFor(std::size_t(nPending), [&](std::size_t i, std::size_t) {
-                subtrees[i] = buildSubtree(pending[i].first, pending[i].last,
-                                           pending[i].base, depth + 1);
-            }, taskPolicy);
-            for (int i = 0; i < nPending; ++i)
-            {
-                spliceSubtree(pending[i].node, subtrees[i]);
-            }
-        }
-        else
-        {
-            for (int i = 0; i < nPending; ++i)
-            {
-                buildChildren(pending[i].node, pending[i].first, pending[i].last,
-                              pending[i].base, depth + 1);
-            }
-        }
-    }
-
-    /// Build a detached subtree (children of the given range) with node
-    /// indices relative to the subtree vector; index 0 is a placeholder root.
-    std::vector<Node> buildSubtree(Index first, Index last, KeyType keyBase, int depth)
-    {
-        std::vector<Node> out;
-        out.push_back(Node{{}, {}, first, last - first, 0, 0, std::uint8_t(depth)});
-        buildSubtreeRec(out, 0, first, last, keyBase, depth);
-        return out;
-    }
-
-    void buildSubtreeRec(std::vector<Node>& out, Index nodeIdx, Index first, Index last,
-                         KeyType keyBase, int depth)
-    {
-        KeyType childWidth = KeyType(1) << (3 * (maxDepth - depth - 1));
         Index childStart = Index(out.size());
-        struct Pending
-        {
-            Index   node;
-            Index   first, last;
-            KeyType base;
-        };
-        Pending pending[8];
-        int nPending = 0;
-
+        Split split;
         Index segFirst = first;
         for (int c = 0; c < 8; ++c)
         {
@@ -273,18 +208,44 @@ private:
                 out.push_back(child);
                 if (child.count > params_.leafSize && depth + 1 < maxDepth)
                 {
-                    pending[nPending++] = {childIdx, segFirst, segLast,
-                                           keyBase + KeyType(c) * childWidth};
+                    split.child[split.count++] = {childIdx, keyBase + KeyType(c) * childWidth};
                 }
             }
             segFirst = segLast;
         }
         out[nodeIdx].child     = childStart;
         out[nodeIdx].nChildren = std::uint8_t(out.size() - childStart);
-        for (int i = 0; i < nPending; ++i)
+        return split;
+    }
+
+    /// Depth-first serial build of the subtree below out[nodeIdx]: every
+    /// node's children are consecutive, and each child's subtree follows
+    /// its siblings in octant order.
+    void buildBelow(std::vector<Node>& out, Index nodeIdx, KeyType keyBase) const
+    {
+        Split split = splitNode(out, nodeIdx, keyBase);
+        for (int i = 0; i < split.count; ++i)
+            buildBelow(out, split.child[i].node, split.child[i].base);
+    }
+
+    /// Task-parallel build: split the root, build each root child's subtree
+    /// into its own vector (nodes_ must not reallocate under concurrent
+    /// writers), then splice the subtrees in octant order, which gives the
+    /// serial build's node array.
+    void buildParallel()
+    {
+        Split split = splitNode(nodes_, 0, 0);
+        std::vector<std::vector<Node>> subtrees(split.count);
+        LoopPolicy taskPolicy;
+        taskPolicy.strategy = SchedulingStrategy::SelfScheduling; // 1 subtree per chunk
+        parallelFor(std::size_t(split.count), [&](std::size_t i, std::size_t) {
+            // index 0 is a placeholder copy of the subtree's root
+            subtrees[i] = {nodes_[split.child[i].node]};
+            buildBelow(subtrees[i], 0, split.child[i].base);
+        }, taskPolicy);
+        for (int i = 0; i < split.count; ++i)
         {
-            buildSubtreeRec(out, pending[i].node, pending[i].first, pending[i].last,
-                            pending[i].base, depth + 1);
+            spliceSubtree(split.child[i].node, subtrees[i]);
         }
     }
 

@@ -178,9 +178,8 @@ const std::pair<const char*, std::vector<double> ParticleSetD::*> kPhaseOutputs[
 /// Phases E-H from \p start through the Scalar shells and through the seed
 /// loops (backend_oracle.hpp): every field they write must match bitwise,
 /// maxVsignal included.
-template<class KernelT>
 void expectScalarMatchesOracle(const ParticleSetD& start, const NeighborList<double>& nl,
-                               const KernelT& kernel, const Box<double>& box,
+                               const Kernel<double>& kernel, const Box<double>& box,
                                GradientMode mode, std::span<const std::size_t> active = {})
 {
     auto scalar = start;
@@ -284,16 +283,12 @@ TEST(LaneKernel, NaNLaneStaysNaNAndLeavesOtherLanesUnchanged)
 
 TEST(LaneKernel, SincTableOfFewerThanTwoSamplesThrows)
 {
-    // both public ways to size a Sinc table reach LookupTable's check: a
-    // 1-sample table would read past its end, a 0-sample one an empty vector
+    // sizing the Sinc table reaches LookupTable's check: a 1-sample table
+    // would read past its end, a 0-sample one an empty vector
     Kernel<double> sinc(KernelType::Sinc);
     for (std::size_t n : {0u, 1u})
-    {
         EXPECT_THROW(LaneKernel<double>(sinc, n), std::invalid_argument) << n;
-        EXPECT_THROW(TabulatedKernel<double>(sinc, n), std::invalid_argument) << n;
-    }
     EXPECT_NO_THROW(LaneKernel<double>(sinc, 2));
-    EXPECT_NO_THROW(TabulatedKernel<double>(sinc, 2));
 }
 
 // --- Scalar backend vs the seed loops --------------------------------------
@@ -542,24 +537,3 @@ TEST(BackendEdgeCases, RemainderTilesAndEmptyLists)
     }
 }
 
-// --- dispatch plumbing ------------------------------------------------------
-
-TEST(KernelBackendConfig, TabulatedKernelFallsBackToScalar)
-{
-    // the Simd request must be a no-op (not a crash) for kernel types the
-    // lane path does not cover: results equal the Scalar reference exactly
-    BackendFixture f(KernelType::Sinc, 6);
-    TabulatedKernel<double> tab(f.kernel);
-    auto scalar = f.ps;
-    auto vec    = f.ps;
-    computeDensity(scalar, f.nl, tab, f.box);
-    computeDensity(vec, f.nl, tab, f.box, {}, {}, simd());
-    expectFieldBitwise(scalar.rho, vec.rho, "rho");
-
-    // the 1-lane instance takes any kernel with fq/dfq: still the seed loops
-    for (GradientMode mode : {GradientMode::IAD, GradientMode::KernelDerivative})
-    {
-        SCOPED_TRACE(gradientModeName(mode));
-        expectScalarMatchesOracle(f.ps, f.nl, tab, f.box, mode);
-    }
-}

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "io/ascii_io.hpp"
@@ -86,6 +88,26 @@ TEST(Serialize, RejectsPrecisionMismatch)
     ParticleSet<float> ps(4);
     auto buf = serialize(ps);
     EXPECT_THROW(deserialize<double>(buf), std::runtime_error);
+}
+
+TEST(Serialize, RejectsHeaderCountsThatDisagreeWithThePayload)
+{
+    // the counts are checked against the payload before anything is sized:
+    // a huge count throws instead of escaping as std::length_error or
+    // zero-filling gigabytes before the truncation is found
+    auto ps  = randomParticles(6, 11);
+    auto buf = serialize(ps);
+    auto withHeaderWord = [&](std::size_t word, std::uint64_t value) {
+        auto bad = buf;
+        std::memcpy(bad.data() + word * sizeof(value), &value, sizeof(value));
+        return bad;
+    };
+    const std::uint64_t count = ps.size(), fields = ps.realFields().size();
+    for (std::uint64_t bad : {std::uint64_t(1) << 62, count + 1})
+        EXPECT_THROW(deserialize<double>(withHeaderWord(2, bad)), std::runtime_error) << bad;
+    for (std::uint64_t bad : {fields - 1, fields + 1})
+        EXPECT_THROW(deserialize<double>(withHeaderWord(3, bad)), std::runtime_error) << bad;
+    EXPECT_NO_THROW(deserialize<double>(withHeaderWord(2, count)));
 }
 
 TEST(Crc64, KnownProperties)

@@ -102,6 +102,22 @@ TEST(Tracer, AsciiRenderingShowsStates)
     EXPECT_NE(s.find('A'), std::string::npos); // phase header letter
 }
 
+TEST(Tracer, AsciiHeaderLettersPhasesPastJ)
+{
+    // K and L follow J in Phase; their letters must reach the header as
+    // letters, never as a NUL byte or a read past the end of "A..J"
+    std::vector<std::array<double, phaseCount>> phases(1);
+    phases[0][int(Phase::A_TreeBuild)]     = 1.0;
+    phases[0][int(Phase::K_GhostExchange)] = 1.0;
+    phases[0][int(Phase::L_SfcSort)]       = 1.0;
+    auto s = expandTrace<double>(phases, {0.0}, 2, sphexaParallelism()).renderAscii(60);
+    std::string header = s.substr(0, s.find('\n'));
+    EXPECT_NE(header.find('A'), std::string::npos) << header;
+    EXPECT_NE(header.find('K'), std::string::npos) << header;
+    EXPECT_NE(header.find('L'), std::string::npos) << header;
+    EXPECT_EQ(s.find('\0'), std::string::npos);
+}
+
 TEST(Tracer, CsvExport)
 {
     Tracer tr(1, 1);
