@@ -6,7 +6,10 @@
 /// ("cluster", the shipped frame). The cluster search fills the lists in
 /// both; it gives every particle the same neighbors in either frame.
 /// Emits one JSON record per (N, mode, backend) point with per-phase
-/// timings — the data behind BENCH_simd.json:
+/// timings — the data behind BENCH_simd.json. Phase H packs into one
+/// record buffer that persists across every point and both backends, as a
+/// driver's does, so its rows time the pack and the kernel, not an
+/// allocation per call:
 ///
 ///     ./bench_simd > BENCH_simd.json
 ///
@@ -135,7 +138,8 @@ void setWorkers(std::size_t pool)
 /// times into the min-of-reps accumulator `p`.
 void runPhases(ParticleSetD& ps, const NeighborList<double>& nl,
                const Kernel<double>& kernel, const Box<double>& box,
-               const ComputeBackend<double>& be, Point& p, bool first)
+               const ComputeBackend<double>& be, MomentumRecordBuffer<double>& records,
+               Point& p, bool first)
 {
     Timer t;
     auto fold = [&](double& slot, double got) {
@@ -151,7 +155,7 @@ void runPhases(ParticleSetD& ps, const NeighborList<double>& nl,
     computeDivCurl(ps, nl, kernel, box, GradientMode::IAD, {}, {}, be);
     fold(p.divcurlSeconds, t.lap());
     t.reset();
-    computeMomentumEnergy(ps, nl, kernel, box, GradientMode::IAD, {}, {}, {}, be);
+    computeMomentumEnergy(ps, nl, kernel, box, GradientMode::IAD, {}, {}, {}, be, &records);
     fold(p.momentumSeconds, t.lap());
 }
 
@@ -236,6 +240,7 @@ int main()
     std::size_t pool  = 4;
     Kernel<double> kernel(KernelType::Sinc); // the paper profiles' default
     LaneKernel<double> lanes(kernel);
+    MomentumRecordBuffer<double> records; // phase H's, shared by every point
 
     std::vector<std::size_t> sides;
     for (std::size_t side : {22, 46, 100}) // 1e4, 1e5, 1e6 particles
@@ -255,6 +260,7 @@ int main()
         auto psBase   = makeCloud(side, box);
         std::size_t n = psBase.size();
         std::size_t reps = bench::envSize("SPHEXA_SIMD_REPS", n <= 200000 ? 3 : 1);
+        records.pack(psBase); // grown here, so no timed call allocates
 
         for (const char* mode : {"unsorted", "cluster"})
         {
@@ -285,7 +291,7 @@ int main()
                 p.backend = backendName;
                 for (std::size_t r = 0; r < reps; ++r)
                 {
-                    runPhases(ps, nl, kernel, box, be, p, r == 0);
+                    runPhases(ps, nl, kernel, box, be, records, p, r == 0);
                 }
                 p.totalSeconds =
                     p.densitySeconds + p.iadSeconds + p.divcurlSeconds + p.momentumSeconds;

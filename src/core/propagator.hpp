@@ -343,7 +343,7 @@ PhaseOp<T> momentumEnergy()
                                                    ctx.cfg.gradients, ctx.cfg.av,
                                                    ctx.activeSpan(),
                                                    ctx.loopPolicy(Phase::H_MomentumEnergy),
-                                                   ctx.computeBackend());
+                                                   ctx.computeBackend(), ctx.momentumRecords);
                 ctx.maxVsignal = stats.maxVsignal;
             }};
 }

@@ -277,6 +277,7 @@ private:
         ctx.sorter     = &sorter_;    // phase L key/perm buffers persist too,
         ctx.clusters   = &clusterWs_; // as does the cluster-search scratch
         ctx.symmetrize = &symmetrizeWs_; // and the phase D pair buckets
+        ctx.momentumRecords = &momentumRecords_; // and phase H's records
         ctx.laneKernel = &laneKernel_; // Simd backend tables persist as well
         // active-subset walks only under the binned integrator: mixing a
         // subset force pass with the global kick (stale du on inactive
@@ -322,6 +323,7 @@ private:
     SfcSorter<T> sorter_;           ///< phase L buffers, persist across steps
     ClusterWorkspace<T> clusterWs_; ///< cluster-search scratch, persists too
     SymmetrizeWorkspace<T> symmetrizeWs_; ///< phase D pair buckets, likewise
+    MomentumRecordBuffer<T> momentumRecords_; ///< phase H records, likewise
     std::vector<std::size_t> lastWalkIndices_; ///< last force pass's walked set
     PhaseEventLog* log_{nullptr};
 

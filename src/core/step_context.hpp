@@ -4,8 +4,11 @@
 /// The shared vocabulary of the propagator layer (core/propagator.hpp):
 /// the workflow phases of the paper's Algorithm 1 / Fig. 4 timeline, the
 /// per-step report both drivers fill, the mutable state bundle a phase
-/// operates on (StepContext), and the runner-emitted phase-event log that
-/// feeds the Extrae-style tracer (perf/tracer.hpp).
+/// operates on (StepContext, which also points at the driver-owned
+/// scratch the phases reuse across steps: sort keys, search and phase D
+/// workspaces, phase H's record buffer, the lane tables), and the
+/// runner-emitted phase-event log that feeds the Extrae-style tracer
+/// (perf/tracer.hpp).
 ///
 /// Both drivers — the shared-memory Simulation (core/simulation.hpp) and
 /// the distributed DistributedSimulation (domain/distributed.hpp) — execute
@@ -21,6 +24,7 @@
 
 #include "backend/kernel_backend.hpp"
 #include "backend/lane_kernel.hpp"
+#include "backend/momentum_kernel.hpp"
 #include "core/config.hpp"
 #include "core/phases.hpp"
 #include "domain/box.hpp"
@@ -128,6 +132,10 @@ struct StepContext
     SfcSorter<T>* sorter = nullptr;
     ClusterWorkspace<T>* clusters = nullptr;
     SymmetrizeWorkspace<T>* symmetrize = nullptr;
+    /// Driver-owned record buffer of phase H (backend/momentum_kernel.hpp),
+    /// repacked on every call. Null-safe like the buffers above: the phase
+    /// then packs into a transient buffer.
+    MomentumRecordBuffer<T>* momentumRecords = nullptr;
 
     /// Driver-owned lane-evaluation tables/constants for the Simd backend
     /// (backend/lane_kernel.hpp). Null-safe — backend::forEachRow builds a

@@ -290,6 +290,7 @@ private:
         rankVsig_.assign(P, T(0));
         rankAwf_.resize(P);
         rankClusters_.resize(P);
+        rankMomentum_.resize(P);
         std::vector<StepContext<T>> ctxs;
         ctxs.reserve(P);
         for (int r = 0; r < P; ++r)
@@ -300,6 +301,7 @@ private:
             auto& ctx    = ctxs.back();
             ctx.awf      = &rankAwf_[r]; // per-rank AWF weights persist across steps
             ctx.clusters = &rankClusters_[r]; // as does the cluster-search scratch
+            ctx.momentumRecords = &rankMomentum_[r]; // and phase H's records
             ctx.laneKernel = &laneKernel_; // shared: lane tables are read-only
             ctx.walkMode = WalkMode::LocalIndices;
             ctx.walkIndices.resize(nLocal_[r]);
@@ -544,6 +546,7 @@ private:
     std::vector<T> rankVsig_;
     std::vector<AwfWeightStore> rankAwf_; ///< per-rank persistent AWF weights
     std::vector<ClusterWorkspace<T>> rankClusters_; ///< per-rank cluster-search scratch
+    std::vector<MomentumRecordBuffer<T>> rankMomentum_; ///< per-rank phase H records
 
     T time_{0};
     std::uint64_t stepCount_{0};

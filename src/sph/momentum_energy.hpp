@@ -17,6 +17,11 @@
 /// exact pairwise antisymmetry (and therefore momentum conservation) holds
 /// when neighbor lists are pair-symmetric (phase D, symmetrizeNeighborList
 /// in tree/neighbors.hpp).
+///
+/// Each call first packs every particle's non-position fields into one
+/// record (MomentumRecordBuffer, backend/momentum_kernel.hpp), so the pair
+/// loop reads a neighbor from one place instead of 15 arrays. The records
+/// are rewritten on every call and never reused across calls.
 
 #include <algorithm>
 #include <span>
@@ -37,9 +42,11 @@ namespace sphexa {
 /// Compute accelerations ax/ay/az and du/dt for all particles.
 /// Gravity is accumulated separately and must be added afterwards.
 /// A shell over backend::momentumEnergyParticle (whose header also defines
-/// ArtificialViscosity and MomentumEnergyStats), run by the backend \p be
-/// selects (Scalar when defaulted; see backend/kernel_backend.hpp). The
-/// shell owns the cross-particle vsig max reduction.
+/// ArtificialViscosity, MomentumEnergyStats and the record buffer), run by
+/// the backend \p be selects (Scalar when defaulted; see
+/// backend/kernel_backend.hpp). The shell owns the cross-particle vsig max
+/// reduction. \p records is the driver's persistent record buffer;
+/// null-safe, a standalone call packs into a transient one.
 template<class T>
 MomentumEnergyStats<T> computeMomentumEnergy(ParticleSet<T>& ps, const NeighborList<T>& nl,
                                              const Kernel<T>& kernel, const Box<T>& box,
@@ -47,8 +54,17 @@ MomentumEnergyStats<T> computeMomentumEnergy(ParticleSet<T>& ps, const NeighborL
                                              const ArtificialViscosity<T>& av = {},
                                              std::type_identity_t<std::span<const std::size_t>> active = {},
                                              const LoopPolicy& policy = {},
-                                             const ComputeBackend<T>& be = {})
+                                             const ComputeBackend<T>& be = {},
+                                             MomentumRecordBuffer<T>* records = nullptr)
 {
+    // every particle, active or not, can be a neighbor: pack them all. The
+    // uniform pack must not adapt the AWF weights the pair loop below is
+    // calibrated by, as in phase E's volume-element loop
+    LoopPolicy packPol = policy;
+    packPol.awfWeights = nullptr;
+    MomentumRecordBuffer<T> local;
+    const auto* rec = (records ? *records : local).pack(ps, packPol);
+
     // exact max reduction over per-worker partials: max is selection, not
     // accumulation, so the result is bitwise identical for any pool size,
     // strategy, or chunk boundary
@@ -57,7 +73,7 @@ MomentumEnergyStats<T> computeMomentumEnergy(ParticleSet<T>& ps, const NeighborL
                         [&](const auto& lanes, const auto& wrap, std::size_t i, auto row,
                             std::size_t worker) {
                             T vsigI = backend::momentumEnergyParticle(
-                                ps, i, row.data, row.count, lanes, wrap, mode, av);
+                                ps, rec, i, row.data, row.count, lanes, wrap, mode, av);
                             workerVsig[worker].value =
                                 std::max(workerVsig[worker].value, vsigI);
                         });

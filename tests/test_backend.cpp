@@ -34,6 +34,7 @@
 #include "domain/box.hpp"
 #include "ic/lattice.hpp"
 #include "math/rng.hpp"
+#include "sph/boundaries.hpp"
 #include "sph/density.hpp"
 #include "sph/divcurl.hpp"
 #include "sph/eos.hpp"
@@ -476,6 +477,97 @@ TEST(BackendInvariance, SimdBitwiseAcrossPoolsAndStrategies)
             expectFieldBitwise(ref.vsig, ps.vsig, "vsig");
         }
     }
+}
+
+// --- phase H's persistent record buffer ------------------------------------
+
+namespace {
+
+/// The rows of the first \p n particles of \p nl without their entries
+/// >= n: the lists of a set truncated to n particles (removeGhosts).
+NeighborList<double> truncatedLists(const NeighborList<double>& nl, std::size_t n)
+{
+    using Index = NeighborList<double>::Index;
+    NeighborList<double> out(n, 384);
+    for (std::size_t i = 0; i < n; ++i)
+    {
+        auto row = nl.row(i);
+        std::vector<Index> kept;
+        for (std::size_t k = 0; k < row.count; ++k)
+            if (row.data[k] < n) kept.push_back(row.data[k]);
+        out.set(i, kept);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(MomentumRecords, AttachedBufferNeverServesStaleRecords)
+{
+    // one buffer attached across calls, as a driver holds it, must give
+    // every call the bits of a call that packs into a fresh buffer: the
+    // records are rewritten for every particle on every call
+    BackendFixture f(KernelType::WendlandC2, 8);
+    BackendFixture big(KernelType::WendlandC2, 9);
+    MomentumRecordBuffer<double> records;
+    auto expectFreshBits = [&](const ParticleSetD& start, const NeighborList<double>& nl,
+                               std::span<const std::size_t> active, const char* what) {
+        SCOPED_TRACE(what);
+        for (const ComputeBackend<double>& be : {ComputeBackend<double>{}, simd()})
+        {
+            for (GradientMode mode : {GradientMode::IAD, GradientMode::KernelDerivative})
+            {
+                auto fresh = start;
+                auto held  = start;
+                auto fs = computeMomentumEnergy(fresh, nl, f.kernel, f.box, mode, {}, active,
+                                                {}, be);
+                auto hs = computeMomentumEnergy(held, nl, f.kernel, f.box, mode, {}, active,
+                                                {}, be, &records);
+                EXPECT_EQ(fs.maxVsignal, hs.maxVsignal);
+                expectFieldBitwise(fresh.ax, held.ax, "ax");
+                expectFieldBitwise(fresh.ay, held.ay, "ay");
+                expectFieldBitwise(fresh.az, held.az, "az");
+                expectFieldBitwise(fresh.du, held.du, "du");
+                expectFieldBitwise(fresh.vsig, held.vsig, "vsig");
+            }
+        }
+    };
+
+    auto ps = f.ps;
+    expectFreshBits(ps, f.nl, {}, "first call");
+    const std::size_t n = ps.size();
+    EXPECT_EQ(records.capacity(), n);
+
+    // one particle's pressure and another's IAD matrix change between calls
+    ps.p[3] *= 1.5;
+    ps.c11[f.nl.row(3).data[1]] *= 0.5;
+    expectFreshBits(ps, f.nl, {}, "after a p and a c11 change");
+
+    // the set shrinks as ghostRemove truncates it, then grows past the
+    // buffer's size; the buffer only grows
+    auto shrunk = ps;
+    removeGhosts(shrunk, n / 4);
+    shrunk.p[0] *= 2.0;
+    expectFreshBits(shrunk, truncatedLists(f.nl, shrunk.size()), {}, "after shrinking");
+    EXPECT_EQ(records.capacity(), n);
+    ASSERT_GT(big.ps.size(), n);
+    expectFreshBits(big.ps, big.nl, {}, "after growing");
+    EXPECT_EQ(records.capacity(), big.ps.size());
+
+    // an active-subset call still repacks every particle: an inactive
+    // neighbor of an active particle changes its pressure and velocity
+    std::vector<std::size_t> active;
+    for (std::size_t i = 0; i < big.ps.size(); i += 4)
+        active.push_back(i);
+    auto sub = big.ps;
+    auto row0            = big.nl.row(0);
+    std::size_t inactive = row0.data[0];
+    for (std::size_t k = 1; k < row0.count && inactive % 4 == 0; ++k)
+        inactive = row0.data[k];
+    ASSERT_NE(inactive % 4, 0u);
+    sub.p[inactive] *= 3.0;
+    sub.vx[inactive] += 0.25;
+    expectFreshBits(sub, big.nl, active, "active subset");
 }
 
 // --- remainder tiles and empty neighborhoods -------------------------------

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -252,6 +253,31 @@ TEST(LookupTable, PropagatesNaN)
     EXPECT_TRUE(std::isnan(t(nan)));
     EXPECT_TRUE(std::isnan(t(-nan)));
     EXPECT_DOUBLE_EQ(t(1.5), 1.5);
+}
+
+TEST(LookupTable, JustBelowUpperBoundStaysInTheLastInterval)
+{
+    // at nextafter(b, a), (x - a) * inv_dx rounds up to exactly n - 1 for
+    // these tables: the lookup must return a value between the last two
+    // samples and read nothing past its table (the ASan leg sees that read)
+    struct Case
+    {
+        double a, b;
+        std::size_t n;
+    };
+    auto f = [](double x) { return 1.0 + x * x; };
+    for (Case c : {Case{-1.0, 1.0, 11}, Case{0.0, 3.0, 18}})
+    {
+        SCOPED_TRACE(testing::Message() << "[" << c.a << ", " << c.b << "], n = " << c.n);
+        LookupTable<double> t(f, c.a, c.b, c.n);
+        double dx   = (c.b - c.a) / double(c.n - 1);
+        double x    = std::nextafter(c.b, c.a);
+        double last = f(c.a + double(c.n - 1) * dx);
+        double prev = f(c.a + double(c.n - 2) * dx);
+        double v    = t(x);
+        EXPECT_GE(v, std::min(prev, last));
+        EXPECT_LE(v, std::max(prev, last));
+    }
 }
 
 TEST(LookupTable, RejectsFewerThanTwoSamplesOrAnEmptyInterval)
