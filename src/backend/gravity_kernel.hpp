@@ -14,7 +14,14 @@
 /// the vector ISA, the pool size or the scheduling strategy, and gravity
 /// needs no KernelBackend dispatch. A short last tile repeats its last
 /// member; the caller discards the repeated lanes.
+///
+/// M2P is written once per order, as the closed form of the per-target
+/// m2p() over the raw moments of tree/multipole.hpp, which it reads at the
+/// fixed storage positions documented on Multipole (q: xx xy xz yy yz zz,
+/// and likewise o and hx in sorted-index order). src/ holds no generic
+/// tensor contraction; tests/gravity_oracle.hpp keeps one as the oracle.
 
+#include <array>
 #include <cmath>
 #include <cstddef>
 
@@ -53,74 +60,193 @@ struct GravityTile
     }
 };
 
-/// M2P of the accepted multipoles mps[nodes[0..n)] at monopole or
-/// quadrupole order: per lane, the closed form of evaluateMultipole
-/// (tree/multipole.hpp). A monopole-order multipole has zero moments, so
-/// its quadrupole terms add exact zeros. No member lies in an accepted
-/// node's box, so r2 > 0 on every lane.
-template<class T, class Index>
-inline void m2pQuadrupole(GravityTile<T>& t, const Multipole<T>* mps, const Index* nodes,
-                          std::size_t n)
+/// The moments of one accepted multipole that M2P at order P reads, copied
+/// out of the node before a lane loop (a read through the node array may
+/// alias the tile's sums), with the traces that depend on the node alone:
+/// trQ = Q_kk, t_i = O_ijj, U_kl = H_jjkl (in q's storage order) and
+/// trU = U_kk. Quadrupole order also serves monopole: a monopole-order
+/// multipole keeps its zero moments, which add exact zeros.
+template<class T, MultipoleOrder P>
+struct M2PSource
 {
-    constexpr std::size_t W = GravityTile<T>::W;
-    for (std::size_t k = 0; k < n; ++k)
+    static_assert(P >= MultipoleOrder::Quadrupole);
+
+    T m, cx, cy, cz;
+    std::array<T, 6> q;
+    T trQ;
+    std::array<T, 10> o{}; ///< octupole and up
+    std::array<T, 3> t{};
+    std::array<T, 15> h{}; ///< hexadecapole
+    std::array<T, 6> u{};
+    T trU{};
+
+    explicit M2PSource(const Multipole<T>& mp)
+        : m(mp.mass), cx(mp.com.x), cy(mp.com.y), cz(mp.com.z), q(mp.q), trQ(q[0] + q[3] + q[5])
     {
-        const Multipole<T>& mp = mps[nodes[k]];
-        const T M  = mp.mass;
-        const T cx = mp.com.x, cy = mp.com.y, cz = mp.com.z;
-        const T qxx = mp.q2(0, 0), qxy = mp.q2(0, 1), qxz = mp.q2(0, 2);
-        const T qyy = mp.q2(1, 1), qyz = mp.q2(1, 2), qzz = mp.q2(2, 2);
-        const T trQ = qxx + qyy + qzz;
-        for (std::size_t l = 0; l < W; ++l)
+        if constexpr (P >= MultipoleOrder::Octupole)
         {
-            T sx   = t.x[l] - cx;
-            T sy   = t.y[l] - cy;
-            T sz   = t.z[l] - cz;
-            T r2   = sx * sx + sy * sy + sz * sz;
-            T inv  = T(1) / std::sqrt(r2);
-            T inv2 = inv * inv;
-            T inv3 = inv2 * inv;
-            T inv5 = inv3 * inv2;
-            T inv7 = inv5 * inv2;
-            T qsx  = qxx * sx + qxy * sy + qxz * sz;
-            T qsy  = qxy * sx + qyy * sy + qyz * sz;
-            T qsz  = qxz * sx + qyz * sy + qzz * sz;
-            T sQs  = sx * qsx + sy * qsy + sz * qsz;
-            T a15  = T(-15) * sQs * inv7;
-            T a3   = T(3) * inv5;
-            t.pot[l] -= M * inv;
-            t.pot[l] -= T(0.5) * (T(3) * sQs - r2 * trQ) * inv5;
-            t.ax[l] -= sx * (M * inv3);
-            t.ay[l] -= sy * (M * inv3);
-            t.az[l] -= sz * (M * inv3);
-            t.ax[l] += T(0.5) * (a15 * sx + a3 * (trQ * sx + T(2) * qsx));
-            t.ay[l] += T(0.5) * (a15 * sy + a3 * (trQ * sy + T(2) * qsy));
-            t.az[l] += T(0.5) * (a15 * sz + a3 * (trQ * sz + T(2) * qsz));
+            o    = mp.o;
+            t[0] = o[0] + o[3] + o[5];
+            t[1] = o[1] + o[6] + o[8];
+            t[2] = o[2] + o[7] + o[9];
+        }
+        if constexpr (P >= MultipoleOrder::Hexadecapole)
+        {
+            h    = mp.hx;
+            u[0] = h[0] + h[3] + h[5];
+            u[1] = h[1] + h[6] + h[8];
+            u[2] = h[2] + h[7] + h[9];
+            u[3] = h[3] + h[10] + h[12];
+            u[4] = h[4] + h[11] + h[13];
+            u[5] = h[5] + h[12] + h[14];
+            trU  = u[0] + u[3] + u[5];
+        }
+    }
+};
+
+/// M2P for one target, the only evaluation of a multipole: adds the field
+/// (G = 1) of \p src at the displacement s = target - com to acc and pot,
+/// in closed form over the raw moments and powers of 1/r (Dehnen 2014,
+/// Comput. Astrophys. Cosmol. 1, 1), with r^2 = s.s > 0. The group walk's
+/// lane loop calls it for every lane of a tile, the test oracle's
+/// per-particle walk for one target. With Qs = Q s, sQs = s.Qs:
+///   pot -= M / r + (3 sQs - r^2 trQ) / (2 r^5)
+///   acc -= M s / r^3 - (-15 sQs s / r^7 + 3 (trQ s + 2 Qs) / r^5) / 2
+/// With Oss_i = O_ijk s_j s_k, Osss = s.Oss and ts = t.s, octupole adds
+///   pot -= (15 Osss - 9 r^2 ts) / (6 r^7)
+///   acc -= (105 Osss s - 45 r^2 (ts s + Oss) + 9 r^4 t) / (6 r^9)
+/// With Hsss_i = H_ijkl s_j s_k s_l, Hssss = s.Hsss, Us = U s and
+/// Uss = s.Us, hexadecapole adds
+///   pot -= (105 Hssss - 90 r^2 Uss + 9 r^4 trU) / (24 r^9)
+///   acc -= (945 Hssss s - 420 r^2 Hsss - 630 r^2 Uss s + 180 r^4 Us
+///           + 45 r^4 trU s) / (24 r^11)
+/// Always inlined: GCC leaves the larger orders as calls, and a call keeps
+/// the lane loop scalar.
+template<class T, MultipoleOrder P>
+[[gnu::always_inline]] inline void m2p(const M2PSource<T, P>& src, T sx, T sy, T sz, T& ax,
+                                       T& ay, T& az, T& pot)
+{
+    T r2   = sx * sx + sy * sy + sz * sz;
+    T inv  = T(1) / std::sqrt(r2);
+    T inv2 = inv * inv;
+    T inv3 = inv2 * inv;
+    T inv5 = inv3 * inv2;
+    T inv7 = inv5 * inv2;
+    // a s for a symmetric a stored as xx xy xz yy yz zz
+    auto apply = [&](const std::array<T, 6>& a, T& bx, T& by, T& bz) {
+        bx = a[0] * sx + a[1] * sy + a[2] * sz;
+        by = a[1] * sx + a[3] * sy + a[4] * sz;
+        bz = a[2] * sx + a[4] * sy + a[5] * sz;
+    };
+
+    T qsx, qsy, qsz;
+    apply(src.q, qsx, qsy, qsz);
+    T sQs = sx * qsx + sy * qsy + sz * qsz;
+    T a15 = T(-15) * sQs * inv7;
+    T a3  = T(3) * inv5;
+    pot -= src.m * inv;
+    pot -= T(0.5) * (T(3) * sQs - r2 * src.trQ) * inv5;
+    ax -= sx * (src.m * inv3);
+    ay -= sy * (src.m * inv3);
+    az -= sz * (src.m * inv3);
+    ax += T(0.5) * (a15 * sx + a3 * (src.trQ * sx + T(2) * qsx));
+    ay += T(0.5) * (a15 * sy + a3 * (src.trQ * sy + T(2) * qsy));
+    az += T(0.5) * (a15 * sz + a3 * (src.trQ * sz + T(2) * qsz));
+    if constexpr (P >= MultipoleOrder::Octupole)
+    {
+        // c : s s for a symmetric rank-2 c stored as xx xy xz yy yz zz
+        const T xx = sx * sx, yy = sy * sy, zz = sz * sz;
+        const T xy2 = T(2) * sx * sy, xz2 = T(2) * sx * sz, yz2 = T(2) * sy * sz;
+        auto ss = [&](T c0, T c1, T c2, T c3, T c4, T c5) {
+            return c0 * xx + c1 * xy2 + c2 * xz2 + c3 * yy + c4 * yz2 + c5 * zz;
+        };
+        const T r4   = r2 * r2;
+        const T inv9 = inv7 * inv2;
+
+        const auto& o = src.o;
+        T ossx        = ss(o[0], o[1], o[2], o[3], o[4], o[5]);
+        T ossy        = ss(o[1], o[3], o[4], o[6], o[7], o[8]);
+        T ossz        = ss(o[2], o[4], o[5], o[7], o[8], o[9]);
+        T osss        = sx * ossx + sy * ossy + sz * ossz;
+        T ts          = src.t[0] * sx + src.t[1] * sy + src.t[2] * sz;
+        // acc_i -= (cs3 s_i - co Oss_i + ct t_i) / (6 r^9)
+        T cs3         = T(105) * osss - T(45) * r2 * ts;
+        T co          = T(45) * r2;
+        T ct          = T(9) * r4;
+        const T sixth = T(1) / T(6);
+        pot -= (T(15) * osss - T(9) * r2 * ts) * (inv7 * sixth);
+        ax -= (cs3 * sx - co * ossx + ct * src.t[0]) * (inv9 * sixth);
+        ay -= (cs3 * sy - co * ossy + ct * src.t[1]) * (inv9 * sixth);
+        az -= (cs3 * sz - co * ossz + ct * src.t[2]) * (inv9 * sixth);
+
+        if constexpr (P >= MultipoleOrder::Hexadecapole)
+        {
+            // Hss_ab = H_abkl s_k s_l, stored as xx xy xz yy yz zz
+            const auto& h = src.h;
+            const std::array<T, 6> hss{ss(h[0], h[1], h[2], h[3], h[4], h[5]),
+                                       ss(h[1], h[3], h[4], h[6], h[7], h[8]),
+                                       ss(h[2], h[4], h[5], h[7], h[8], h[9]),
+                                       ss(h[3], h[6], h[7], h[10], h[11], h[12]),
+                                       ss(h[4], h[7], h[8], h[11], h[12], h[13]),
+                                       ss(h[5], h[8], h[9], h[12], h[13], h[14])};
+            T hsx, hsy, hsz, usx, usy, usz;
+            apply(hss, hsx, hsy, hsz);
+            apply(src.u, usx, usy, usz);
+            T hssss       = sx * hsx + sy * hsy + sz * hsz;
+            T uss         = sx * usx + sy * usy + sz * usz;
+            // acc_i -= (cs4 s_i - ch Hsss_i + cu Us_i) / (24 r^11)
+            T cs4         = T(945) * hssss - T(630) * r2 * uss + T(45) * r4 * src.trU;
+            T ch          = T(420) * r2;
+            T cu          = T(180) * r4;
+            const T inv11 = inv9 * inv2;
+            const T inv24 = T(1) / T(24);
+            pot -= (T(105) * hssss - T(90) * r2 * uss + T(9) * r4 * src.trU) * (inv9 * inv24);
+            ax -= (cs4 * sx - ch * hsx + cu * usx) * (inv11 * inv24);
+            ay -= (cs4 * sy - ch * hsy + cu * usy) * (inv11 * inv24);
+            az -= (cs4 * sz - ch * hsz + cu * usz) * (inv11 * inv24);
         }
     }
 }
 
-/// M2P at octupole or hexadecapole order: evaluateMultipole per member
-/// over the same accepted list (the generic tensor contraction has no lane
-/// form). Only the valid lanes are evaluated.
-template<class T, class Index>
-inline void m2pHighOrder(GravityTile<T>& t, const Multipole<T>* mps, const Index* nodes,
-                         std::size_t n, MultipoleOrder order)
+namespace detail {
+
+/// The lane loop of M2P at order P: each accepted node's moments are copied
+/// into an M2PSource, which every lane of the tile then reads.
+template<MultipoleOrder P, class T, class Index>
+inline void m2pLanes(GravityTile<T>& t, const Multipole<T>* mps, const Index* nodes,
+                     std::size_t n)
 {
-    for (std::size_t l = 0; l < t.valid; ++l)
+    constexpr std::size_t W = GravityTile<T>::W;
+    for (std::size_t k = 0; k < n; ++k)
     {
-        Vec3<T> p{t.x[l], t.y[l], t.z[l]};
-        Vec3<T> acc{t.ax[l], t.ay[l], t.az[l]};
-        T pot = t.pot[l];
-        for (std::size_t k = 0; k < n; ++k)
+        const M2PSource<T, P> src(mps[nodes[k]]);
+        for (std::size_t l = 0; l < W; ++l)
         {
-            const Multipole<T>& mp = mps[nodes[k]];
-            evaluateMultipole(mp, p - mp.com, order, acc, pot);
+            m2p(src, t.x[l] - src.cx, t.y[l] - src.cy, t.z[l] - src.cz, t.ax[l], t.ay[l],
+                t.az[l], t.pot[l]);
         }
-        t.ax[l]  = acc.x;
-        t.ay[l]  = acc.y;
-        t.az[l]  = acc.z;
-        t.pot[l] = pot;
+    }
+}
+
+} // namespace detail
+
+/// M2P of the accepted multipoles mps[nodes[0..n)] for every lane of \p t
+/// at \p order: one lane-loop instance per order, the quadrupole instance
+/// serving monopole. No member lies in an accepted node's box, so r^2 > 0
+/// on every lane.
+template<class T, class Index>
+inline void m2p(GravityTile<T>& t, const Multipole<T>* mps, const Index* nodes, std::size_t n,
+                MultipoleOrder order)
+{
+    switch (order)
+    {
+        case MultipoleOrder::Octupole:
+            detail::m2pLanes<MultipoleOrder::Octupole>(t, mps, nodes, n);
+            break;
+        case MultipoleOrder::Hexadecapole:
+            detail::m2pLanes<MultipoleOrder::Hexadecapole>(t, mps, nodes, n);
+            break;
+        default: detail::m2pLanes<MultipoleOrder::Quadrupole>(t, mps, nodes, n);
     }
 }
 

@@ -139,16 +139,8 @@ public:
             {
                 backend::GravityTile<T> t(group, base, n, ps.x.data(), ps.y.data(),
                                           ps.z.data());
-                if (params_.order <= MultipoleOrder::Quadrupole)
-                {
-                    backend::m2pQuadrupole(t, multipoles_.data(), s.accepted.data(),
-                                           s.accepted.size());
-                }
-                else
-                {
-                    backend::m2pHighOrder(t, multipoles_.data(), s.accepted.data(),
-                                          s.accepted.size(), params_.order);
-                }
+                backend::m2p(t, multipoles_.data(), s.accepted.data(), s.accepted.size(),
+                             params_.order);
                 backend::p2p(t, tree.nodes().data(), s.leaves.data(), s.leaves.size(),
                              tree.order().data(), ps.x.data(), ps.y.data(), ps.z.data(),
                              ps.m.data(), eps2);

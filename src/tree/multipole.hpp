@@ -14,12 +14,15 @@
 /// Raw moments are valid because the trace parts act through the harmonic
 /// Laplacian of 1/r and vanish away from the source.
 ///
-/// Field evaluation contracts the moments with the derivative tensors of
-/// 1/s (ranks 1-5). The monopole and quadrupole contractions are closed
-/// forms; octupole/hexadecapole use generic symmetric-tensor contraction.
+/// Evaluating a moment set at a target (M2P) is one closed form per order in
+/// backend/gravity_kernel.hpp; src/ holds no generic tensor contraction (the
+/// contraction with the derivative tensors of 1/s is the test oracle,
+/// tests/gravity_oracle.hpp).
 
 #include <array>
-#include <cmath>
+#include <cstdint>
+#include <span>
+#include <string_view>
 
 #include "math/vec.hpp"
 
@@ -46,88 +49,16 @@ constexpr std::string_view multipoleOrderName(MultipoleOrder o)
     return "?";
 }
 
-namespace detail {
-
-/// Symmetric rank-2 storage index for sorted (i <= j).
-constexpr int sym2Index(int i, int j)
-{
-    // (0,0) (0,1) (0,2) (1,1) (1,2) (2,2) -> 0..5
-    if (i > j) { int t = i; i = j; j = t; }
-    constexpr int base[3] = {0, 3, 5};
-    return base[i] + (j - i);
-}
-
-/// Symmetric rank-3 storage index: 10 entries for sorted (i <= j <= k).
-constexpr int sym3Index(int i, int j, int k)
-{
-    int a = i, b = j, c = k;
-    if (a > b) { int t = a; a = b; b = t; }
-    if (b > c) { int t = b; b = c; c = t; }
-    if (a > b) { int t = a; a = b; b = t; }
-    // enumerate sorted triples over {0,1,2}:
-    // (000)(001)(002)(011)(012)(022)(111)(112)(122)(222)
-    if (a == 0)
-    {
-        if (b == 0) return c;          // 000,001,002 -> 0,1,2
-        if (b == 1) return 2 + c;      // 011->3, 012->4
-        return 5;                      // 022
-    }
-    if (a == 1)
-    {
-        if (b == 1) return 5 + c;      // 111->6, 112->7
-        return 8;                      // 122
-    }
-    return 9;                          // 222
-}
-
-/// Symmetric rank-4 storage index: 15 entries for sorted (i<=j<=k<=l).
-constexpr int sym4Index(int i, int j, int k, int l)
-{
-    int v[4] = {i, j, k, l};
-    // tiny insertion sort
-    for (int a = 1; a < 4; ++a)
-    {
-        int key = v[a], b = a - 1;
-        while (b >= 0 && v[b] > key)
-        {
-            v[b + 1] = v[b];
-            --b;
-        }
-        v[b + 1] = key;
-    }
-    // enumerate the 15 sorted quadruples over {0,1,2}:
-    // 0000 0001 0002 0011 0012 0022 0111 0112 0122 0222 1111 1112 1122 1222 2222
-    int a = v[0], b = v[1], c = v[2], d = v[3];
-    if (a == 0)
-    {
-        if (b == 0)
-        {
-            if (c == 0) return d;              // 0000..0002 -> 0..2
-            if (c == 1) return 2 + d;          // 0011->3 0012->4
-            return 5;                          // 0022
-        }
-        if (b == 1)
-        {
-            if (c == 1) return 5 + d;          // 0111->6 0112->7
-            return 8;                          // 0122
-        }
-        return 9;                              // 0222
-    }
-    if (a == 1)
-    {
-        if (b == 1)
-        {
-            if (c == 1) return 9 + d;          // 1111->10 1112->11
-            return 12;                         // 1122
-        }
-        return 13;                             // 1222
-    }
-    return 14;                                 // 2222
-}
-
-} // namespace detail
-
 /// Multipole moments of a mass distribution about its center of mass.
+///
+/// Each symmetric tensor stores its distinct components once, at the sorted
+/// index tuples (a <= b <= ...) in lexicographic order, which is where the
+/// closed forms of backend/gravity_kernel.hpp read them:
+///     q:  xx xy xz yy yz zz                                 (0..5)
+///     o:  xxx xxy xxz xyy xyz xzz yyy yyz yzz zzz           (0..9)
+///     hx: xxxx xxxy xxxz xxyy xxyz xxzz xyyy xyyz xyzz xzzz
+///         yyyy yyyz yyzz yzzz zzzz                          (0..14)
+/// Moments above the order they were computed at stay zero.
 template<class T>
 struct Multipole
 {
@@ -136,14 +67,12 @@ struct Multipole
     std::array<T, 6>  q{};  ///< rank-2 raw moments
     std::array<T, 10> o{};  ///< rank-3 raw moments
     std::array<T, 15> hx{}; ///< rank-4 raw moments
-
-    T q2(int i, int j) const { return q[detail::sym2Index(i, j)]; }
-    T o3(int i, int j, int k) const { return o[detail::sym3Index(i, j, k)]; }
-    T h4(int i, int j, int k, int l) const { return hx[detail::sym4Index(i, j, k, l)]; }
 };
 
 /// Particle-to-multipole: accumulate moments of the given particles about
-/// their center of mass, up to \p order.
+/// their center of mass, up to \p order. The nested a <= b <= c <= e loops
+/// visit the index tuples in storage order, so each moment is written by a
+/// running index.
 template<class T>
 Multipole<T> computeMultipole(std::span<const T> x, std::span<const T> y,
                               std::span<const T> z, std::span<const T> m,
@@ -162,192 +91,30 @@ Multipole<T> computeMultipole(std::span<const T> x, std::span<const T> y,
     {
         Vec3<T> d = Vec3<T>{x[j], y[j], z[j]} - mp.com;
         T mb = m[j];
+        int k = 0;
         for (int a = 0; a < 3; ++a)
             for (int b = a; b < 3; ++b)
-                mp.q[detail::sym2Index(a, b)] += mb * d[a] * d[b];
+                mp.q[k++] += mb * d[a] * d[b];
 
         if (order >= MultipoleOrder::Octupole)
         {
+            k = 0;
             for (int a = 0; a < 3; ++a)
                 for (int b = a; b < 3; ++b)
                     for (int c = b; c < 3; ++c)
-                        mp.o[detail::sym3Index(a, b, c)] += mb * d[a] * d[b] * d[c];
+                        mp.o[k++] += mb * d[a] * d[b] * d[c];
         }
         if (order >= MultipoleOrder::Hexadecapole)
         {
+            k = 0;
             for (int a = 0; a < 3; ++a)
                 for (int b = a; b < 3; ++b)
                     for (int c = b; c < 3; ++c)
                         for (int e = c; e < 3; ++e)
-                            mp.hx[detail::sym4Index(a, b, c, e)] +=
-                                mb * d[a] * d[b] * d[c] * d[e];
+                            mp.hx[k++] += mb * d[a] * d[b] * d[c] * d[e];
         }
     }
     return mp;
-}
-
-template<class T>
-T d4Tensor(const Vec3<T>& s, T r2, T inv9, int i, int j, int k, int l);
-template<class T>
-T d5Tensor(const Vec3<T>& s, T r2, T inv11, int i, int j, int k, int l, int m);
-
-/// Gravitational field (acceleration and potential) of a multipole at
-/// displacement s = r_target - com. G = 1 units; scale externally.
-template<class T>
-void evaluateMultipole(const Multipole<T>& mp, const Vec3<T>& s, MultipoleOrder order,
-                       Vec3<T>& acc, T& pot)
-{
-    T r2   = norm2(s);
-    T r    = std::sqrt(r2);
-    T inv  = T(1) / r;
-    T inv2 = inv * inv;
-    T inv3 = inv2 * inv;
-    T inv5 = inv3 * inv2;
-    T inv7 = inv5 * inv2;
-
-    // monopole
-    pot -= mp.mass * inv;
-    acc -= s * (mp.mass * inv3);
-    if (order == MultipoleOrder::Monopole) return;
-
-    // quadrupole, closed form with raw moments:
-    //   phi_Q  = -(1/2) (3 sQs - r^2 trQ) / r^5
-    //   acc_Q  = +(1/2) [ -15 sQs s / r^7 + 3 (trQ s + 2 Qs) / r^5 ]   (as -grad phi)
-    {
-        Vec3<T> Qs{mp.q2(0, 0) * s.x + mp.q2(0, 1) * s.y + mp.q2(0, 2) * s.z,
-                   mp.q2(1, 0) * s.x + mp.q2(1, 1) * s.y + mp.q2(1, 2) * s.z,
-                   mp.q2(2, 0) * s.x + mp.q2(2, 1) * s.y + mp.q2(2, 2) * s.z};
-        T sQs = dot(s, Qs);
-        T trQ = mp.q2(0, 0) + mp.q2(1, 1) + mp.q2(2, 2);
-        pot -= T(0.5) * (T(3) * sQs - r2 * trQ) * inv5;
-        acc += T(0.5) * (T(-15) * sQs * inv7 * s + T(3) * inv5 * (trQ * s + T(2) * Qs));
-    }
-    if (order == MultipoleOrder::Quadrupole) return;
-
-    T inv9  = inv7 * inv2;
-    T inv11 = inv9 * inv2;
-
-    // octupole: phi_O = +(1/6) O_jkl D3_jkl ... with Taylor sign (-1)^3:
-    // phi = -G sum_n ((-1)^n / n!) Moment_n . D_n; for n=3 the sign is -1/6.
-    // D3_jkl = -(15 s_j s_k s_l - 3 r^2 (s_j d_kl + s_k d_jl + s_l d_jk)) / r^7
-    {
-        // contract O with D3 (potential) and with D4 (acceleration)
-        T o_d3 = T(0);
-        Vec3<T> o_d4{};
-        for (int j = 0; j < 3; ++j)
-            for (int k = 0; k < 3; ++k)
-                for (int l = 0; l < 3; ++l)
-                {
-                    T ojkl = mp.o3(j, k, l);
-                    if (ojkl == T(0)) continue;
-                    // D3
-                    T t = T(15) * s[j] * s[k] * s[l];
-                    T dterm = T(0);
-                    if (k == l) dterm += s[j];
-                    if (j == l) dterm += s[k];
-                    if (j == k) dterm += s[l];
-                    T d3 = -(t - T(3) * r2 * dterm) * inv7;
-                    o_d3 += ojkl * d3;
-                    // D4_ijkl for each i
-                    for (int i = 0; i < 3; ++i)
-                    {
-                        o_d4[i] += ojkl * d4Tensor(s, r2, inv9, i, j, k, l);
-                    }
-                }
-        // phi += -G * (-1/6) O.D3  (with G=1 folded): pot -= (-1/6) o_d3
-        pot += o_d3 / T(6);
-        // acc_i = -d(phi)/ds_i = -(1/6) O.D4_i
-        acc -= o_d4 / T(6);
-    }
-    if (order == MultipoleOrder::Octupole) return;
-
-    // hexadecapole: n=4, sign +1/24
-    {
-        T h_d4 = T(0);
-        Vec3<T> h_d5{};
-        for (int j = 0; j < 3; ++j)
-            for (int k = 0; k < 3; ++k)
-                for (int l = 0; l < 3; ++l)
-                    for (int mth = 0; mth < 3; ++mth)
-                    {
-                        T hj = mp.h4(j, k, l, mth);
-                        if (hj == T(0)) continue;
-                        h_d4 += hj * d4Tensor(s, r2, inv9, j, k, l, mth);
-                        for (int i = 0; i < 3; ++i)
-                        {
-                            h_d5[i] += hj * d5Tensor(s, r2, inv11, i, j, k, l, mth);
-                        }
-                    }
-        pot -= h_d4 / T(24);
-        acc += h_d5 / T(24);
-    }
-}
-
-/// Rank-4 derivative tensor of 1/s:
-/// D4 = (105 ssss - 15 r^2 (ss d, 6 terms) + 3 r^4 (dd, 3 terms)) / r^9.
-template<class T>
-T d4Tensor(const Vec3<T>& s, T r2, T inv9, int i, int j, int k, int l)
-{
-    T t1 = T(105) * s[i] * s[j] * s[k] * s[l];
-    T t2 = T(0);
-    if (k == l) t2 += s[i] * s[j];
-    if (j == l) t2 += s[i] * s[k];
-    if (j == k) t2 += s[i] * s[l];
-    if (i == l) t2 += s[j] * s[k];
-    if (i == k) t2 += s[j] * s[l];
-    if (i == j) t2 += s[k] * s[l];
-    T t3 = T(0);
-    if (i == j && k == l) t3 += T(1);
-    if (i == k && j == l) t3 += T(1);
-    if (i == l && j == k) t3 += T(1);
-    return (t1 - T(15) * r2 * t2 + T(3) * r2 * r2 * t3) * inv9;
-}
-
-/// Rank-5 derivative tensor of 1/s:
-/// D5 = -(945 sssss - 105 r^2 (sss d, 10 terms) + 15 r^4 (s dd, 15 terms)) / r^11.
-template<class T>
-T d5Tensor(const Vec3<T>& s, T r2, T inv11, int i, int j, int k, int l, int m)
-{
-    const int idx[5] = {i, j, k, l, m};
-    T t1 = T(945) * s[i] * s[j] * s[k] * s[l] * s[m];
-
-    // 10 terms: delta over one pair, s over remaining three
-    T t2 = T(0);
-    for (int a = 0; a < 5; ++a)
-        for (int b = a + 1; b < 5; ++b)
-        {
-            if (idx[a] != idx[b]) continue;
-            T prod = T(1);
-            for (int c = 0; c < 5; ++c)
-            {
-                if (c != a && c != b) prod *= s[idx[c]];
-            }
-            t2 += prod;
-        }
-
-    // 15 terms: two disjoint delta pairs, s over the remaining index
-    T t3 = T(0);
-    for (int a = 0; a < 5; ++a)
-        for (int b = a + 1; b < 5; ++b)
-        {
-            for (int c = a + 1; c < 5; ++c)
-            {
-                if (c == b) continue;
-                for (int d = c + 1; d < 5; ++d)
-                {
-                    if (d == b) continue;
-                    // pairs (a,b) and (c,d), a < b, c < d, a < c: each
-                    // unordered pair-of-pairs counted once
-                    if (idx[a] == idx[b] && idx[c] == idx[d])
-                    {
-                        int e = 0 + 1 + 2 + 3 + 4 - a - b - c - d;
-                        t3 += s[idx[e]];
-                    }
-                }
-            }
-        }
-
-    return -(t1 - T(105) * r2 * t2 + T(15) * r2 * r2 * t3) * inv11;
 }
 
 } // namespace sphexa

@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gravity_oracle.hpp"
@@ -40,6 +42,17 @@ ParticleSet<double> randomCluster(std::size_t n, std::uint64_t seed)
     }
     return ps;
 }
+
+/// Runs the shared worker pool at \p n workers for the guard's lifetime.
+struct PoolSizeGuard
+{
+    std::size_t saved;
+    explicit PoolSizeGuard(std::size_t n) : saved(WorkerPool::instance().size())
+    {
+        WorkerPool::instance().resize(n);
+    }
+    ~PoolSizeGuard() { WorkerPool::instance().resize(saved); }
+};
 
 /// RMS and maximum relative acceleration error of \p ps against \p ref.
 struct AccError
@@ -140,9 +153,9 @@ TEST(Multipole, TwoBodyQuadrupoleKnownValue)
     auto mp = computeMultipole<double>(x, y, z, m, idx, MultipoleOrder::Quadrupole);
     EXPECT_DOUBLE_EQ(mp.mass, 2.0);
     EXPECT_NEAR(mp.com.x, 0.0, 1e-15);
-    EXPECT_NEAR(mp.q2(0, 0), 2 * d * d, 1e-15);
-    EXPECT_NEAR(mp.q2(1, 1), 0.0, 1e-15);
-    EXPECT_NEAR(mp.q2(0, 1), 0.0, 1e-15);
+    EXPECT_NEAR(oracle::q2(mp, 0, 0), 2 * d * d, 1e-15);
+    EXPECT_NEAR(oracle::q2(mp, 1, 1), 0.0, 1e-15);
+    EXPECT_NEAR(oracle::q2(mp, 0, 1), 0.0, 1e-15);
 }
 
 TEST(Multipole, FieldMatchesDirectForDistantCluster)
@@ -181,7 +194,7 @@ TEST(Multipole, FieldMatchesDirectForDistantCluster)
         auto mp = computeMultipole<double>(x, y, z, m, idx, order);
         Vec3<double> acc{};
         double pot = 0;
-        evaluateMultipole(mp, target - mp.com, order, acc, pot);
+        oracle::m2pAtOrder(mp, target - mp.com, order, acc, pot);
         double err = norm(acc - aExact) / norm(aExact);
         double potErr = std::abs(pot - potExact) / std::abs(potExact);
         EXPECT_LT(err, prevErr * 1.001) << multipoleOrderName(order);
@@ -192,9 +205,144 @@ TEST(Multipole, FieldMatchesDirectForDistantCluster)
     EXPECT_LT(prevErr, 1e-6);
 }
 
+TEST(Multipole, ClosedFormM2PMatchesOracleContraction)
+{
+    // backend::m2p's closed forms against the oracle's tensor contraction:
+    // bitwise at monopole and quadrupole order, within 1e-12 of the field
+    // at octupole and hexadecapole. Clusters are random, planar (every
+    // moment with a z index is zero) or linear; displacements are random,
+    // axis-aligned and diagonal. The sums start from nonzero values, as
+    // they do behind earlier sources of a walk, so a reordered sum shows.
+    // Then a full tile and a short one over a list of nodes give each
+    // member the bits of one single-target call per node, at every order.
+    constexpr MultipoleOrder orders[] = {MultipoleOrder::Monopole, MultipoleOrder::Quadrupole,
+                                         MultipoleOrder::Octupole,
+                                         MultipoleOrder::Hexadecapole};
+    Xoshiro256pp rng(53);
+    auto cluster = [&](int shape) {
+        std::vector<double> x, y, z, m;
+        Vec3<double> c{rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)};
+        for (int i = 0; i < 20; ++i)
+        {
+            x.push_back(c.x + rng.uniform(-0.1, 0.1));
+            y.push_back(shape == 2 ? c.y : c.y + rng.uniform(-0.1, 0.1));
+            z.push_back(shape >= 1 ? c.z : c.z + rng.uniform(-0.1, 0.1));
+            m.push_back(rng.uniform(0.5, 1.5));
+        }
+        std::vector<std::uint32_t> idx(x.size());
+        std::iota(idx.begin(), idx.end(), 0u);
+        return computeMultipole<double>(x, y, z, m, idx, MultipoleOrder::Hexadecapole);
+    };
+    // a moment set truncated to \p order, as computeMultipole leaves it
+    auto atOrder = [](Multipole<double> mp, MultipoleOrder order) {
+        if (order < MultipoleOrder::Quadrupole) mp.q = {};
+        if (order < MultipoleOrder::Octupole) mp.o = {};
+        if (order < MultipoleOrder::Hexadecapole) mp.hx = {};
+        return mp;
+    };
+
+    std::vector<Vec3<double>> dirs;
+    for (int a = 0; a < 3; ++a)
+        for (double sign : {1.0, -1.0})
+        {
+            Vec3<double> e{};
+            e[a] = sign;
+            dirs.push_back(e);
+        }
+    for (double sx : {1.0, -1.0})
+        for (double sy : {1.0, -1.0})
+        {
+            dirs.push_back(Vec3<double>{sx, sy, 0.0} / std::sqrt(2.0));
+            dirs.push_back(Vec3<double>{sx, 0.0, sy} / std::sqrt(2.0));
+            dirs.push_back(Vec3<double>{0.0, sx, sy} / std::sqrt(2.0));
+            for (double sz : {1.0, -1.0})
+                dirs.push_back(Vec3<double>{sx, sy, sz} / std::sqrt(3.0));
+        }
+
+    for (int c = 0; c < 300; ++c)
+    {
+        Multipole<double> full = cluster(c % 3);
+        std::vector<Vec3<double>> disp;
+        for (const auto& d : dirs)
+            disp.push_back(rng.uniform(0.3, 2.0) * d);
+        for (int k = 0; k < 8; ++k)
+        {
+            Vec3<double> d{rng.normal(), rng.normal(), rng.normal()};
+            disp.push_back(rng.uniform(0.3, 2.0) / norm(d) * d);
+        }
+        for (auto order : orders)
+        {
+            Multipole<double> mp = atOrder(full, order);
+            for (const auto& s : disp)
+            {
+                const Vec3<double> a0{rng.uniform(-10, 10), rng.uniform(-10, 10),
+                                      rng.uniform(-10, 10)};
+                const double p0 = rng.uniform(-10, 10);
+                Vec3<double> aRef = a0, aGot = a0;
+                double pRef = p0, pGot = p0;
+                oracle::evaluateMultipole(mp, s, order, aRef, pRef);
+                oracle::m2pAtOrder(mp, s, order, aGot, pGot);
+                if (order <= MultipoleOrder::Quadrupole)
+                {
+                    ASSERT_EQ(aGot.x, aRef.x) << multipoleOrderName(order) << " s=" << s;
+                    ASSERT_EQ(aGot.y, aRef.y) << multipoleOrderName(order) << " s=" << s;
+                    ASSERT_EQ(aGot.z, aRef.z) << multipoleOrderName(order) << " s=" << s;
+                    ASSERT_EQ(pGot, pRef) << multipoleOrderName(order) << " s=" << s;
+                }
+                else
+                {
+                    ASSERT_LE(norm(aGot - aRef), 1e-12 * norm(aRef - a0))
+                        << multipoleOrderName(order) << " s=" << s;
+                    ASSERT_LE(std::abs(pGot - pRef), 1e-12 * std::abs(pRef - p0))
+                        << multipoleOrderName(order) << " s=" << s;
+                }
+            }
+        }
+    }
+
+    // tiles: targets in [2, 3]^3, far outside every cluster
+    std::vector<Multipole<double>> nodes;
+    for (int c = 0; c < 6; ++c)
+        nodes.push_back(cluster(c % 3));
+    const std::vector<std::uint32_t> list{4, 0, 5, 2, 1, 3};
+    std::vector<double> px, py, pz;
+    for (std::size_t i = 0; i < backend::kLaneWidth; ++i)
+    {
+        px.push_back(rng.uniform(2.0, 3.0));
+        py.push_back(rng.uniform(2.0, 3.0));
+        pz.push_back(rng.uniform(2.0, 3.0));
+    }
+    std::vector<std::uint32_t> members(backend::kLaneWidth);
+    std::iota(members.begin(), members.end(), 0u);
+    for (auto order : orders)
+    {
+        std::vector<Multipole<double>> mps;
+        for (const auto& mp : nodes)
+            mps.push_back(atOrder(mp, order));
+        for (std::size_t count : {backend::kLaneWidth, std::size_t(5)})
+        {
+            backend::GravityTile<double> t(members.data(), 0, count, px.data(), py.data(),
+                                           pz.data());
+            backend::m2p(t, mps.data(), list.data(), list.size(), order);
+            ASSERT_EQ(t.valid, count);
+            for (std::size_t l = 0; l < count; ++l)
+            {
+                Vec3<double> p{px[l], py[l], pz[l]}, acc{};
+                double pot = 0;
+                for (auto k : list)
+                    oracle::m2pAtOrder(mps[k], p - mps[k].com, order, acc, pot);
+                EXPECT_EQ(t.ax[l], acc.x) << multipoleOrderName(order) << " lane " << l;
+                EXPECT_EQ(t.ay[l], acc.y) << multipoleOrderName(order) << " lane " << l;
+                EXPECT_EQ(t.az[l], acc.z) << multipoleOrderName(order) << " lane " << l;
+                EXPECT_EQ(t.pot[l], pot) << multipoleOrderName(order) << " lane " << l;
+            }
+        }
+    }
+}
+
 TEST(Multipole, SymmetricIndexHelpers)
 {
-    using namespace sphexa::detail;
+    using namespace sphexa::oracle;
     // all rank-2 indices valid and symmetric
     std::set<int> s2;
     for (int i = 0; i < 3; ++i)
@@ -237,6 +385,8 @@ TEST(Multipole, DerivativeTensorsAreSymmetric)
     double inv9 = std::pow(r2, -4.5);
     double inv11 = std::pow(r2, -5.5);
     // D4 symmetric under index permutations
+    using oracle::d4Tensor;
+    using oracle::d5Tensor;
     EXPECT_NEAR(d4Tensor(s, r2, inv9, 0, 1, 2, 1), d4Tensor(s, r2, inv9, 1, 2, 1, 0), 1e-12);
     EXPECT_NEAR(d4Tensor(s, r2, inv9, 0, 0, 1, 2), d4Tensor(s, r2, inv9, 2, 1, 0, 0), 1e-12);
     // D5 symmetric
@@ -246,8 +396,7 @@ TEST(Multipole, DerivativeTensorsAreSymmetric)
 
 TEST(Multipole, D4IsGradientOfD3ViaFiniteDifference)
 {
-    // D4_ijkl = d/ds_i D3_jkl: check numerically using the octupole part of
-    // evaluateMultipole indirectly — here directly on the tensor.
+    // D4_ijkl = d/ds_i D3_jkl: check numerically on the oracle's tensor.
     Vec3<double> s{0.9, 0.2, -0.6};
     double eps = 1e-6;
 
@@ -274,7 +423,7 @@ TEST(Multipole, D4IsGradientOfD3ViaFiniteDifference)
                     double fd = (d3(sp, j, k, l) - d3(sm, j, k, l)) / (2 * eps);
                     double r2 = norm2(s);
                     double inv9 = std::pow(r2, -4.5);
-                    EXPECT_NEAR(d4Tensor(s, r2, inv9, i, j, k, l), fd,
+                    EXPECT_NEAR(oracle::d4Tensor(s, r2, inv9, i, j, k, l), fd,
                                 1e-4 * std::max(1.0, std::abs(fd)));
                 }
 }
@@ -294,11 +443,11 @@ TEST(Multipole, D5IsGradientOfD4ViaFiniteDifference)
                 sm[i] -= eps;
                 auto d4at = [&](const Vec3<double>& sv) {
                     double r2 = norm2(sv);
-                    return d4Tensor(sv, r2, std::pow(r2, -4.5), j, k, l, m);
+                    return oracle::d4Tensor(sv, r2, std::pow(r2, -4.5), j, k, l, m);
                 };
                 double fd = (d4at(sp) - d4at(sm)) / (2 * eps);
                 double r2 = norm2(s);
-                EXPECT_NEAR(d5Tensor(s, r2, std::pow(r2, -5.5), i, j, k, l, m), fd,
+                EXPECT_NEAR(oracle::d5Tensor(s, r2, std::pow(r2, -5.5), i, j, k, l, m), fd,
                             1e-3 * std::max(1.0, std::abs(fd)));
             }
 }
@@ -526,9 +675,10 @@ TEST(GravitySolver, GroupsFollowTreeOrder)
     // Groups are cut from the tree order of the targets, so a set and a
     // shuffled copy of it (no tied SFC keys, hence one tree order of ids)
     // get the same groups: accelerations joined by id and the total
-    // potential are bitwise equal, for all targets and for a subset. The
-    // distributed driver's replicated set and the binned step's active set
-    // rely on this.
+    // potential are bitwise equal, for all targets and for a subset, at
+    // every multipole order. The set is solved on one worker, the shuffled
+    // copy on pools {1, 4}. The distributed driver's replicated set and the
+    // binned step's active set rely on this.
     const std::size_t n = 3000;
     ParticleSet<double> ps(n);
     Xoshiro256pp rng(48);
@@ -586,20 +736,35 @@ TEST(GravitySolver, GroupsFollowTreeOrder)
         return Run{std::move(set), pot};
     };
 
-    for (bool subset : {false, true})
+    for (auto order : {MultipoleOrder::Monopole, MultipoleOrder::Quadrupole,
+                       MultipoleOrder::Octupole, MultipoleOrder::Hexadecapole})
     {
-        Run a = solve(ps, subset);
-        Run b = solve(shuffled, subset);
-        EXPECT_EQ(a.pot, b.pot) << "subset=" << subset;
-        for (std::size_t k = 0; k < n; ++k)
+        params.order = order;
+        for (bool subset : {false, true})
         {
-            std::size_t i = b.ps.id[k]; // a stores particle id i in slot i
-            ASSERT_EQ(a.ps.ax[i], b.ps.ax[k]) << "id " << i << " subset=" << subset;
-            ASSERT_EQ(a.ps.ay[i], b.ps.ay[k]) << "id " << i << " subset=" << subset;
-            ASSERT_EQ(a.ps.az[i], b.ps.az[k]) << "id " << i << " subset=" << subset;
-            if (subset && i % 3 != 0)
+            Run a = [&] {
+                PoolSizeGuard guard(1);
+                return solve(ps, subset);
+            }();
+            for (std::size_t pool : {1, 4})
             {
-                ASSERT_EQ(b.ps.ax[k], 0.0) << "non-target id " << i << " got a force";
+                PoolSizeGuard guard(pool);
+                Run b = solve(shuffled, subset);
+                const std::string where = std::string(multipoleOrderName(order)) +
+                                          " pool=" + std::to_string(pool) +
+                                          " subset=" + std::to_string(subset);
+                EXPECT_EQ(a.pot, b.pot) << where;
+                for (std::size_t k = 0; k < n; ++k)
+                {
+                    std::size_t i = b.ps.id[k]; // a stores particle id i in slot i
+                    ASSERT_EQ(a.ps.ax[i], b.ps.ax[k]) << "id " << i << " " << where;
+                    ASSERT_EQ(a.ps.ay[i], b.ps.ay[k]) << "id " << i << " " << where;
+                    ASSERT_EQ(a.ps.az[i], b.ps.az[k]) << "id " << i << " " << where;
+                    if (subset && i % 3 != 0)
+                    {
+                        ASSERT_EQ(b.ps.ax[k], 0.0) << "non-target id " << i << " got a force";
+                    }
+                }
             }
         }
     }
