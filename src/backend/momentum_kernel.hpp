@@ -5,8 +5,8 @@
 /// backends, the per-particle record it reads its neighbors' fields from,
 /// and the artificial-viscosity parameter block it shares with the
 /// configuration layer. The dispatch shell lives in
-/// sph/momentum_energy.hpp, the neighbor-list symmetrization it relies on
-/// in tree/neighbors.hpp.
+/// sph/momentum_energy.hpp, the missing-pair buckets it merges into the
+/// rows in tree/neighbors.hpp.
 ///
 /// The kernel reads x, y, z and h of each neighbor from the particle
 /// arrays (the distance pass) and every other field from one 112-byte
@@ -64,7 +64,7 @@ struct MomentumRecord
 
 /// Phase H's neighbor records, one per particle. Owned by a driver and
 /// referenced by its StepContexts (StepContext::momentumRecords), like
-/// SymmetrizeWorkspace; a default-constructed buffer is valid and grows
+/// phase D's MissingPairs; a default-constructed buffer is valid and grows
 /// on first use. It only grows, and it never copies: pack() rewrites
 /// every record it returns, so growing frees the old allocation before it
 /// takes the larger one and RSS never holds two buffers (a growing

@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -244,25 +245,27 @@ PhaseOp<T> neighborSymmetrize()
                 // (where conservation is measured) — ChaNGa's trade-off.
                 if (ctx.walkMode == WalkMode::Global && ctx.cfg.symmetrizeNeighbors)
                 {
-                    SymmetrizeWorkspace<T>  local;
-                    SymmetrizeWorkspace<T>& ws = ctx.symmetrize ? *ctx.symmetrize : local;
+                    if (!ctx.pairBuckets) ctx.transientPairs = std::make_unique<MissingPairs<T>>();
+                    auto& pairs = ctx.pairBuckets ? *ctx.pairBuckets : *ctx.transientPairs;
                     const auto& ps = ctx.ps;
                     // the box the phase-B search measured its distances in
-                    symmetrizeNeighborList(
-                        ctx.nl, ps.x, ps.y, ps.z, ps.h, ctx.tree.box(), ws,
-                        std::span<const std::uint64_t>(ps.id.data(), ctx.nl.size()),
-                        ctx.loopPolicy(Phase::D_NeighborSymmetrize));
+                    findMissingPairs(ctx.nl, ps.x, ps.y, ps.z, ps.h, ctx.tree.box(), pairs,
+                                     std::span<const std::uint64_t>(ps.id.data(), ctx.nl.size()),
+                                     ctx.loopPolicy(Phase::D_NeighborSymmetrize));
+                    ctx.missingPairs = &pairs;
                 }
                 // phase D closes the list-building bracket (B fills, C may
-                // re-walk, the symmetrize pass appends): snapshot overflow
-                // here so the report reflects the lists the SPH sums read
-                ctx.neighborOverflow = ctx.nl.overflowCount();
+                // re-walk, D buckets the missing pairs): snapshot overflow
+                // here so the report reflects the rows the SPH sums read
+                const auto* pairs    = ctx.missingPairs;
+                ctx.neighborOverflow = ctx.nl.overflowCount() + (pairs ? pairs->cutRows : 0);
                 // interaction counter: walked particles only when a subset
                 // was searched (other entries are stale/ghost), whole list
-                // on a global walk
+                // plus the kept buckets on a global walk
                 if (ctx.walkMode == WalkMode::Global)
                 {
-                    ctx.neighborInteractions = ctx.nl.totalNeighbors();
+                    ctx.neighborInteractions =
+                        ctx.nl.totalNeighbors() + (pairs ? pairs->keptEntries : 0);
                 }
                 else
                 {
@@ -343,7 +346,8 @@ PhaseOp<T> momentumEnergy()
                                                    ctx.cfg.gradients, ctx.cfg.av,
                                                    ctx.activeSpan(),
                                                    ctx.loopPolicy(Phase::H_MomentumEnergy),
-                                                   ctx.computeBackend(), ctx.momentumRecords);
+                                                   ctx.computeBackend(), ctx.momentumRecords,
+                                                   ctx.missingPairs);
                 ctx.maxVsignal = stats.maxVsignal;
             }};
 }

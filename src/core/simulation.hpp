@@ -276,7 +276,7 @@ private:
         ctx.awf        = &awf_; // AWF weights persist across the driver's steps
         ctx.sorter     = &sorter_;    // phase L key/perm buffers persist too,
         ctx.clusters   = &clusterWs_; // as does the cluster-search scratch
-        ctx.symmetrize = &symmetrizeWs_; // and the phase D pair buckets
+        ctx.pairBuckets = &pairBuckets_; // and the phase D pair buckets
         ctx.momentumRecords = &momentumRecords_; // and phase H's records
         ctx.laneKernel = &laneKernel_; // Simd backend tables persist as well
         // active-subset walks only under the binned integrator: mixing a
@@ -322,7 +322,7 @@ private:
     AwfWeightStore awf_; ///< per-phase AWF weights, adapted across steps
     SfcSorter<T> sorter_;           ///< phase L buffers, persist across steps
     ClusterWorkspace<T> clusterWs_; ///< cluster-search scratch, persists too
-    SymmetrizeWorkspace<T> symmetrizeWs_; ///< phase D pair buckets, likewise
+    MissingPairs<T> pairBuckets_;   ///< phase D pair buckets, likewise
     MomentumRecordBuffer<T> momentumRecords_; ///< phase H records, likewise
     std::vector<std::size_t> lastWalkIndices_; ///< last force pass's walked set
     PhaseEventLog* log_{nullptr};

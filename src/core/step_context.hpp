@@ -5,8 +5,8 @@
 /// the workflow phases of the paper's Algorithm 1 / Fig. 4 timeline, the
 /// per-step report both drivers fill, the mutable state bundle a phase
 /// operates on (StepContext, which also points at the driver-owned
-/// scratch the phases reuse across steps: sort keys, search and phase D
-/// workspaces, phase H's record buffer, the lane tables), and the
+/// scratch the phases reuse across steps: sort keys, the search workspace,
+/// phase D's pair buckets, phase H's record buffer, the lane tables), and the
 /// runner-emitted phase-event log that feeds the Extrae-style tracer
 /// (perf/tracer.hpp).
 ///
@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -126,12 +127,12 @@ struct StepContext
     /// Driver-owned persistent buffers of the sorted-reorder + cluster
     /// neighbor-search subsystem (tree/sfc_sort.hpp, tree/cluster_list.hpp):
     /// key/permutation storage for phase L, the cluster search's scratch
-    /// for every search of phases B and C, and the missing-pair buckets of
-    /// the phase D symmetrization. Null-safe — the phase ops fall back to
-    /// transient local buffers (correct, just re-allocating each step).
+    /// for every search of phases B and C, and the missing-pair buckets
+    /// phase D fills for phase H. Null-safe — the phase ops fall back to
+    /// transient buffers (correct, just re-allocating each step).
     SfcSorter<T>* sorter = nullptr;
     ClusterWorkspace<T>* clusters = nullptr;
-    SymmetrizeWorkspace<T>* symmetrize = nullptr;
+    MissingPairs<T>* pairBuckets = nullptr;
     /// Driver-owned record buffer of phase H (backend/momentum_kernel.hpp),
     /// repacked on every call. Null-safe like the buffers above: the phase
     /// then packs into a transient buffer.
@@ -144,6 +145,12 @@ struct StepContext
     const LaneKernel<T>* laneKernel = nullptr;
 
     // --- outputs, harvested into StepReport/driver state by the runner ---
+    /// The buckets phase D filled in this force pass, which phase H sums
+    /// after each row: pairBuckets, or transientPairs when the driver gave
+    /// none. Null when D did not run (binned and distributed walks, or
+    /// symmetrizeNeighbors off), so no pass reads an earlier pass's buckets.
+    MissingPairs<T>* missingPairs = nullptr;
+    std::unique_ptr<MissingPairs<T>> transientPairs{};
     T maxVsignal{0};
     T potentialEnergy{0};
     /// Mirror ghosts currently appended at the tail of ps (WCSPH phase K);

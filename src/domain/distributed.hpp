@@ -59,6 +59,12 @@ struct RankStepReport
     std::size_t localParticles = 0;
     std::size_t ghostParticles = 0;
     std::size_t neighborInteractions = 0;
+    /// The rank's list health, as StepReport carries it: rows cut at
+    /// ngmax, particles phase C left outside the tolerance band, and its
+    /// iterations.
+    std::size_t neighborOverflow = 0;
+    std::size_t hUnconverged     = 0;
+    unsigned hIterations         = 0;
     simmpi::Traffic traffic{}; ///< traffic sent this step
 
     double computeSeconds() const
@@ -326,6 +332,9 @@ private:
         {
             rankVsig_[r] = ctxs[r].maxVsignal;
             rep.ranks[r].neighborInteractions = ctxs[r].neighborInteractions;
+            rep.ranks[r].neighborOverflow     = ctxs[r].neighborOverflow;
+            rep.ranks[r].hUnconverged         = ctxs[r].hUnconverged;
+            rep.ranks[r].hIterations          = ctxs[r].hIterations;
             rep.ranks[r].phaseLoad            = ctxs[r].phaseLoad;
         }
         lastMaxVsig_ = comm_.allreduceMax<T>(std::span<const T>(rankVsig_));

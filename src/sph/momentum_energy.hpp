@@ -15,8 +15,8 @@
 ///
 /// The loop is accumulate-to-self only (no scatter), making it lock-free;
 /// exact pairwise antisymmetry (and therefore momentum conservation) holds
-/// when neighbor lists are pair-symmetric (phase D, symmetrizeNeighborList
-/// in tree/neighbors.hpp).
+/// when every row is followed by the sources it misses for pair symmetry
+/// (phase D's buckets, findMissingPairs in tree/neighbors.hpp).
 ///
 /// Each call first packs every particle's non-position fields into one
 /// record (MomentumRecordBuffer, backend/momentum_kernel.hpp), so the pair
@@ -46,7 +46,10 @@ namespace sphexa {
 /// the backend \p be selects (Scalar when defaulted; see
 /// backend/kernel_backend.hpp). The shell owns the cross-particle vsig max
 /// reduction. \p records is the driver's persistent record buffer;
-/// null-safe, a standalone call packs into a transient one.
+/// null-safe, a standalone call packs into a transient one. \p pairs are
+/// phase D's buckets over \p nl (null: the rows alone): a row whose kept
+/// bucket is not empty is summed as the row followed by that bucket,
+/// copied into the worker's staging row.
 template<class T>
 MomentumEnergyStats<T> computeMomentumEnergy(ParticleSet<T>& ps, const NeighborList<T>& nl,
                                              const Kernel<T>& kernel, const Box<T>& box,
@@ -55,8 +58,10 @@ MomentumEnergyStats<T> computeMomentumEnergy(ParticleSet<T>& ps, const NeighborL
                                              std::type_identity_t<std::span<const std::size_t>> active = {},
                                              const LoopPolicy& policy = {},
                                              const ComputeBackend<T>& be = {},
-                                             MomentumRecordBuffer<T>* records = nullptr)
+                                             MomentumRecordBuffer<T>* records = nullptr,
+                                             MissingPairs<T>* pairs = nullptr)
 {
+    using Index = typename NeighborList<T>::Index;
     // every particle, active or not, can be a neighbor: pack them all. The
     // uniform pack must not adapt the AWF weights the pair loop below is
     // calibrated by, as in phase E's volume-element loop
@@ -69,9 +74,21 @@ MomentumEnergyStats<T> computeMomentumEnergy(ParticleSet<T>& ps, const NeighborL
     // accumulation, so the result is bitwise identical for any pool size,
     // strategy, or chunk boundary
     std::vector<WorkerSlot<T>> workerVsig(parallelForWorkers());
+    // each worker stages its merged rows in its own ngmax entries
+    const std::size_t ngmax = nl.ngmax();
+    if (pairs && pairs->staging.size() < workerVsig.size() * ngmax)
+        pairs->staging.resize(workerVsig.size() * ngmax);
     backend::forEachRow(ps.size(), active, nl, kernel, box, policy, be,
                         [&](const auto& lanes, const auto& wrap, std::size_t i, auto row,
                             std::size_t worker) {
+                            auto extra = pairs ? pairs->kept(nl, i) : std::span<const Index>{};
+                            if (!extra.empty())
+                            {
+                                auto* merged = pairs->staging.data() + worker * ngmax;
+                                std::copy_n(row.data, row.count, merged);
+                                std::copy_n(extra.data(), extra.size(), merged + row.count);
+                                row = {merged, row.count + extra.size()};
+                            }
                             T vsigI = backend::momentumEnergyParticle(
                                 ps, rec, i, row.data, row.count, lanes, wrap, mode, av);
                             workerVsig[worker].value =

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file neighbors.hpp
-/// Neighbor lists (step 2 of Algorithm 1) and their pairwise completion
+/// Neighbor lists (step 2 of Algorithm 1) and the pairs they miss
 /// (phase D).
 ///
 /// Both discovery modes of the paper's Tables 1/2 — the Global tree walk
@@ -21,8 +21,9 @@
 /// per-worker arena cursors, each row written by one iteration, so the
 /// lists are bitwise identical for any pool size and strategy (only where
 /// a row sits in the arena depends on the schedule).
-/// symmetrizeNeighborList (phase D) completes the lists pairwise, with the
-/// same invariance.
+/// findMissingPairs (phase D) buckets the sources each row lacks for pair
+/// symmetry, with the same invariance, and leaves the lists as the search
+/// left them.
 
 #include <algorithm>
 #include <atomic>
@@ -57,11 +58,9 @@ namespace sphexa {
 ///    own cursor, so the rows one worker writes consecutively — a
 ///    cluster's members in the cluster search — form one packed block, and
 ///    the only shared operation is one page claim per filled page;
-///  - set() and append() are the single-row writers (tests, oracles,
-///    serial callers); they share one cursor under a lock, so they are
-///    safe for distinct rows from concurrent callers;
-///  - phase D's extension sizes every row first (reserveAppends, serial)
-///    and then appends in parallel without claiming anything.
+///  - set() is the single-row writer (tests, oracles, serial callers); it
+///    places rows through one cursor under a lock, so it is safe for
+///    distinct rows from concurrent callers.
 ///
 /// A row rewritten with no more entries than its room stays in place; one
 /// that outgrows its place moves to fresh space, leaving dead entries
@@ -168,23 +167,6 @@ public:
         write(shared_.cursor, i, nbs);
     }
 
-    /// Extend row i by \p extra, past its current count: the result
-    /// set(i, neighbors(i) ++ extra) would give. Entries beyond ngmax are
-    /// dropped and the row counts one overflow, as a truncated set() does;
-    /// an empty \p extra changes nothing.
-    void append(std::size_t i, std::span<const Index> extra)
-    {
-        if (extra.empty()) return;
-        std::lock_guard<std::mutex> lock(shared_.mutex);
-        ensurePageSlot();
-        unsigned c    = count_[i];
-        unsigned kept = unsigned(std::min<std::size_t>(extra.size(), ngmax_ - c));
-        if (c + kept > room_[i]) makeRoom(shared_.cursor, i, c + kept, c);
-        std::copy_n(extra.begin(), kept, at(offset_[i]) + c);
-        count_[i] = c + kept;
-        if (kept < extra.size()) countOverflow();
-    }
-
     // --- parallel fills -----------------------------------------------------
 
     /// Open a fill that writes at most \p rows rows through place(). With
@@ -221,42 +203,6 @@ public:
         if (claimedEntries() - live > live) compact();
     }
 
-    /// Phase D's sizing pass (serial): row j is about to gain the entries
-    /// of bucket [start[j], start[j+1]), truncated at ngmax. A row whose
-    /// place cannot hold them moves to fresh space now; from[j] keeps where
-    /// its current entries still sit, for appendReserved to copy.
-    void reserveAppends(std::span<const std::size_t> start, std::vector<std::size_t>& from)
-    {
-        std::lock_guard<std::mutex> lock(shared_.mutex);
-        from.resize(n_);
-        for (std::size_t j = 0; j < n_; ++j)
-        {
-            from[j]   = offset_[j];
-            unsigned c = count_[j];
-            unsigned grown =
-                c + unsigned(std::min<std::size_t>(start[j + 1] - start[j], ngmax_ - c));
-            if (grown <= room_[j]) continue;
-            ensurePageSlot();
-            offset_[j] = take(shared_.cursor, grown);
-            room_[j]   = grown;
-        }
-    }
-
-    /// append(j, extra) after reserveAppends gave row j its room: copies
-    /// the row from \p from when it moved, then extends it. Claims nothing,
-    /// so it is safe concurrently for distinct j.
-    void appendReserved(std::size_t j, std::span<const Index> extra, std::size_t from)
-    {
-        if (extra.empty()) return;
-        unsigned c    = count_[j];
-        unsigned kept = unsigned(std::min<std::size_t>(extra.size(), ngmax_ - c));
-        Index* dst    = at(offset_[j]);
-        if (from != offset_[j]) std::copy_n(at(from), c, dst);
-        std::copy_n(extra.begin(), kept, dst + c);
-        count_[j] = c + kept;
-        if (kept < extra.size()) countOverflow();
-    }
-
 private:
     /// Bump allocator over one page: [next, end) is its free tail, in
     /// arena offsets (page << shift | slot). Empty when next == end.
@@ -265,7 +211,7 @@ private:
         std::size_t next = 0, end = 0;
     };
 
-    /// The single-row writers' cursor and its lock. Copying a list gives
+    /// The single-row writer's cursor and its lock. Copying a list gives
     /// the copy a fresh lock.
     struct SharedCursor
     {
@@ -292,16 +238,16 @@ private:
     void write(Cursor& cur, std::size_t i, std::span<const Index> nbs)
     {
         unsigned c = unsigned(std::min<std::size_t>(nbs.size(), ngmax_));
-        if (c > room_[i]) makeRoom(cur, i, c, 0);
+        if (c > room_[i]) makeRoom(cur, i, c);
         std::copy_n(nbs.begin(), c, at(offset_[i]));
         count_[i] = c;
         if (nbs.size() > ngmax_) countOverflow();
     }
 
-    /// Give row i a place of \p c > room(i) entries, keeping its first
-    /// \p keep entries: grow it in place when it ends at the cursor's tip
-    /// with space to spare, else move it to fresh space from the cursor.
-    void makeRoom(Cursor& cur, std::size_t i, unsigned c, unsigned keep)
+    /// Give row i a place of \p c > room(i) entries, for a rewrite: grow it
+    /// in place when it ends at the cursor's tip with space to spare, else
+    /// move it to fresh space from the cursor.
+    void makeRoom(Cursor& cur, std::size_t i, unsigned c)
     {
         // a cursor's tip is never its page's first slot, so a row ending
         // there lies in the cursor's page
@@ -313,9 +259,7 @@ private:
         }
         else
         {
-            std::size_t to = take(cur, c);
-            std::copy_n(at(off), keep, at(to));
-            offset_[i] = to;
+            offset_[i] = take(cur, c);
         }
         room_[i] = c;
     }
@@ -341,7 +285,7 @@ private:
         return off;
     }
 
-    /// The single-row writers claim pages outside a fill: keep one slot.
+    /// The single-row writer claims pages outside a fill: keep one slot.
     void ensurePageSlot()
     {
         if (pages_.size() <= pagesInUse_) pages_.resize(pagesInUse_ + 1);
@@ -398,7 +342,7 @@ private:
         if (next & mask) shared_.cursor = {next, (next | mask) + 1};
     }
 
-    // place()/append() count truncations concurrently for distinct rows;
+    // place()/set() count truncations concurrently for distinct rows;
     // atomic_ref makes the shared overflow tally atomic while keeping the
     // member a plain (copyable) size_t.
     void countOverflow()
@@ -419,24 +363,39 @@ private:
     std::size_t  overflow_{0};
 };
 
-/// Persistent scratch of symmetrizeNeighborList: the missing sources,
-/// bucketed by the row that lacks them. Grow-only like the lists
+/// Phase D's output: the pairs the neighbor lists miss, bucketed by the
+/// row that lacks them. Row j's bucket holds every i whose row lists j
+/// while row j lacks i. A row followed by its kept bucket (kept()) is the
+/// row a pair-symmetric list would hold, and phase H sums that sequence.
+/// Phases E-G read the rows alone: a kept entry lies at q = r/h_j >= 2,
+/// where every kernel shape is exactly 0. Grow-only like the lists
 /// themselves, so a steady-state pass allocates nothing. Owned by a driver
-/// and referenced by its StepContexts; a default-constructed workspace is
-/// valid and warms up on first use.
+/// and referenced by its StepContexts; a default-constructed value is valid
+/// and warms up on first use.
 template<class T>
-struct SymmetrizeWorkspace
+struct MissingPairs
 {
     using Index = typename NeighborList<T>::Index;
 
     std::vector<std::size_t> rowStart; ///< bucket of row j: [rowStart[j], rowStart[j+1])
     std::vector<Index> sources;        ///< missing sources, bucketed by row
-    std::vector<std::size_t> from;     ///< where a moved row's entries sat (reserveAppends)
+    std::size_t keptEntries = 0;       ///< bucket entries inside their rows' room
+    std::size_t cutRows     = 0;       ///< rows whose bucket outgrows that room
+    std::vector<Index> staging;        ///< phase H's merged rows, ngmax per worker
+
+    /// Row j's bucket up to the ngmax - count(j) entries row j has room for.
+    std::span<const Index> kept(const NeighborList<T>& nl, std::size_t j) const
+    {
+        std::size_t size = rowStart[j + 1] - rowStart[j];
+        return {sources.data() + rowStart[j],
+                std::min<std::size_t>(size, nl.ngmax() - nl.count(j))};
+    }
 };
 
-/// Make neighbor lists pair-symmetric (phase D): wherever row(i) lists j
-/// but row(j) lacks i, append i to row(j). Exact momentum conservation
-/// needs this when smoothing lengths differ, since a pair can satisfy
+/// Find the pairs the neighbor lists miss (phase D): wherever row(i) lists
+/// j but row(j) lacks i, put i into row j's bucket of \p pairs. The lists
+/// stay as the search left them. Exact momentum conservation needs the
+/// missing pairs when smoothing lengths differ, since a pair can satisfy
 /// r < 2 h_i but not r < 2 h_j.
 ///
 /// Precondition: every row is the output of a search over these positions
@@ -452,24 +411,25 @@ struct SymmetrizeWorkspace
 /// Three parallel sweeps: count each row's missing sources, find them
 /// again and drop them into per-row buckets of one shared array, then
 /// order each bucket by (ids[i], i) — ascending slot order when \p ids is
-/// empty — and append it. The extension is therefore a function of the
-/// pair set and the ids alone, bitwise invariant under pool size and
-/// strategy, and with the ids of an SFC-reordered set it does not depend
-/// on the storage permutation either. Between the second and third sweep,
-/// one serial pass over the bucket sizes (NeighborList::reserveAppends)
-/// moves the rows that outgrow their place, so the appends claim no arena
-/// space. Appends truncate at ngmax and count one overflow per truncated
-/// row, as NeighborList::append does.
+/// empty. The buckets are therefore a function of the pair set and the ids
+/// alone, bitwise invariant under pool size and strategy, and with the ids
+/// of an SFC-reordered set they do not depend on the storage permutation
+/// either. The serial prefix sum between the first two sweeps tallies the
+/// kept entries and the cut rows: a bucket longer than its row's room
+/// counts one overflow, also when the search already truncated the row.
 template<class T>
-void symmetrizeNeighborList(NeighborList<T>& nl, std::type_identity_t<std::span<const T>> x,
-                            std::type_identity_t<std::span<const T>> y,
-                            std::type_identity_t<std::span<const T>> z,
-                            std::type_identity_t<std::span<const T>> h, const Box<T>& box,
-                            SymmetrizeWorkspace<T>& ws, std::span<const std::uint64_t> ids = {},
-                            const LoopPolicy& policy = {})
+void findMissingPairs(const NeighborList<T>& nl, std::type_identity_t<std::span<const T>> x,
+                      std::type_identity_t<std::span<const T>> y,
+                      std::type_identity_t<std::span<const T>> z,
+                      std::type_identity_t<std::span<const T>> h, const Box<T>& box,
+                      MissingPairs<T>& pairs, std::span<const std::uint64_t> ids = {},
+                      const LoopPolicy& policy = {})
 {
     using Index = typename NeighborList<T>::Index;
     std::size_t n = nl.size();
+    pairs.rowStart.assign(n + 1, 0);
+    pairs.keptEntries = 0;
+    pairs.cutRows     = 0;
     if (n == 0) return;
     const unsigned ngmax = nl.ngmax();
     const backend::PeriodicWrap<T> wrap(box);
@@ -496,32 +456,34 @@ void symmetrizeNeighborList(NeighborList<T>& nl, std::type_identity_t<std::span<
             },
             policy);
     };
-    auto atomicAt = [&](std::size_t j) { return std::atomic_ref<std::size_t>(ws.rowStart[j]); };
+    auto atomicAt = [&](std::size_t j) { return std::atomic_ref<std::size_t>(pairs.rowStart[j]); };
 
-    ws.rowStart.assign(n + 1, 0);
     forEachMissing([&](Index j, Index) { atomicAt(j).fetch_add(1, std::memory_order_relaxed); });
     std::size_t total = 0;
     for (std::size_t j = 0; j < n; ++j)
     {
-        total += ws.rowStart[j];
-        ws.rowStart[j] = total; // bucket end; the fill below moves it to the start
+        std::size_t size = pairs.rowStart[j];
+        std::size_t room = ngmax - nl.count(j);
+        pairs.keptEntries += std::min(size, room);
+        pairs.cutRows += size > room ? 1 : 0;
+        total += size;
+        pairs.rowStart[j] = total; // bucket end; the fill below moves it to the start
     }
-    ws.rowStart[n] = total;
+    pairs.rowStart[n] = total;
     if (total == 0) return;
 
     // the order inside a bucket depends on which worker got there first;
     // the per-bucket sort below removes it
-    ws.sources.resize(total);
+    pairs.sources.resize(total);
     forEachMissing([&](Index j, Index i) {
-        ws.sources[atomicAt(j).fetch_sub(1, std::memory_order_relaxed) - 1] = i;
+        pairs.sources[atomicAt(j).fetch_sub(1, std::memory_order_relaxed) - 1] = i;
     });
-    nl.reserveAppends(ws.rowStart, ws.from);
 
     parallelFor(
         n,
         [&](std::size_t j, std::size_t) {
-            Index* first = ws.sources.data() + ws.rowStart[j];
-            Index* last  = ws.sources.data() + ws.rowStart[j + 1];
+            Index* first = pairs.sources.data() + pairs.rowStart[j];
+            Index* last  = pairs.sources.data() + pairs.rowStart[j + 1];
             if (first == last) return;
             if (ids.empty())
             {
@@ -533,7 +495,6 @@ void symmetrizeNeighborList(NeighborList<T>& nl, std::type_identity_t<std::span<
                     return ids[a] != ids[b] ? ids[a] < ids[b] : a < b;
                 });
             }
-            nl.appendReserved(j, std::span<const Index>(first, last), ws.from[j]);
         },
         policy);
 }

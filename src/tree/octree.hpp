@@ -11,8 +11,9 @@
 ///
 /// The build is sequential by default, mirroring the SPHYNX v1.3.1 behaviour
 /// the paper's Extrae analysis exposed (serial phase A with idle threads,
-/// Fig. 4); a task-parallel build is available as the "improved" variant and
-/// is compared in bench_neighbors.
+/// Fig. 4); a task-parallel build is available as the "improved" variant
+/// (BuildParams::parallelBuild), and Octree.ParallelBuildEquivalent in
+/// tests/test_tree.cpp checks that it builds the same tree.
 ///
 /// Neighbor queries over the built tree live in tree/cluster_list.hpp; the
 /// SFC keys are defined in tree/morton.hpp and tree/hilbert.hpp

@@ -9,7 +9,8 @@
 /// accepts j != i with |x_i - x_j|^2 < (2 h_i)^2 (minimum image), leaves in
 /// depth-first order. The cluster search must give every row entry for
 /// entry (tests/test_cluster_list.cpp); bench_neighbors times it as the
-/// per-particle baseline.
+/// per-particle baseline. mergedRows writes out the rows phase H sums
+/// after phase D: each row followed by its kept missing-pair bucket.
 
 #include <cstddef>
 #include <span>
@@ -139,6 +140,25 @@ void findNeighborsBruteForce(std::type_identity_t<std::span<const T>> x,
         nl.place(i, local, w);
     });
     nl.endFill();
+}
+
+/// A copy of \p nl whose row i is row i followed by its kept bucket of
+/// \p pairs (MissingPairs::kept), written with set(): the pair-symmetric
+/// lists phase H sums. The copy keeps \p nl's overflow count.
+template<class T>
+NeighborList<T> mergedRows(const NeighborList<T>& nl, const MissingPairs<T>& pairs)
+{
+    NeighborList<T> out = nl;
+    std::vector<typename NeighborList<T>::Index> row;
+    for (std::size_t i = 0; i < nl.size(); ++i)
+    {
+        auto extra = pairs.kept(nl, i);
+        if (extra.empty()) continue;
+        row.assign(nl.row(i).begin(), nl.row(i).end());
+        row.insert(row.end(), extra.begin(), extra.end());
+        out.set(i, row);
+    }
+    return out;
 }
 
 } // namespace sphexa::oracle

@@ -47,6 +47,7 @@
 #include "tree/octree.hpp"
 
 #include "backend_oracle.hpp"
+#include "neighbor_oracle.hpp"
 
 using namespace sphexa;
 
@@ -112,8 +113,10 @@ struct BackendFixture
         hp.tolerance       = 10;
         ClusterWorkspace<double> clusters;
         updateSmoothingLengths(ps, tree, nl, clusters, hp);
-        SymmetrizeWorkspace<double> ws;
-        symmetrizeNeighborList(nl, ps.x, ps.y, ps.z, ps.h, box, ws);
+        // pair-symmetric rows for phase H: each row followed by its bucket
+        MissingPairs<double> pairs;
+        findMissingPairs(nl, ps.x, ps.y, ps.z, ps.h, box, pairs);
+        nl = oracle::mergedRows(nl, pairs);
         fillUpstream(ps);
     }
 

@@ -131,132 +131,6 @@ TEST(NeighborListRow, StableAcrossSteadyStateReset)
     EXPECT_EQ(nl.row(3).data, before); // the refill packs the same place
 }
 
-// --- in-place append (the phase D extension) ---------------------------------
-
-namespace {
-
-/// The extension as a full rewrite: set(i, neighbors(i) ++ extra), skipped
-/// for an empty extra — the reference append() must reproduce.
-void setMerged(NeighborList<double>& nl, std::size_t i, const std::vector<Index>& extra)
-{
-    if (extra.empty()) return;
-    auto cur = nl.neighbors(i);
-    std::vector<Index> merged(cur.begin(), cur.end());
-    merged.insert(merged.end(), extra.begin(), extra.end());
-    nl.set(i, merged);
-}
-
-void expectSameLists(const NeighborList<double>& a, const NeighborList<double>& b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_EQ(a.overflowCount(), b.overflowCount());
-    for (std::size_t i = 0; i < a.size(); ++i)
-    {
-        auto ra = a.neighbors(i);
-        auto rb = b.neighbors(i);
-        ASSERT_EQ(ra.size(), rb.size()) << "row " << i;
-        EXPECT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin())) << "row " << i;
-    }
-}
-
-} // namespace
-
-TEST(NeighborListAppend, ExtendsAPartlyFilledRowInPlace)
-{
-    NeighborList<double> nl(3, 8);
-    std::vector<Index> head{4, 1, 2};
-    nl.set(1, head);
-    const Index* data = nl.row(1).data;
-
-    std::vector<Index> extra{7, 0};
-    nl.append(1, extra);
-
-    auto row = nl.row(1);
-    EXPECT_EQ(row.data, data); // same storage, no copy through a temporary
-    std::vector<Index> seen(row.begin(), row.end());
-    EXPECT_EQ(seen, (std::vector<Index>{4, 1, 2, 7, 0}));
-    EXPECT_EQ(nl.overflowCount(), 0u);
-    EXPECT_EQ(nl.count(0), 0u); // neighbouring rows untouched
-    EXPECT_EQ(nl.count(2), 0u);
-}
-
-TEST(NeighborListAppend, TruncatesAtNgmaxAndCountsOneOverflowPerRow)
-{
-    const unsigned ngmax = 4;
-    NeighborList<double> nl(3, ngmax), ref(3, ngmax);
-    std::vector<Index> head{9, 8, 7};
-    for (auto* l : {&nl, &ref})
-    {
-        l->set(0, head);
-        l->set(1, head);
-        l->set(2, head);
-    }
-
-    // row 0: overshoots by two, row 1: fills exactly, row 2: empty extra
-    std::vector<Index> over{1, 2, 3}, exact{5}, none;
-    nl.append(0, over);
-    nl.append(1, exact);
-    nl.append(2, none);
-    setMerged(ref, 0, over);
-    setMerged(ref, 1, exact);
-    setMerged(ref, 2, none);
-
-    expectSameLists(nl, ref);
-    EXPECT_EQ(nl.overflowCount(), 1u);
-    std::vector<Index> row0(nl.row(0).begin(), nl.row(0).end());
-    EXPECT_EQ(row0, (std::vector<Index>{9, 8, 7, 1}));
-    EXPECT_EQ(nl.count(1), ngmax);
-}
-
-TEST(NeighborListAppend, FullRowDropsEverythingAndCountsOnce)
-{
-    const unsigned ngmax = 4;
-    NeighborList<double> nl(2, ngmax), ref(2, ngmax);
-    std::vector<Index> full{0, 1, 2, 3}, extra{6, 7};
-    nl.set(0, full);
-    ref.set(0, full);
-
-    nl.append(0, extra);
-    setMerged(ref, 0, extra);
-    expectSameLists(nl, ref);
-    EXPECT_EQ(nl.overflowCount(), 1u);
-
-    // an empty extension of a full row is not a truncation
-    nl.append(0, {});
-    EXPECT_EQ(nl.overflowCount(), 1u);
-}
-
-TEST(NeighborListAppend, ConcurrentAppendsToDistinctRows)
-{
-    const std::size_t n  = 2000;
-    const unsigned ngmax = 12;
-    NeighborList<double> nl(n, ngmax), ref(n, ngmax);
-    fillRamp(nl, n, 5);
-    fillRamp(ref, n, 5);
-
-    // row i gains i % 11 entries: rows with more than seven overflow
-    auto extraFor = [](std::size_t i) {
-        std::vector<Index> e(i % 11);
-        std::iota(e.begin(), e.end(), Index(i));
-        return e;
-    };
-    std::size_t truncated = 0;
-    for (std::size_t i = 0; i < n; ++i)
-    {
-        setMerged(ref, i, extraFor(i));
-        truncated += (i % 11) > ngmax - 5 ? 1 : 0;
-    }
-
-    std::vector<std::vector<Index>> extras(n);
-    for (std::size_t i = 0; i < n; ++i)
-        extras[i] = extraFor(i);
-    parallelFor(n, [&](std::size_t i, std::size_t) { nl.append(i, extras[i]); },
-                {SchedulingStrategy::SelfScheduling});
-
-    expectSameLists(nl, ref);
-    EXPECT_EQ(nl.overflowCount(), truncated);
-}
-
 // --- the arena against a vector-of-vectors model -----------------------------
 
 namespace {
@@ -272,13 +146,6 @@ struct Model
     {
         rows[i].assign(nbs.begin(), nbs.begin() + std::min<std::size_t>(nbs.size(), ngmax));
         overflow += nbs.size() > ngmax ? 1 : 0;
-    }
-    void append(std::size_t i, const std::vector<Index>& extra, unsigned ngmax)
-    {
-        if (extra.empty()) return;
-        std::size_t kept = std::min<std::size_t>(extra.size(), ngmax - rows[i].size());
-        rows[i].insert(rows[i].end(), extra.begin(), extra.begin() + kept);
-        overflow += kept < extra.size() ? 1 : 0;
     }
 };
 
@@ -316,9 +183,9 @@ void expectMatchesModel(const NeighborList<double>& nl, const Model& model)
 
 TEST(NeighborListArena, RandomizedAgainstVectorOfVectorsModel)
 {
-    // every writer — set, append, reset, full and subset fills, phase D's
-    // sized appends, concurrent single-row writes — against the model, with
-    // rows that grow, shrink and overflow, on pools {1, 2, 4}. Rows of up
+    // every writer — set, reset, full and subset fills, concurrent
+    // single-row writes — against the model, with rows that grow, shrink
+    // and overflow, on pools {1, 2, 4}. Rows of up
     // to ngmax = 700 entries spread the lists over several pages, so moves,
     // page claims and compaction all happen.
     const unsigned ngmax = 700;
@@ -346,7 +213,7 @@ TEST(NeighborListArena, RandomizedAgainstVectorOfVectorsModel)
 
         for (int op = 0; op < 160; ++op)
         {
-            switch (rng.uniformInt(7))
+            switch (rng.uniformInt(5))
             {
                 case 0: // serial single-row rewrite
                 {
@@ -356,15 +223,7 @@ TEST(NeighborListArena, RandomizedAgainstVectorOfVectorsModel)
                     model.set(i, r, ngmax);
                     break;
                 }
-                case 1: // serial append
-                {
-                    std::size_t i = rng.uniformInt(n);
-                    auto r        = randomRow(ngmax / 4);
-                    nl.append(i, r);
-                    model.append(i, r, ngmax);
-                    break;
-                }
-                case 2: // full fill
+                case 1: // full fill
                 {
                     auto rows = randomRows(n);
                     nl.beginFill(n, true);
@@ -375,7 +234,7 @@ TEST(NeighborListArena, RandomizedAgainstVectorOfVectorsModel)
                         model.set(i, rows[i], ngmax);
                     break;
                 }
-                case 3: // subset fill over distinct rows
+                case 2: // subset fill over distinct rows
                 {
                     std::vector<std::size_t> active;
                     for (std::size_t i = 0; i < n; ++i)
@@ -391,43 +250,12 @@ TEST(NeighborListArena, RandomizedAgainstVectorOfVectorsModel)
                         model.set(active[a], rows[a], ngmax);
                     break;
                 }
-                case 4: // phase D's sized appends
-                {
-                    std::vector<std::vector<Index>> extra(n);
-                    std::vector<std::size_t> start(n + 1, 0);
-                    for (std::size_t j = 0; j < n; ++j)
-                    {
-                        if (rng.uniformInt(2) == 0) extra[j] = randomRow(60);
-                        start[j + 1] = start[j] + extra[j].size();
-                    }
-                    std::vector<std::size_t> from;
-                    nl.reserveAppends(start, from);
-                    parallelFor(n, [&](std::size_t j, std::size_t) {
-                        nl.appendReserved(j, extra[j], from[j]);
-                    });
-                    for (std::size_t j = 0; j < n; ++j)
-                        model.append(j, extra[j], ngmax);
-                    break;
-                }
-                case 5: // concurrent single-row writes to distinct rows
+                case 3: // concurrent single-row writes to distinct rows
                 {
                     auto rows = randomRows(n);
-                    std::vector<int> append(n);
-                    for (auto& a : append)
-                        a = int(rng.uniformInt(2));
-                    parallelFor(n, [&](std::size_t i, std::size_t) {
-                        if (append[i])
-                            nl.append(i, rows[i]);
-                        else
-                            nl.set(i, rows[i]);
-                    });
+                    parallelFor(n, [&](std::size_t i, std::size_t) { nl.set(i, rows[i]); });
                     for (std::size_t i = 0; i < n; ++i)
-                    {
-                        if (append[i])
-                            model.append(i, rows[i], ngmax);
-                        else
-                            model.set(i, rows[i], ngmax);
-                    }
+                        model.set(i, rows[i], ngmax);
                     break;
                 }
                 default: // reset, sometimes to a new row count
@@ -498,8 +326,10 @@ TEST(NeighborListArena, RowGrowingPastItsPageEndMoves)
     model.set(full, head, ngmax);
     const Index* before = nl.row(full).data;
 
-    nl.append(full, tail); // 8 entries of room left: the row must move
-    model.append(full, tail, ngmax);
+    std::vector<Index> longer = head; // 8 entries of room left: the row must move
+    longer.insert(longer.end(), tail.begin(), tail.end());
+    nl.set(full, longer);
+    model.set(full, longer, ngmax);
     EXPECT_NE(nl.row(full).data, before);
     nl.set(full + 1, small);
     model.set(full + 1, small, ngmax);

@@ -271,10 +271,9 @@ TEST(Propagator, ComputeForcesReportsTimeAndDt)
 TEST(Propagator, SingleRankAndOneRankDistributedAreBitwiseIdentical)
 {
     // the shipped step (phase L, then the cluster search over the sorted
-    // set) against the per-particle walk over the unsorted set: the
-    // distributed pipeline has no phase L and walks per particle, so the
-    // two agree bitwise only if neither the reorder nor the search shape
-    // changes a single summation order
+    // set) against the distributed pipeline, which runs the same cluster
+    // search over the unsorted set and has no phase L: the two agree
+    // bitwise only if the reorder changes no summation order
     auto patch = makePatch();
     SimulationConfig<double> cfg = patchConfig();
     cfg.symmetrizeNeighbors = false; // the distributed driver can't (halo pairs)
@@ -326,6 +325,42 @@ TEST(Propagator, SingleRankAndOneRankDistributedAreBitwiseIdentical)
     expectBitwise(g.u, ref.u, "u");
     expectBitwise(g.p, ref.p, "p");
     expectBitwise(g.c, ref.c, "c");
+}
+
+TEST(Propagator, DistributedRanksReportTheirListHealth)
+{
+    // an ngmax below some neighborhoods cuts rows: every rank reports its
+    // overflow, and at one rank the overflow, the unconverged count and the
+    // h iterations of each step are the shared driver's (phase D off on
+    // both, as in the bitwise test above)
+    auto patch = makePatch();
+    SimulationConfig<double> cfg = patchConfig();
+    cfg.symmetrizeNeighbors = false;
+    cfg.ngmax               = 48;
+
+    Simulation<double> shared(patch.ps, patch.setup.box, Eos<double>(patch.setup.eos),
+                              cfg);
+    DistributedSimulation<double> one(patch.ps, patch.setup.box,
+                                      Eos<double>(patch.setup.eos), cfg, 1);
+    DistributedSimulation<double> two(patch.ps, patch.setup.box,
+                                      Eos<double>(patch.setup.eos), cfg, 2);
+    shared.computeForces();
+    for (int s = 0; s < 4; ++s)
+    {
+        SCOPED_TRACE(testing::Message() << "step " << s);
+        auto ref = shared.advance();
+        auto got = one.advance();
+        ASSERT_EQ(got.ranks.size(), 1u);
+        EXPECT_GT(ref.neighborOverflow, 0u);
+        EXPECT_EQ(got.ranks[0].neighborOverflow, ref.neighborOverflow);
+        EXPECT_EQ(got.ranks[0].hUnconverged, ref.hUnconverged);
+        EXPECT_EQ(got.ranks[0].hIterations, ref.hIterations);
+
+        std::size_t overflow = 0;
+        for (const auto& r : two.advance().ranks)
+            overflow += r.neighborOverflow;
+        EXPECT_GT(overflow, 0u);
+    }
 }
 
 TEST(Propagator, SfcReorderIsPhysicsNeutralOnNearCoincidentParticles)

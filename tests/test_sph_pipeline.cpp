@@ -427,9 +427,13 @@ TEST_P(ConservationSweep, PairwiseForcesConserveMomentum)
         computeIadCoefficients(f.ps, f.nl, kernel, f.box);
     }
     computeDivCurl(f.ps, f.nl, kernel, f.box, GetParam());
-    SymmetrizeWorkspace<double> ws;
-    symmetrizeNeighborList(f.nl, f.ps.x, f.ps.y, f.ps.z, f.ps.h, f.box, ws);
-    computeMomentumEnergy(f.ps, f.nl, kernel, f.box, GetParam());
+    // phase H sums each row followed by its kept bucket
+    MissingPairs<double> pairs;
+    findMissingPairs(f.nl, f.ps.x, f.ps.y, f.ps.z, f.ps.h, f.box, pairs);
+    ASSERT_GT(pairs.keptEntries, 0u);
+    MomentumRecordBuffer<double> records;
+    computeMomentumEnergy(f.ps, f.nl, kernel, f.box, GetParam(), {}, {}, {}, {}, &records,
+                          &pairs);
 
     // total force and total energy rate must vanish (pairwise antisymmetry)
     double fx = 0, fy = 0, fz = 0, de = 0, fscale = 0;
@@ -581,14 +585,16 @@ TEST(NeighborSymmetrize, MakesListsSymmetric)
     for (std::size_t i = 0; i < 20; ++i)
         f.ps.h[i] *= 1.3;
     oracle::findNeighborsGlobal(f.tree, f.ps.x, f.ps.y, f.ps.z, f.ps.h, f.nl);
-    SymmetrizeWorkspace<double> ws;
-    symmetrizeNeighborList(f.nl, f.ps.x, f.ps.y, f.ps.z, f.ps.h, f.box, ws);
+    MissingPairs<double> pairs;
+    findMissingPairs(f.nl, f.ps.x, f.ps.y, f.ps.z, f.ps.h, f.box, pairs);
+    // the rows phase H sums: each row followed by its kept bucket
+    auto merged = oracle::mergedRows(f.nl, pairs);
 
     for (std::size_t i = 0; i < f.ps.size(); ++i)
     {
-        for (auto j : f.nl.neighbors(i))
+        for (auto j : merged.neighbors(i))
         {
-            auto njs = f.nl.neighbors(j);
+            auto njs = merged.neighbors(j);
             bool found = false;
             for (auto k : njs)
             {

@@ -1,27 +1,39 @@
-/// Phase D neighbor-list symmetrization (symmetrizeNeighborList,
-/// tree/neighbors.hpp) against a test-local copy of the original serial
-/// O(N k^2) pass: for every entry j of row(i) scan row(j) for i, collect the
-/// misses per row in ascending i, stable-sort each run by id and rewrite the
-/// row through a merged copy. The parallel pass must reproduce its rows and
-/// its overflow count bit for bit — on lists from both search modes, on
-/// periodic pairs at exactly half a box length, on smoothing lengths that
-/// vary 4x, on the dam break's mirror ghosts and on truncated (full) rows —
-/// and must do so for every worker-pool size and scheduling strategy.
+/// Phase D's missing-pair buckets (findMissingPairs, tree/neighbors.hpp)
+/// against a test-local copy of the original serial O(N k^2) pass: for
+/// every entry j of row(i) scan row(j) for i, collect the misses per row in
+/// ascending i, stable-sort each run by id and rewrite the row through a
+/// merged copy. Each row followed by its kept bucket must reproduce the
+/// oracle's row, and the search's overflow count plus the cut rows the
+/// oracle's overflow count, bit for bit — on lists from both search modes,
+/// on periodic pairs at exactly half a box length, on smoothing lengths
+/// that vary 4x, on the dam break's mirror ghosts and on truncated (full)
+/// rows — and must do so for every worker-pool size and scheduling
+/// strategy. Phase D leaves the lists as the search left them, and phases
+/// E-G give the same bits over the rows alone as over the merged rows.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "backend/kernel_backend.hpp"
+#include "backend/lane_kernel.hpp"
+#include "core/simulation.hpp"
 #include "ic/dam_break.hpp"
 #include "ic/lattice.hpp"
+#include "ic/sedov.hpp"
 #include "math/rng.hpp"
 #include "neighbor_oracle.hpp"
 #include "sph/boundaries.hpp"
+#include "sph/density.hpp"
+#include "sph/divcurl.hpp"
+#include "sph/iad.hpp"
 #include "sph/smoothing_length.hpp"
 #include "tree/cluster_list.hpp"
 #include "tree/neighbors.hpp"
@@ -88,6 +100,29 @@ void expectListsIdentical(const NeighborList<double>& got, const NeighborList<do
     }
 }
 
+/// Row i of \p lists followed by its kept bucket of \p pairs is the
+/// oracle's row i; the cut rows are the overflows, and the kept entries
+/// the entries, that the oracle's rewrites added.
+void expectMergedMatchesOracle(const NeighborList<double>& lists,
+                               const MissingPairs<double>& pairs, const NeighborList<double>& ref)
+{
+    ASSERT_EQ(lists.size(), ref.size());
+    ASSERT_EQ(lists.overflowCount() + pairs.cutRows, ref.overflowCount());
+    ASSERT_EQ(lists.totalNeighbors() + pairs.keptEntries, ref.totalNeighbors());
+    for (std::size_t i = 0; i < lists.size(); ++i)
+    {
+        auto row   = lists.neighbors(i);
+        auto extra = pairs.kept(lists, i);
+        auto want  = ref.neighbors(i);
+        ASSERT_EQ(row.size() + extra.size(), want.size()) << "row " << i;
+        for (std::size_t k = 0; k < want.size(); ++k)
+        {
+            Index got = k < row.size() ? row[k] : extra[k - row.size()];
+            ASSERT_EQ(got, want[k]) << "row " << i << " entry " << k;
+        }
+    }
+}
+
 enum class Search
 {
     TreeWalk,
@@ -128,19 +163,18 @@ struct Scene
         return nl;
     }
 
-    /// The new pass on a copy of \p lists.
-    NeighborList<double> symmetrized(const NeighborList<double>& lists,
-                                     std::span<const std::uint64_t> order,
-                                     const LoopPolicy& policy = {}) const
+    /// Phase D's buckets over \p lists.
+    MissingPairs<double> missingPairs(const NeighborList<double>& lists,
+                                      std::span<const std::uint64_t> order,
+                                      const LoopPolicy& policy = {}) const
     {
-        NeighborList<double> nl = lists;
-        SymmetrizeWorkspace<double> ws;
-        symmetrizeNeighborList(nl, ps.x, ps.y, ps.z, ps.h, box, ws, order, policy);
-        return nl;
+        MissingPairs<double> pairs;
+        findMissingPairs(lists, ps.x, ps.y, ps.z, ps.h, box, pairs, order, policy);
+        return pairs;
     }
 
-    /// Both search modes, with and without ids: the pass equals the
-    /// oracle and, where pairs were missing, actually extended the lists.
+    /// Both search modes, with and without ids: the buckets complete the
+    /// rows as the oracle does, and the scene has pairs to complete.
     void expectMatchesOracle() const
     {
         for (Search mode : {Search::TreeWalk, Search::ClusterList})
@@ -153,7 +187,7 @@ struct Scene
                 symmetrizeOracle(ref, order);
                 ASSERT_GT(ref.totalNeighbors(), lists.totalNeighbors())
                     << "scene has no missing pairs";
-                expectListsIdentical(symmetrized(lists, order), ref);
+                expectMergedMatchesOracle(lists, missingPairs(lists, order), ref);
             }
         }
     }
@@ -177,6 +211,55 @@ Scene randomScene(std::size_t n, bool periodic, std::uint64_t seed)
     return s;
 }
 
+/// The WCSPH shape of phase D: reals plus mirror ghosts at the tail, h
+/// iterated to convergence at the free surface and the walls. \p hLists
+/// receives the h iteration's own lists (a global walk plus individual
+/// re-walks), which are search output too.
+Scene damBreakScene(NeighborList<double>& hLists)
+{
+    Scene s;
+    DamBreakConfig<double> dc;
+    dc.nx      = 8;
+    dc.ny      = 16;
+    dc.nz      = 4;
+    auto setup = makeDamBreak(s.ps, dc);
+    s.box      = setup.box;
+    auto cfg   = damBreakConfig(dc, setup);
+    EXPECT_GT(appendMirrorGhosts(s.ps, s.box, cfg.boundaries), 0u);
+
+    Octree<double> tree;
+    tree.build(s.ps.x, s.ps.y, s.ps.z, s.box);
+    hLists.reset(s.ps.size(), s.ngmax);
+    SmoothingLengthParams<double> hp;
+    hp.targetNeighbors = 60;
+    hp.tolerance       = 5;
+    ClusterWorkspace<double> clusters;
+    updateSmoothingLengths(s.ps, tree, hLists, clusters, hp);
+    s.shuffleIds(5);
+    return s;
+}
+
+/// A jittered periodic lattice with h iterated to about 60 neighbors.
+Scene jitteredLatticeScene()
+{
+    Scene s;
+    s.box = Box<double>{{0, 0, 0}, {1, 1, 1}, true, true, true};
+    cubicLattice(s.ps, 10, 10, 10, s.box);
+    jitterPositions(s.ps, s.box, 0.1, 0.3, 7);
+    for (std::size_t i = 0; i < s.ps.size(); ++i)
+        s.ps.h[i] = initialSmoothingLength(s.ps.size(), s.box, 60u);
+    Octree<double> tree;
+    tree.build(s.ps.x, s.ps.y, s.ps.z, s.box);
+    NeighborList<double> nl(s.ps.size(), s.ngmax);
+    SmoothingLengthParams<double> hp;
+    hp.targetNeighbors = 60;
+    hp.tolerance       = 5;
+    ClusterWorkspace<double> clusters;
+    updateSmoothingLengths(s.ps, tree, nl, clusters, hp);
+    s.shuffleIds(9);
+    return s;
+}
+
 } // namespace
 
 TEST(Symmetrize, PeriodicLatticeWithPairsAtHalfTheBox)
@@ -197,10 +280,11 @@ TEST(Symmetrize, PeriodicLatticeWithPairsAtHalfTheBox)
 
         if (side == 4)
         {
-            // the appended reciprocal of an exact half-box pair is present
-            auto nl     = s.symmetrized(s.search(Search::TreeWalk), {});
+            // the reciprocal of an exact half-box pair is in the bucket
+            auto lists  = s.search(Search::TreeWalk);
+            auto pairs  = s.missingPairs(lists, {});
             bool listed = false;
-            for (auto j : nl.neighbors(1)) // h = 0.24: 2h < L/2 on its own
+            for (auto j : pairs.kept(lists, 1)) // h = 0.24: 2h < L/2 on its own
                 listed |= std::abs(s.ps.x[j] - s.ps.x[1]) == 0.5 &&
                           s.ps.y[j] == s.ps.y[1] && s.ps.z[j] == s.ps.z[1];
             EXPECT_TRUE(listed);
@@ -216,41 +300,20 @@ TEST(Symmetrize, RandomCloudWithFourfoldSmoothingLengths)
 
 TEST(Symmetrize, DamBreakWithMirrorGhosts)
 {
-    // the WCSPH shape of phase D: reals plus mirror ghosts at the tail, h
-    // iterated to convergence at the free surface and the walls
-    Scene s;
-    DamBreakConfig<double> dc;
-    dc.nx      = 8;
-    dc.ny      = 16;
-    dc.nz      = 4;
-    auto setup = makeDamBreak(s.ps, dc);
-    s.box      = setup.box;
-    auto cfg   = damBreakConfig(dc, setup);
-    ASSERT_GT(appendMirrorGhosts(s.ps, s.box, cfg.boundaries), 0u);
-
-    Octree<double> tree;
-    tree.build(s.ps.x, s.ps.y, s.ps.z, s.box);
-    NeighborList<double> hLists(s.ps.size(), s.ngmax);
-    SmoothingLengthParams<double> hp;
-    hp.targetNeighbors = 60;
-    hp.tolerance       = 5;
-    ClusterWorkspace<double> clusters;
-    updateSmoothingLengths(s.ps, tree, hLists, clusters, hp);
-    s.shuffleIds(5);
+    NeighborList<double> hLists;
+    Scene s = damBreakScene(hLists);
     s.expectMatchesOracle();
 
-    // the h iteration's own lists (a global walk plus individual re-walks)
-    // are search output too
     NeighborList<double> ref = hLists;
     symmetrizeOracle(ref, s.ids);
-    expectListsIdentical(s.symmetrized(hLists, s.ids), ref);
+    expectMergedMatchesOracle(hLists, s.missingPairs(hLists, s.ids), ref);
 }
 
 TEST(Symmetrize, FullRowsFallBackToTheExactScan)
 {
     // ngmax far below the neighbor counts: searched rows truncate, the
-    // O(1) predicate would wrongly find the dropped entries, and appends
-    // to full rows count fresh overflows
+    // O(1) predicate would wrongly find the dropped entries, and buckets
+    // of full rows count fresh overflows
     Scene s  = randomScene(600, /*periodic*/ false, 21);
     s.ngmax  = 24;
     for (Search mode : {Search::TreeWalk, Search::ClusterList})
@@ -262,7 +325,7 @@ TEST(Symmetrize, FullRowsFallBackToTheExactScan)
         NeighborList<double> ref = lists;
         symmetrizeOracle(ref, s.ids);
         EXPECT_GT(ref.overflowCount(), lists.overflowCount());
-        expectListsIdentical(s.symmetrized(lists, s.ids), ref);
+        expectMergedMatchesOracle(lists, s.missingPairs(lists, s.ids), ref);
     }
 }
 
@@ -286,7 +349,7 @@ TEST(Symmetrize, BitwiseInvariantAcrossPoolsAndStrategies)
             std::vector<double> awf;
             PhaseLoadStats stats;
             LoopPolicy policy{strategy, &awf, &stats};
-            expectListsIdentical(s.symmetrized(lists, s.ids, policy), ref);
+            expectMergedMatchesOracle(lists, s.missingPairs(lists, s.ids, policy), ref);
             EXPECT_GT(stats.invocations, 0u);
         }
     }
@@ -296,19 +359,21 @@ TEST(Symmetrize, SteadyStateReusesTheWorkspace)
 {
     Scene s    = randomScene(1000, /*periodic*/ false, 41);
     auto lists = s.search(Search::TreeWalk);
-    SymmetrizeWorkspace<double> ws;
+    MissingPairs<double> pairs;
 
-    NeighborList<double> first = lists;
-    symmetrizeNeighborList(first, s.ps.x, s.ps.y, s.ps.z, s.ps.h, s.box, ws, s.ids);
-    ASSERT_FALSE(ws.sources.empty());
-    const Index* sources        = ws.sources.data();
-    const std::size_t* rowStart = ws.rowStart.data();
+    findMissingPairs(lists, s.ps.x, s.ps.y, s.ps.z, s.ps.h, s.box, pairs, s.ids);
+    ASSERT_FALSE(pairs.sources.empty());
+    const MissingPairs<double> first = pairs;
+    const Index* sources             = pairs.sources.data();
+    const std::size_t* rowStart      = pairs.rowStart.data();
 
-    NeighborList<double> second = lists;
-    symmetrizeNeighborList(second, s.ps.x, s.ps.y, s.ps.z, s.ps.h, s.box, ws, s.ids);
-    expectListsIdentical(second, first);
-    EXPECT_EQ(ws.sources.data(), sources);
-    EXPECT_EQ(ws.rowStart.data(), rowStart);
+    findMissingPairs(lists, s.ps.x, s.ps.y, s.ps.z, s.ps.h, s.box, pairs, s.ids);
+    EXPECT_EQ(pairs.rowStart, first.rowStart);
+    EXPECT_EQ(pairs.sources, first.sources);
+    EXPECT_EQ(pairs.keptEntries, first.keptEntries);
+    EXPECT_EQ(pairs.cutRows, first.cutRows);
+    EXPECT_EQ(pairs.sources.data(), sources);
+    EXPECT_EQ(pairs.rowStart.data(), rowStart);
 }
 
 TEST(Symmetrize, SymmetricListsAreLeftUnchanged)
@@ -318,5 +383,127 @@ TEST(Symmetrize, SymmetricListsAreLeftUnchanged)
     for (std::size_t i = 0; i < s.ps.size(); ++i)
         s.ps.h[i] = 0.05;
     auto lists = s.search(Search::TreeWalk);
-    expectListsIdentical(s.symmetrized(lists, s.ids), lists);
+    auto pairs = s.missingPairs(lists, s.ids);
+    EXPECT_EQ(pairs.rowStart.back(), 0u);
+    EXPECT_EQ(pairs.keptEntries, 0u);
+    EXPECT_EQ(pairs.cutRows, 0u);
+}
+
+TEST(Symmetrize, PhaseDLeavesTheListsAsTheSearchLeftThem)
+{
+    // the shipped phase D op between snapshots of the lists: after it they
+    // are bitwise what phases B and C left, down to the arena's pages. A
+    // few steps into the blast, h varies and rows miss pairs
+    ParticleSetD ps;
+    SedovConfig<double> ic;
+    ic.nSide   = 10;
+    auto setup = makeSedov(ps, ic);
+    Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos),
+                           SimulationConfig<double>{});
+    sim.run(5);
+
+    struct Snapshot
+    {
+        NeighborList<double> lists;
+        std::size_t capacity = 0, dead = 0;
+    };
+    Snapshot searched, afterD;
+    std::size_t kept = 0, cut = 0;
+    auto snapshot = [](Snapshot& s) {
+        return PhaseOp<double>{Phase::D_NeighborSymmetrize, [&s](StepContext<double>& ctx) {
+                                   s = {ctx.nl, ctx.nl.entryCapacity(), ctx.nl.deadEntries()};
+                               }};
+    };
+    sim.setPipeline(PipelineFactory<double>::custom(
+        {phase_ops::sfcReorder<double>(), phase_ops::treeBuild<double>(),
+         phase_ops::neighborSearch<double>(), phase_ops::smoothingLength<double>(),
+         snapshot(searched), phase_ops::neighborSymmetrize<double>(), snapshot(afterD),
+         {Phase::D_NeighborSymmetrize, [&](StepContext<double>& ctx) {
+              ASSERT_NE(ctx.missingPairs, nullptr);
+              kept = ctx.missingPairs->keptEntries;
+              cut  = ctx.missingPairs->cutRows;
+          }}}));
+    auto rep = sim.computeForces();
+
+    ASSERT_GT(kept, 0u) << "scene has no missing pairs";
+    expectListsIdentical(afterD.lists, searched.lists);
+    EXPECT_EQ(afterD.capacity, searched.capacity);
+    EXPECT_EQ(afterD.dead, searched.dead);
+    // the report counts the kept bucket entries and the cut rows on top
+    EXPECT_EQ(rep.neighborInteractions, searched.lists.totalNeighbors() + kept);
+    EXPECT_EQ(rep.neighborOverflow, searched.lists.overflowCount() + cut);
+}
+
+TEST(Symmetrize, DensityIadAndDivCurlReadTheRowsAlone)
+{
+    // a kept bucket entry of row j lies at q = r/h_j >= 2, where every
+    // kernel shape is exactly 0, so phases E-G give the same bits over the
+    // rows alone as over the rows followed by their buckets
+    NeighborList<double> hLists;
+    std::vector<Scene> scenes;
+    scenes.push_back(jitteredLatticeScene());
+    scenes.push_back(randomScene(1200, /*periodic*/ true, 61));
+    scenes.push_back(damBreakScene(hLists));
+    const std::pair<const char*, std::vector<double> ParticleSetD::*> outputs[] = {
+        {"rho", &ParticleSetD::rho},     {"gradh", &ParticleSetD::gradh},
+        {"vol", &ParticleSetD::vol},     {"c11", &ParticleSetD::c11},
+        {"c12", &ParticleSetD::c12},     {"c13", &ParticleSetD::c13},
+        {"c22", &ParticleSetD::c22},     {"c23", &ParticleSetD::c23},
+        {"c33", &ParticleSetD::c33},     {"divv", &ParticleSetD::divv},
+        {"curlv", &ParticleSetD::curlv}, {"balsara", &ParticleSetD::balsara}};
+
+    for (std::size_t sc = 0; sc < scenes.size(); ++sc)
+    {
+        Scene& s  = scenes[sc];
+        auto& ps  = s.ps;
+        Xoshiro256pp rng(70 + sc);
+        for (std::size_t i = 0; i < ps.size(); ++i)
+        {
+            ps.m[i]  = (1.0 + 0.1 * rng.uniform()) / double(ps.size());
+            ps.vx[i] = 0.1 * rng.normal();
+            ps.vy[i] = 0.1 * rng.normal();
+            ps.vz[i] = 0.1 * rng.normal();
+            ps.c[i]  = 1.0 + rng.uniform();
+        }
+        computeVolumeElementWeights(ps, VolumeElements::Standard);
+        auto lists = s.search(Search::ClusterList);
+        auto pairs = s.missingPairs(lists, s.ids);
+        ASSERT_GT(pairs.keptEntries, 0u) << "scene " << sc << " has no missing pairs";
+        auto merged = oracle::mergedRows(lists, pairs);
+
+        for (KernelType type : {KernelType::Sinc, KernelType::CubicSpline, KernelType::WendlandC2,
+                                KernelType::WendlandC4, KernelType::WendlandC6,
+                                KernelType::DebrunSpiky})
+        {
+            Kernel<double> kernel(type);
+            LaneKernel<double> lanes(kernel);
+            for (ComputeBackend<double> be :
+                 {ComputeBackend<double>{}, ComputeBackend<double>{KernelBackend::Simd, &lanes}})
+            {
+                for (GradientMode mode : {GradientMode::KernelDerivative, GradientMode::IAD})
+                {
+                    SCOPED_TRACE(testing::Message()
+                                 << "scene " << sc << " " << kernelName(type)
+                                 << (be.kind == KernelBackend::Simd ? " Simd " : " Scalar ")
+                                 << gradientModeName(mode));
+                    auto phasesEtoG = [&](const NeighborList<double>& nl) {
+                        ParticleSetD out = ps;
+                        computeDensity(out, nl, kernel, s.box, {}, {}, be);
+                        computeIadCoefficients(out, nl, kernel, s.box, {}, {}, be);
+                        computeDivCurl(out, nl, kernel, s.box, mode, {}, {}, be);
+                        return out;
+                    };
+                    ParticleSetD alone = phasesEtoG(lists);
+                    ParticleSetD full  = phasesEtoG(merged);
+                    for (const auto& [name, field] : outputs)
+                    {
+                        const auto& a = alone.*field;
+                        const auto& b = full.*field;
+                        ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+                            << name;
+                    }
+                }
+            }
+        }
+    }
 }
