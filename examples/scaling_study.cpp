@@ -58,7 +58,7 @@ int main(int argc, char** argv)
             double stepSec = 0;
             for (const auto& r : rep.ranks)
             {
-                stepSec = std::max(stepSec, r.computeSeconds());
+                stepSec = std::max(stepSec, r.totalSeconds());
                 ghosts += r.ghostParticles;
                 haloBytes += r.traffic.bytesSent;
             }

@@ -46,10 +46,10 @@ enum class KernelBackend
 };
 
 /// The dispatch handle a phase shell receives: the backend kind plus the
-/// driver-owned lane evaluator. Null-safe like the other driver-owned
-/// StepContext scratch (sorter/clusters): a Simd dispatch with no lanes
-/// builds a transient evaluator — correct, just re-tabulating the sinc
-/// tables on every call.
+/// driver-owned lane evaluator (StepContext::lanes). Null-safe for
+/// standalone phase calls (tests, benches, perf/cost_model.hpp): a Simd
+/// dispatch with no lanes builds a transient evaluator — correct, just
+/// re-tabulating the sinc tables on every call.
 template<class T>
 struct ComputeBackend
 {

@@ -62,8 +62,8 @@ struct MomentumRecord
 
 } // namespace backend
 
-/// Phase H's neighbor records, one per particle. Owned by a driver and
-/// referenced by its StepContexts (StepContext::momentumRecords), like
+/// Phase H's neighbor records, one per particle. Owned by a driver's
+/// PhaseBuffers (PhaseBuffers::momentum, core/step_context.hpp), like
 /// phase D's MissingPairs; a default-constructed buffer is valid and grows
 /// on first use. It only grows, and it never copies: pack() rewrites
 /// every record it returns, so growing frees the old allocation before it

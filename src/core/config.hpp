@@ -8,10 +8,16 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "backend/kernel_backend.hpp"
 #include "core/phases.hpp"
+#include "domain/orb.hpp"
+#include "domain/sfc_partition.hpp"
+#include "domain/slab.hpp"
 #include "math/vec.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sph/boundaries.hpp"
@@ -24,6 +30,7 @@
 #include "tree/gravity.hpp"
 #include "tree/hilbert.hpp"
 #include "tree/multipole.hpp"
+#include "tree/octree.hpp"
 
 namespace sphexa {
 
@@ -149,9 +156,10 @@ struct SimulationConfig
     /// IndividualTreeWalk below makes the shared-memory driver run binned
     /// integration: the same force pipeline as global stepping, with every
     /// pass after set-up walking only the active 2^k bins (ActiveSubset)
-    /// while the rest of the set is drifted. Simulation rejects either one
-    /// without the other; under a non-Compressible hydroMode the pair
-    /// degenerates to global stepping at the controller's base dt.
+    /// while the rest of the set is drifted. Both drivers reject either one
+    /// without the other (checkSteppingRule); under a non-Compressible
+    /// hydroMode the pair degenerates to global stepping at the
+    /// controller's base dt.
     TimestepParams<T> timestep{};
     NeighborMode neighborMode = NeighborMode::GlobalTreeWalk;
 
@@ -214,6 +222,49 @@ Eos<T> eosFromConfig(const SimulationConfig<T>& cfg, T idealGamma = T(5) / T(3))
         return Eos<T>(makeTaitEos(cfg.wcsphEos));
     }
     return Eos<T>(IdealGasEos<T>(idealGamma));
+}
+
+/// The stepping rule both drivers' constructors hold a config to:
+/// Individual time-stepping and the IndividualTreeWalk go together, since
+/// either one alone would silently run global stepping. Throws
+/// std::invalid_argument naming \p driver otherwise.
+template<class T>
+void checkSteppingRule(const SimulationConfig<T>& cfg, const std::string& driver)
+{
+    if ((cfg.timestep.mode == TimesteppingMode::Individual) !=
+        (cfg.neighborMode == NeighborMode::IndividualTreeWalk))
+    {
+        throw std::invalid_argument(driver + ": Individual time-stepping and the "
+                                             "IndividualTreeWalk neighbor mode go together");
+    }
+}
+
+/// The octree parameters a configuration selects: phase A's trees, the
+/// distributed driver's replicated gravity tree (which must be the tree
+/// phase A builds) and the scaling probe's per-rank trees.
+template<class T>
+typename Octree<T>::BuildParams treeBuildParams(const SimulationConfig<T>& cfg)
+{
+    typename Octree<T>::BuildParams bp;
+    bp.leafSize      = cfg.treeLeafSize;
+    bp.curve         = cfg.sfcCurve;
+    bp.parallelBuild = cfg.parallelTreeBuild;
+    return bp;
+}
+
+/// The owning rank of each particle under the configuration's domain
+/// decomposition (Tables 3/4), from positions and work weights: the one
+/// dispatch of the distributed driver's migration and the scaling probe.
+template<class T>
+std::vector<int> decomposeDomain(const SimulationConfig<T>& cfg, std::span<const T> x,
+                                 std::span<const T> y, std::span<const T> z,
+                                 std::span<const T> w, int ranks, const Box<T>& box)
+{
+    if (cfg.decomposition == DecompositionMethod::OrthogonalRecursiveBisection)
+        return orbDecompose<T>(x, y, z, w, ranks, box).assignment;
+    if (cfg.decomposition == DecompositionMethod::Slab1D)
+        return slabDecompose<T>(x, y, z, w, ranks, box).assignment;
+    return sfcPartition<T>(x, y, z, w, ranks, box, cfg.sfcCurve).assignment;
 }
 
 } // namespace sphexa

@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -121,7 +120,8 @@ public:
     }
 
     /// Copy the context's per-step outputs into the report (the runner does
-    /// this in run(); segment-wise callers invoke it after the last segment).
+    /// this in run(); the distributed driver calls it for each rank after
+    /// the last segment, into the StepReport part of its RankStepReport).
     static void harvest(const StepContext<T>& ctx, StepReport<T>& rep)
     {
         rep.neighborInteractions = ctx.neighborInteractions;
@@ -156,9 +156,7 @@ PhaseOp<T> sfcReorder()
 {
     return {Phase::L_SfcSort, [](StepContext<T>& ctx) {
                 if (ctx.walkMode != WalkMode::Global) return;
-                SfcSorter<T>  local;
-                SfcSorter<T>& sorter = ctx.sorter ? *ctx.sorter : local;
-                sorter.apply(ctx.ps, ctx.box, ctx.cfg.sfcCurve);
+                ctx.buffers.sorter.apply(ctx.ps, ctx.box, ctx.cfg.sfcCurve);
             }};
 }
 
@@ -167,11 +165,7 @@ PhaseOp<T> treeBuild()
 {
     return {Phase::A_TreeBuild, [](StepContext<T>& ctx) {
                 if (ctx.skipEmptyLocal()) return;
-                typename Octree<T>::BuildParams bp;
-                bp.leafSize      = ctx.cfg.treeLeafSize;
-                bp.curve         = ctx.cfg.sfcCurve;
-                bp.parallelBuild = ctx.cfg.parallelTreeBuild;
-                ctx.tree.build(ctx.ps.x, ctx.ps.y, ctx.ps.z, ctx.box, bp);
+                ctx.tree.build(ctx.ps.x, ctx.ps.y, ctx.ps.z, ctx.box, treeBuildParams(ctx.cfg));
             }};
 }
 
@@ -183,9 +177,8 @@ PhaseOp<T> neighborSearch()
                 // this step's overflow accounting starts at the search
                 // (phases C/D may add more via their nl.set calls)
                 ctx.nl.resetOverflow();
-                ClusterWorkspace<T>  local;
-                ClusterWorkspace<T>& ws = ctx.clusters ? *ctx.clusters : local;
-                auto pol = ctx.loopPolicy(Phase::B_NeighborSearch);
+                auto& ws  = ctx.buffers.clusters;
+                auto  pol = ctx.loopPolicy(Phase::B_NeighborSearch);
                 if (ctx.walkMode == WalkMode::Global)
                 {
                     findNeighborsClustered(ctx.tree, ps.x, ps.y, ps.z, ps.h, ctx.nl, ws,
@@ -214,15 +207,13 @@ PhaseOp<T> smoothingLength()
                 SmoothingLengthParams<T> hp;
                 hp.targetNeighbors = ctx.cfg.targetNeighbors;
                 hp.tolerance       = ctx.cfg.neighborTolerance;
-                ClusterWorkspace<T>  local;
-                ClusterWorkspace<T>& ws = ctx.clusters ? *ctx.clusters : local;
                 // phase B just filled the lists for the current h (all
                 // particles in Global mode, the rank's owned particles in
                 // LocalIndices mode, the controller's active bins in
                 // ActiveSubset mode), so the iteration never repeats the
                 // initial search — one shared h path for all drivers
-                auto hres = updateSmoothingLengths(ctx.ps, ctx.tree, ctx.nl, ws, hp,
-                                                   ctx.activeSpan(), /*reuseLists*/ true,
+                auto hres = updateSmoothingLengths(ctx.ps, ctx.tree, ctx.nl, ctx.buffers.clusters,
+                                                   hp, ctx.activeSpan(), /*reuseLists*/ true,
                                                    ctx.loopPolicy(Phase::C_SmoothingLength));
                 ctx.hIterations  = hres.iterations;
                 ctx.hUnconverged = hres.unconverged;
@@ -245,8 +236,7 @@ PhaseOp<T> neighborSymmetrize()
                 // (where conservation is measured) — ChaNGa's trade-off.
                 if (ctx.walkMode == WalkMode::Global && ctx.cfg.symmetrizeNeighbors)
                 {
-                    if (!ctx.pairBuckets) ctx.transientPairs = std::make_unique<MissingPairs<T>>();
-                    auto& pairs = ctx.pairBuckets ? *ctx.pairBuckets : *ctx.transientPairs;
+                    auto& pairs    = ctx.buffers.pairs;
                     const auto& ps = ctx.ps;
                     // the box the phase-B search measured its distances in
                     findMissingPairs(ctx.nl, ps.x, ps.y, ps.z, ps.h, ctx.tree.box(), pairs,
@@ -346,7 +336,7 @@ PhaseOp<T> momentumEnergy()
                                                    ctx.cfg.gradients, ctx.cfg.av,
                                                    ctx.activeSpan(),
                                                    ctx.loopPolicy(Phase::H_MomentumEnergy),
-                                                   ctx.computeBackend(), ctx.momentumRecords,
+                                                   ctx.computeBackend(), &ctx.buffers.momentum,
                                                    ctx.missingPairs);
                 ctx.maxVsignal = stats.maxVsignal;
             }};

@@ -18,13 +18,13 @@
 /// core/propagator.hpp and are shared with the distributed driver
 /// (domain/distributed.hpp), which runs them per rank over a decomposed
 /// domain. Phase J (time-step + kick-drift-kick) brackets the force
-/// pipeline and stays in the driver.
+/// pipeline in the driver; its dt is the TimestepController's
+/// (sph/timestep.hpp), the rule the distributed driver commits too.
 ///
 /// docs/ARCHITECTURE.md walks the full pipeline stage by stage and names
 /// the header implementing each stage.
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <optional>
 #include <stdexcept>
@@ -59,14 +59,7 @@ public:
         , pipeline_(PipelineFactory<T>::singleRank(cfg_))
     {
         if (ps_.empty()) throw std::invalid_argument("Simulation: empty particle set");
-        // binned integration needs both; either one alone would silently
-        // run global stepping
-        if ((cfg_.timestep.mode == TimesteppingMode::Individual) !=
-            (cfg_.neighborMode == NeighborMode::IndividualTreeWalk))
-        {
-            throw std::invalid_argument("Simulation: Individual time-stepping and the "
-                                        "IndividualTreeWalk neighbor mode go together");
-        }
+        checkSteppingRule(cfg_, "Simulation");
     }
 
     /// Convenience: derive the EOS from the configuration — the Tait
@@ -94,8 +87,8 @@ public:
     /// The persistent per-phase AWF weight store the step contexts share
     /// (inspectable by tests and the scheduling ablation; reset() returns
     /// every phase to equal weights).
-    AwfWeightStore& awfWeights() { return awf_; }
-    const AwfWeightStore& awfWeights() const { return awf_; }
+    AwfWeightStore& awfWeights() { return buffers_.awf; }
+    const AwfWeightStore& awfWeights() const { return buffers_.awf; }
 
     /// Replace the force pipeline (custom phase sequences; the default is
     /// PipelineFactory::singleRank(config)). Forces must be recomputed.
@@ -175,7 +168,7 @@ public:
         // busy times land in the report harvested from the force pass below
         PhaseLoadStats jLoad;
         const LoopPolicy jPolicy =
-            cfg_.phaseSchedule.loopPolicy(Phase::J_TimestepUpdate, &awf_, jLoad);
+            cfg_.phaseSchedule.loopPolicy(Phase::J_TimestepUpdate, &buffers_.awf, jLoad);
 
         bool binned = binnedIntegration();
 
@@ -270,15 +263,9 @@ private:
         rep.time = time_;
         rep.dt   = controller_.currentDt();
 
-        StepContext<T> ctx{ps_, box_, cfg_, kernel_, eos_, tree_, nl_};
+        StepContext<T> ctx{ps_, box_, cfg_, kernel_, laneKernel_, eos_, tree_, nl_, buffers_};
         ctx.gravity    = &gravity_;
         ctx.controller = &controller_;
-        ctx.awf        = &awf_; // AWF weights persist across the driver's steps
-        ctx.sorter     = &sorter_;    // phase L key/perm buffers persist too,
-        ctx.clusters   = &clusterWs_; // as does the cluster-search scratch
-        ctx.pairBuckets = &pairBuckets_; // and the phase D pair buckets
-        ctx.momentumRecords = &momentumRecords_; // and phase H's records
-        ctx.laneKernel = &laneKernel_; // Simd backend tables persist as well
         // active-subset walks only under the binned integrator: mixing a
         // subset force pass with the global kick (stale du on inactive
         // particles) would silently violate the trapezoid energy update, so
@@ -293,14 +280,7 @@ private:
         // set advance() closes right after this pass (empty on Global walks)
         lastWalkIndices_ = std::move(ctx.walkIndices);
 
-        if (rep.neighborOverflow > 0)
-        {
-            std::fprintf(stderr,
-                         "sphexa: step %llu: %zu neighbor list(s) exceeded ngmax=%u "
-                         "(truncated; raise ngmax or lower targetNeighbors)\n",
-                         static_cast<unsigned long long>(stepId), rep.neighborOverflow,
-                         cfg_.ngmax);
-        }
+        warnNeighborOverflow(stepId, rep.neighborOverflow, cfg_.ngmax);
 
         maxVsignal_      = ctx.maxVsignal;
         potentialEnergy_ = ctx.potentialEnergy;
@@ -319,11 +299,7 @@ private:
     GravitySolver<T> gravity_;
     TimestepController<T> controller_;
     Propagator<T> pipeline_;
-    AwfWeightStore awf_; ///< per-phase AWF weights, adapted across steps
-    SfcSorter<T> sorter_;           ///< phase L buffers, persist across steps
-    ClusterWorkspace<T> clusterWs_; ///< cluster-search scratch, persists too
-    MissingPairs<T> pairBuckets_;   ///< phase D pair buckets, likewise
-    MomentumRecordBuffer<T> momentumRecords_; ///< phase H records, likewise
+    PhaseBuffers<T> buffers_; ///< AWF weights and phase scratch, kept across steps
     std::vector<std::size_t> lastWalkIndices_; ///< last force pass's walked set
     PhaseEventLog* log_{nullptr};
 

@@ -3,22 +3,23 @@
 /// \file step_context.hpp
 /// The shared vocabulary of the propagator layer (core/propagator.hpp):
 /// the workflow phases of the paper's Algorithm 1 / Fig. 4 timeline, the
-/// per-step report both drivers fill, the mutable state bundle a phase
-/// operates on (StepContext, which also points at the driver-owned
-/// scratch the phases reuse across steps: sort keys, the search workspace,
-/// phase D's pair buckets, phase H's record buffer, the lane tables), and the
-/// runner-emitted phase-event log that feeds the Extrae-style tracer
-/// (perf/tracer.hpp).
+/// per-step report both drivers fill and the one warning they print from it,
+/// the buffers each driver (the distributed one: each rank) keeps across
+/// force passes (PhaseBuffers), the mutable state bundle a phase operates
+/// on (StepContext, which references those buffers and the lane kernel),
+/// and the runner-emitted phase-event log that feeds the Extrae-style
+/// tracer (perf/tracer.hpp).
 ///
 /// Both drivers — the shared-memory Simulation (core/simulation.hpp) and
 /// the distributed DistributedSimulation (domain/distributed.hpp) — execute
-/// the same phase units over a StepContext; only decomposition, halo and
-/// reduction glue remains driver-specific. docs/ARCHITECTURE.md walks the
-/// pipeline stage by stage.
+/// the same phase units over a StepContext, take their dt from the same
+/// TimestepController rule (sph/timestep.hpp) and harvest the same report;
+/// only decomposition, halo and reduction glue remains driver-specific.
+/// docs/ARCHITECTURE.md walks the pipeline stage by stage.
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <cstdio>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -58,8 +59,8 @@ struct StepReport
     /// band after its last iteration (SmoothingLengthResult::unconverged).
     std::size_t hUnconverged = 0;
     /// Neighbor-list fills that exceeded ngmax this step (truncated lists).
-    /// Zero in a healthy run; the shared-memory driver warns once per step
-    /// when it is not, instead of silently losing interactions.
+    /// Zero in a healthy run; both drivers warn once per step when it is
+    /// not (warnNeighborOverflow), instead of silently losing interactions.
     std::size_t neighborOverflow = 0;
 
     /// Measured per-worker busy times of each phase's ParallelFor loops —
@@ -81,6 +82,32 @@ struct StepReport
     }
 };
 
+/// The warning both drivers print after a force pass that cut \p overflow
+/// neighbor rows at \p ngmax (the distributed driver passes its ranks'
+/// sum): one stderr line per truncating step, nothing when no row was cut.
+inline void warnNeighborOverflow(std::uint64_t step, std::size_t overflow, unsigned ngmax)
+{
+    if (overflow == 0) return;
+    std::fprintf(stderr,
+                 "sphexa: step %llu: %zu neighbor list(s) exceeded ngmax=%u "
+                 "(truncated; raise ngmax or lower targetNeighbors)\n",
+                 static_cast<unsigned long long>(step), overflow, ngmax);
+}
+
+/// The buffers the phases keep across force passes: one per Simulation and
+/// one per rank of a DistributedSimulation, referenced by every StepContext
+/// the driver builds, so adapted AWF weights carry across steps and no
+/// phase re-allocates its scratch.
+template<class T>
+struct PhaseBuffers
+{
+    AwfWeightStore awf;             ///< per-phase AWF weights (parallel/parallel_for.hpp)
+    SfcSorter<T> sorter;            ///< phase L keys and permutation (tree/sfc_sort.hpp)
+    ClusterWorkspace<T> clusters;   ///< cluster-search scratch of phases B and C
+    MissingPairs<T> pairs;          ///< the missing-pair buckets phase D fills for H
+    MomentumRecordBuffer<T> momentum; ///< phase H's packed neighbor records
+};
+
 /// How the neighbor phases (B/C) traverse the particle set.
 enum class WalkMode
 {
@@ -100,9 +127,12 @@ struct StepContext
     const Box<T>& box;
     const SimulationConfig<T>& cfg;
     const Kernel<T>& kernel;
+    /// The driver's lane tables of the Simd backend (backend/lane_kernel.hpp).
+    const LaneKernel<T>& lanes;
     const Eos<T>& eos;
     Octree<T>& tree;
     NeighborList<T>& nl;
+    PhaseBuffers<T>& buffers;
 
     /// Barnes-Hut solver for the in-place phase I; null in the distributed
     /// driver, which replicates the tree in its reduction glue instead.
@@ -117,40 +147,12 @@ struct StepContext
     /// are ghosts.
     std::vector<std::size_t> walkIndices{};
 
-    /// Driver-owned persistent AWF weights (parallel/parallel_for.hpp).
-    /// The driver rebuilds its StepContext every force pass but points it
-    /// at the same store, so adapted weights carry across steps; a context
-    /// without a store (the fresh/default state) runs AWF from equal
-    /// weights every loop.
-    AwfWeightStore* awf = nullptr;
-
-    /// Driver-owned persistent buffers of the sorted-reorder + cluster
-    /// neighbor-search subsystem (tree/sfc_sort.hpp, tree/cluster_list.hpp):
-    /// key/permutation storage for phase L, the cluster search's scratch
-    /// for every search of phases B and C, and the missing-pair buckets
-    /// phase D fills for phase H. Null-safe — the phase ops fall back to
-    /// transient buffers (correct, just re-allocating each step).
-    SfcSorter<T>* sorter = nullptr;
-    ClusterWorkspace<T>* clusters = nullptr;
-    MissingPairs<T>* pairBuckets = nullptr;
-    /// Driver-owned record buffer of phase H (backend/momentum_kernel.hpp),
-    /// repacked on every call. Null-safe like the buffers above: the phase
-    /// then packs into a transient buffer.
-    MomentumRecordBuffer<T>* momentumRecords = nullptr;
-
-    /// Driver-owned lane-evaluation tables/constants for the Simd backend
-    /// (backend/lane_kernel.hpp). Null-safe — backend::forEachRow builds a
-    /// transient LaneKernel when the config selects Simd without one
-    /// (correct, just rebuilding the Sinc tables every dispatch).
-    const LaneKernel<T>* laneKernel = nullptr;
-
     // --- outputs, harvested into StepReport/driver state by the runner ---
-    /// The buckets phase D filled in this force pass, which phase H sums
-    /// after each row: pairBuckets, or transientPairs when the driver gave
-    /// none. Null when D did not run (binned and distributed walks, or
-    /// symmetrizeNeighbors off), so no pass reads an earlier pass's buckets.
+    /// buffers.pairs when phase D filled it in this force pass, which phase
+    /// H then sums after each row. Null when D did not run (binned and
+    /// distributed walks, or symmetrizeNeighbors off), so no pass reads an
+    /// earlier pass's buckets.
     MissingPairs<T>* missingPairs = nullptr;
-    std::unique_ptr<MissingPairs<T>> transientPairs{};
     T maxVsignal{0};
     T potentialEnergy{0};
     /// Mirror ghosts currently appended at the tail of ps (WCSPH phase K);
@@ -169,12 +171,12 @@ struct StepContext
     /// phaseLoad slot.
     LoopPolicy loopPolicy(Phase p)
     {
-        return cfg.phaseSchedule.loopPolicy(p, awf, phaseLoad[int(p)]);
+        return cfg.phaseSchedule.loopPolicy(p, &buffers.awf, phaseLoad[int(p)]);
     }
 
     /// The compute-backend selection the SPH phase shells dispatch on:
     /// the config's choice plus the driver's persistent lane kernel.
-    ComputeBackend<T> computeBackend() const { return {cfg.kernelBackend, laneKernel}; }
+    ComputeBackend<T> computeBackend() const { return {cfg.kernelBackend, &lanes}; }
 
     /// Index span the SPH kernels iterate: empty means "all particles"
     /// (the convention of computeDensity & friends).

@@ -14,13 +14,17 @@
 ///      pipeline's declarative halo-sync specs
 ///   4. self-gravity via a replicated tree (positions/masses allgathered —
 ///      the communication is counted; see docs/DESIGN.md substitution notes)
-///   5. global time-step reduction (allreduce-min), local update
+///   5. phase J: every rank's dt candidates through the one
+///      TimestepController (sph/timestep.hpp), which commits their
+///      allreduce-min, then the local kick-drift-kick
 ///
 /// Only decomposition, migration, halo exchange and the global reductions
-/// live here; the phase bodies are the propagator's. Per-rank phase wall
-/// times are recorded uniformly by the pipeline runner (attach a
-/// PhaseEventLog to trace them); they drive the POP metrics, the Fig. 4
-/// trace, and the strong-scaling predictions of perf/cluster_sim.hpp.
+/// live here. The phase bodies, the dt rule, the per-rank report
+/// (Propagator::harvest into a StepReport), the overflow warning and the
+/// per-rank phase buffers (PhaseBuffers) are the ones Simulation uses.
+/// Per-rank phase wall times are recorded uniformly by the pipeline runner
+/// (attach a PhaseEventLog to trace them); they drive the POP metrics, the
+/// Fig. 4 trace, and the strong-scaling predictions of perf/cluster_sim.hpp.
 ///
 /// See docs/ARCHITECTURE.md for the stage-by-stage pipeline walk-through.
 
@@ -36,9 +40,6 @@
 #include "core/simulation.hpp"
 #include "domain/box.hpp"
 #include "domain/halo.hpp"
-#include "domain/orb.hpp"
-#include "domain/sfc_partition.hpp"
-#include "domain/slab.hpp"
 #include "parallel/comm.hpp"
 #include "perf/timer.hpp"
 #include "sph/conservation.hpp"
@@ -46,34 +47,17 @@
 
 namespace sphexa {
 
-/// Per-rank, per-step measurements.
+/// Per-rank, per-step measurements: the rank's StepReport (its phase
+/// times and busy times, work counters and list health, harvested as the
+/// shared-memory driver's are) plus what only a rank has.
 template<class T>
-struct RankStepReport
+struct RankStepReport : StepReport<T>
 {
-    std::array<double, phaseCount> phaseSeconds{};
-    /// Per-worker busy times of the rank's ParallelFor loops, by phase
-    /// (the intra-rank load-balance axis of the POP hierarchy).
-    std::array<PhaseLoadStats, phaseCount> phaseLoad{};
     double decompositionSeconds = 0;
     double haloSeconds = 0;
     std::size_t localParticles = 0;
     std::size_t ghostParticles = 0;
-    std::size_t neighborInteractions = 0;
-    /// The rank's list health, as StepReport carries it: rows cut at
-    /// ngmax, particles phase C left outside the tolerance band, and its
-    /// iterations.
-    std::size_t neighborOverflow = 0;
-    std::size_t hUnconverged     = 0;
-    unsigned hIterations         = 0;
     simmpi::Traffic traffic{}; ///< traffic sent this step
-
-    double computeSeconds() const
-    {
-        double s = 0;
-        for (double p : phaseSeconds)
-            s += p;
-        return s;
-    }
 };
 
 /// Whole-step view across ranks.
@@ -91,7 +75,7 @@ struct DistributedStepReport
         double mx = 0, sum = 0;
         for (const auto& r : ranks)
         {
-            double c = r.computeSeconds();
+            double c = r.totalSeconds();
             mx = std::max(mx, c);
             sum += c;
         }
@@ -100,10 +84,11 @@ struct DistributedStepReport
 };
 
 /// Distributed-memory simulation over P simulated ranks. Runs the
-/// compressible pipeline at one global dt; the constructor rejects
-/// (std::invalid_argument) a WeaklyCompressible config, whose mirror ghosts
-/// and body force the distributed assembly lacks, and any timestep mode but
-/// Global, since its dt is a bare global minimum.
+/// compressible pipeline at one global dt, Global or Adaptive. The
+/// constructor rejects (std::invalid_argument) what checkSteppingRule
+/// rejects for both drivers, a WeaklyCompressible config, whose mirror
+/// ghosts and body force the distributed assembly lacks, and Individual
+/// time-stepping, whose bins need per-particle state across ranks.
 template<class T>
 class DistributedSimulation
 {
@@ -116,19 +101,22 @@ public:
         , cfg_(std::move(cfg))
         , kernel_(cfg_.kernel, cfg_.sincExponent)
         , laneKernel_(kernel_)
+        , controller_(cfg_.timestep)
         , pipeline_(PipelineFactory<T>::distributed(cfg_))
         , locals_(nRanks)
         , maps_(nRanks)
         , nLocal_(nRanks, 0)
+        , rankBuffers_(nRanks)
     {
         if (global.empty())
             throw std::invalid_argument("DistributedSimulation: empty particle set");
         if (cfg_.hydroMode != HydroMode::Compressible)
             throw std::invalid_argument(
                 "DistributedSimulation: only Compressible hydro is supported");
-        if (cfg_.timestep.mode != TimesteppingMode::Global)
+        checkSteppingRule(cfg_, "DistributedSimulation");
+        if (cfg_.timestep.mode == TimesteppingMode::Individual)
             throw std::invalid_argument(
-                "DistributedSimulation: only Global time-stepping is supported");
+                "DistributedSimulation: Individual time-stepping is not supported");
         // initial decomposition: all particles start on rank 0 and are
         // migrated, as a real code would bootstrap
         locals_[0] = std::move(global);
@@ -158,70 +146,61 @@ public:
     /// driver); returns per-rank measurements.
     DistributedStepReport<T> advance()
     {
+        int P = comm_.size();
         DistributedStepReport<T> rep;
-        rep.ranks.resize(comm_.size());
+        rep.ranks.resize(P);
+        rep.step = stepCount_ + 1; // events carry the id the report will have
         comm_.resetTraffic();
-        // events carry the step id the returned report will have
-        if (log_) log_->beginStep(stepCount_ + 1);
+        if (log_) log_->beginStep(rep.step);
 
-        // phase J part 1: global dt from the current forces, then
-        // first kick + drift on every rank
-        std::vector<T> dtContrib(comm_.size());
-        for (int r = 0; r < comm_.size(); ++r)
-        {
-            T dtMin = cfg_.timestep.maxDt;
-            auto& ps = locals_[r];
-            for (std::size_t i = 0; i < ps.size(); ++i)
-            {
-                dtMin = std::min(dtMin,
-                                 particleTimestep(ps, i, lastMaxVsig_, cfg_.timestep));
-            }
-            dtContrib[r] = dtMin;
-        }
-        T dtStep = comm_.allreduceMin<T>(dtContrib);
-        if (firstStep_)
-        {
-            dtStep = std::min(dtStep, cfg_.timestep.initialDt);
-            firstStep_ = false;
-        }
-        // phase J runs under the configured strategy on every rank, like
-        // the pipeline phases; drift + energy times join the rank's J slot
-        rankAwf_.resize(comm_.size());
-        std::vector<PhaseLoadStats> jLoad(comm_.size());
-        std::vector<double> jSeconds(comm_.size(), 0.0);
+        // phase J part 1: each rank's dt candidates from the current
+        // forces, the controller's commit of their global min, then the
+        // first kick + drift; like the pipeline phases it runs under the
+        // configured strategy on every rank, and all its loops join the
+        // rank's J slot
+        std::vector<PhaseLoadStats> jLoad(P);
+        std::vector<double> jSeconds(P, 0.0);
         auto jPolicyFor = [&](int r) {
-            return cfg_.phaseSchedule.loopPolicy(Phase::J_TimestepUpdate, &rankAwf_[r],
+            return cfg_.phaseSchedule.loopPolicy(Phase::J_TimestepUpdate, &rankBuffers_[r].awf,
                                                  jLoad[r]);
         };
-        for (int r = 0; r < comm_.size(); ++r)
+        std::vector<T> dtContrib(P);
+        for (int r = 0; r < P; ++r)
+        {
+            Timer t;
+            dtContrib[r] =
+                controller_.candidateMin(locals_[r], lastMaxVsig_, locals_[r].dt, jPolicyFor(r));
+            jSeconds[r] = t.elapsed();
+        }
+        T dtStep = controller_.commit(comm_.allreduceMin<T>(dtContrib));
+        for (int r = 0; r < P; ++r)
         {
             Timer t;
             kickDrift(locals_[r], dtStep, box_, jPolicyFor(r));
-            jSeconds[r] = t.elapsed();
+            jSeconds[r] += t.elapsed();
         }
 
         // forces at the new positions (decompose, halos, phases A..I)
         computeAllForces(rep);
 
         // phase J part 2: second kick + energy update
-        for (int r = 0; r < comm_.size(); ++r)
+        time_ += dtStep;
+        ++stepCount_;
+        rep.dt   = dtStep;
+        rep.time = time_;
+        for (int r = 0; r < P; ++r)
         {
             Timer t;
             kickEnergy(locals_[r], dtStep, eos_.isIdealGas(), jPolicyFor(r));
             jSeconds[r] += t.elapsed();
-            rep.ranks[r].phaseSeconds[int(Phase::J_TimestepUpdate)] = jSeconds[r];
-            rep.ranks[r].phaseLoad[int(Phase::J_TimestepUpdate)]    = std::move(jLoad[r]);
+            auto& rr = rep.ranks[r];
+            rr.phaseSeconds[int(Phase::J_TimestepUpdate)] = jSeconds[r];
+            rr.phaseLoad[int(Phase::J_TimestepUpdate)]    = std::move(jLoad[r]);
             if (log_) log_->record(r, Phase::J_TimestepUpdate, jSeconds[r]);
-        }
-
-        time_ += dtStep;
-        ++stepCount_;
-        rep.dt = dtStep;
-        rep.time = time_;
-        rep.step = stepCount_;
-        for (int r = 0; r < comm_.size(); ++r)
-        {
-            rep.ranks[r].traffic = comm_.traffic(r);
+            rr.step    = rep.step;
+            rr.time    = rep.time;
+            rr.dt      = rep.dt;
+            rr.traffic = comm_.traffic(r);
         }
         return rep;
     }
@@ -288,27 +267,20 @@ private:
         }
 
         // 3. per-rank force pipeline (phases A..H). One StepContext per
-        // rank over the shared phase units; the halo-sync specs at segment
-        // boundaries name the ghost fields each cross-rank data dependency
-        // needs refreshed.
+        // rank over the shared phase units and the rank's buffers; the
+        // halo-sync specs at segment boundaries name the ghost fields each
+        // cross-rank data dependency needs refreshed.
         rankTree_.resize(P);
         rankNl_.resize(P);
         rankVsig_.assign(P, T(0));
-        rankAwf_.resize(P);
-        rankClusters_.resize(P);
-        rankMomentum_.resize(P);
         std::vector<StepContext<T>> ctxs;
         ctxs.reserve(P);
         for (int r = 0; r < P; ++r)
         {
             rankNl_[r].reset(locals_[r].size(), cfg_.ngmax);
-            ctxs.push_back(StepContext<T>{locals_[r], box_, cfg_, kernel_, eos_,
-                                          rankTree_[r], rankNl_[r]});
-            auto& ctx    = ctxs.back();
-            ctx.awf      = &rankAwf_[r]; // per-rank AWF weights persist across steps
-            ctx.clusters = &rankClusters_[r]; // as does the cluster-search scratch
-            ctx.momentumRecords = &rankMomentum_[r]; // and phase H's records
-            ctx.laneKernel = &laneKernel_; // shared: lane tables are read-only
+            auto& ctx = ctxs.emplace_back(StepContext<T>{locals_[r], box_, cfg_, kernel_,
+                                                         laneKernel_, eos_, rankTree_[r],
+                                                         rankNl_[r], rankBuffers_[r]});
             ctx.walkMode = WalkMode::LocalIndices;
             ctx.walkIndices.resize(nLocal_[r]);
             std::iota(ctx.walkIndices.begin(), ctx.walkIndices.end(), std::size_t(0));
@@ -328,15 +300,14 @@ private:
                                   nLocal_);
             }
         }
+        std::size_t overflow = 0;
         for (int r = 0; r < P; ++r)
         {
             rankVsig_[r] = ctxs[r].maxVsignal;
-            rep.ranks[r].neighborInteractions = ctxs[r].neighborInteractions;
-            rep.ranks[r].neighborOverflow     = ctxs[r].neighborOverflow;
-            rep.ranks[r].hUnconverged         = ctxs[r].hUnconverged;
-            rep.ranks[r].hIterations          = ctxs[r].hIterations;
-            rep.ranks[r].phaseLoad            = ctxs[r].phaseLoad;
+            Propagator<T>::harvest(ctxs[r], rep.ranks[r]);
+            overflow += rep.ranks[r].neighborOverflow;
         }
+        warnNeighborOverflow(rep.step, overflow, cfg_.ngmax);
         lastMaxVsig_ = comm_.allreduceMax<T>(std::span<const T>(rankVsig_));
 
         // ghost forces are NOT applied; drop ghosts before the update
@@ -390,23 +361,7 @@ private:
         auto gz = comm_.allgatherv(zs);
         auto gw = comm_.allgatherv(ws);
 
-        // global assignment
-        std::vector<int> assignment;
-        if (cfg_.decomposition == DecompositionMethod::OrthogonalRecursiveBisection)
-        {
-            auto part = orbDecompose<T>(gx, gy, gz, gw, P, box_);
-            assignment = std::move(part.assignment);
-        }
-        else if (cfg_.decomposition == DecompositionMethod::Slab1D)
-        {
-            auto part = slabDecompose<T>(gx, gy, gz, gw, P, box_);
-            assignment = std::move(part.assignment);
-        }
-        else
-        {
-            auto part = sfcPartition<T>(gx, gy, gz, gw, P, box_, cfg_.sfcCurve);
-            assignment = std::move(part.assignment);
-        }
+        auto assignment = decomposeDomain<T>(cfg_, gx, gy, gz, gw, P, box_);
 
         // map global index -> (rank, local index)
         std::vector<std::size_t> rankStart(P + 1, 0);
@@ -425,15 +380,7 @@ private:
             }
             for (int dst = 0; dst < P; ++dst)
             {
-                if (dst == src) continue;
-                auto sub = ps.gather(leaving[dst]);
-                // pack all real fields + ids
-                std::vector<T> packed;
-                auto fields = sub.realFields();
-                for (auto* f : fields)
-                    packed.insert(packed.end(), f->begin(), f->end());
-                comm_.sendVector<T>(src, dst, "migrate", packed);
-                comm_.sendVector<std::uint64_t>(src, dst, "migrate-id", sub.id);
+                if (dst != src) sendParticles(comm_, src, dst, "migrate", ps, leaving[dst]);
             }
             // erase leavers locally (collect all)
             std::vector<std::size_t> all;
@@ -447,33 +394,14 @@ private:
 
         comm_.exchange();
 
-        const auto nFields = ParticleSet<T>::realFieldNames().size();
         for (int dst = 0; dst < P; ++dst)
         {
-            auto& ps = locals_[dst];
             for (int src = 0; src < P; ++src)
             {
-                if (src == dst) continue;
-                auto ids    = comm_.receiveVector<std::uint64_t>(dst, src, "migrate-id");
-                auto packed = comm_.receiveVector<T>(dst, src, "migrate");
-                std::size_t k = ids.size();
-                if (packed.size() != k * nFields)
-                    throw std::runtime_error("migrate: size mismatch");
-                std::size_t base = ps.size();
-                ps.resize(base + k);
-                auto fields = ps.realFields();
-                for (std::size_t f = 0; f < nFields; ++f)
-                {
-                    for (std::size_t g = 0; g < k; ++g)
-                        (*fields[f])[base + g] = packed[f * k + g];
-                }
-                for (std::size_t g = 0; g < k; ++g)
-                    ps.id[base + g] = ids[g];
+                if (src != dst) receiveParticles(comm_, dst, src, "migrate", locals_[dst]);
             }
-            nLocal_[dst] = ps.size();
+            nLocal_[dst] = locals_[dst].size();
         }
-        for (int r = 0; r < P; ++r)
-            nLocal_[r] = locals_[r].size();
     }
 
     /// Replicated-tree gravity: allgather (x,y,z,m), run Barnes-Hut per rank
@@ -500,14 +428,11 @@ private:
         rep_ps.z = std::move(gz);
         rep_ps.m = std::move(gm);
 
-        // identical tree parameters to the shared-memory driver so the two
-        // drivers compute identical gravity (the tree structure depends only
-        // on positions + params, not input order)
+        // phase A's tree parameters, so the two drivers compute identical
+        // gravity (the tree structure depends only on positions + params,
+        // not input order)
         Octree<T> tree;
-        typename Octree<T>::BuildParams bp;
-        bp.leafSize = cfg_.treeLeafSize;
-        bp.curve    = cfg_.sfcCurve;
-        tree.build(rep_ps.x, rep_ps.y, rep_ps.z, box_, bp);
+        tree.build(rep_ps.x, rep_ps.y, rep_ps.z, box_, treeBuildParams(cfg_));
         GravitySolver<T> solver;
         solver.prepare(tree, rep_ps, cfg_.gravity);
 
@@ -542,6 +467,7 @@ private:
     SimulationConfig<T> cfg_;
     Kernel<T> kernel_;
     LaneKernel<T> laneKernel_; ///< Simd-backend lane tables, built once
+    TimestepController<T> controller_;
     Propagator<T> pipeline_;
     PhaseEventLog* log_{nullptr};
 
@@ -553,15 +479,14 @@ private:
     std::vector<Octree<T>> rankTree_;
     std::vector<NeighborList<T>> rankNl_;
     std::vector<T> rankVsig_;
-    std::vector<AwfWeightStore> rankAwf_; ///< per-rank persistent AWF weights
-    std::vector<ClusterWorkspace<T>> rankClusters_; ///< per-rank cluster-search scratch
-    std::vector<MomentumRecordBuffer<T>> rankMomentum_; ///< per-rank phase H records
+    /// Per-rank AWF weights and phase scratch, kept across steps; sized
+    /// once, since every StepContext references its rank's entry.
+    std::vector<PhaseBuffers<T>> rankBuffers_;
 
     T time_{0};
     std::uint64_t stepCount_{0};
     T potentialEnergy_{0};
     T lastMaxVsig_{0};
-    bool firstStep_{true};
 };
 
 } // namespace sphexa

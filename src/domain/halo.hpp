@@ -13,8 +13,13 @@
 /// periodic axes). This is a superset of the exact halo — correct, with
 /// modest over-communication, matching what production SPH codes do with
 /// coarse halo descriptors.
+///
+/// sendParticles/receiveParticles are the one way whole particles move
+/// between ranks: the ghosts of exchangeHalos and the distributed driver's
+/// migration (domain/distributed.hpp).
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,6 +47,56 @@ struct HaloMap
         sentTo.assign(nRanks, {});
     }
 };
+
+/// Send the particles \p picks of \p ps from rank \p src to rank \p dst as
+/// two messages: every real field of the picks, field by field, under
+/// \p tag, then their ids under tag + "-id". Halo exchange and particle
+/// migration both move particles this way.
+template<class T, class Index>
+void sendParticles(simmpi::Communicator& comm, int src, int dst, const std::string& tag,
+                   const ParticleSet<T>& ps, const std::vector<Index>& picks)
+{
+    auto fields = ps.realFields();
+    std::vector<T> packed;
+    packed.reserve(picks.size() * fields.size());
+    for (const auto* f : fields)
+    {
+        for (auto i : picks)
+            packed.push_back((*f)[i]);
+    }
+    std::vector<std::uint64_t> ids;
+    ids.reserve(picks.size());
+    for (auto i : picks)
+        ids.push_back(ps.id[i]);
+    comm.sendVector<T>(src, dst, tag, packed);
+    comm.sendVector<std::uint64_t>(src, dst, tag + "-id", ids);
+}
+
+/// Append to \p ps the particles rank \p src sent rank \p dst with
+/// sendParticles under \p tag (delivered by a comm.exchange() since);
+/// returns how many. Throws std::runtime_error when the payload does not
+/// hold one value per real field for each id.
+template<class T>
+std::size_t receiveParticles(simmpi::Communicator& comm, int dst, int src,
+                             const std::string& tag, ParticleSet<T>& ps)
+{
+    auto ids    = comm.receiveVector<std::uint64_t>(dst, src, tag + "-id");
+    auto packed = comm.receiveVector<T>(dst, src, tag);
+    std::size_t k = ids.size();
+    if (packed.size() != k * ParticleSet<T>::realFieldNames().size())
+        throw std::runtime_error(tag + ": size mismatch");
+    std::size_t base = ps.size();
+    ps.resize(base + k);
+    auto fields = ps.realFields();
+    for (std::size_t f = 0; f < fields.size(); ++f)
+    {
+        for (std::size_t g = 0; g < k; ++g)
+            (*fields[f])[base + g] = packed[f * k + g];
+    }
+    for (std::size_t g = 0; g < k; ++g)
+        ps.id[base + g] = ids[g];
+    return k;
+}
 
 /// Does point p fall within \p box expanded by \p margin (minimum-image on
 /// the periodic axes of \p global)?
@@ -82,7 +137,6 @@ void exchangeHalos(simmpi::Communicator& comm, std::vector<ParticleSet<T>>& loca
     }
 
     // select and send halo candidates per (src, dst) pair
-    const auto& fieldNames = ParticleSet<T>::realFieldNames();
     for (int src = 0; src < P; ++src)
     {
         maps[src].clear(P);
@@ -103,23 +157,8 @@ void exchangeHalos(simmpi::Communicator& comm, std::vector<ParticleSet<T>>& loca
                 }
             }
             maps[src].sentTo[dst] = picks;
-
-            // pack all real fields gathered by picks, plus identities
-            std::vector<T> packed;
-            packed.reserve(picks.size() * fieldNames.size());
-            auto fields = ps.realFields();
-            for (auto* f : fields)
-            {
-                for (auto i : picks)
-                    packed.push_back((*f)[i]);
-            }
-            std::vector<std::uint64_t> ids;
-            ids.reserve(picks.size());
-            for (auto i : picks)
-                ids.push_back(ps.id[i]);
-            comm.sendVector<T>(src, dst, "halo", packed);
+            sendParticles(comm, src, dst, "halo", ps, picks);
             comm.sendVector<std::uint32_t>(src, dst, "halo-idx", picks);
-            comm.sendVector<std::uint64_t>(src, dst, "halo-id", ids);
         }
     }
 
@@ -128,33 +167,18 @@ void exchangeHalos(simmpi::Communicator& comm, std::vector<ParticleSet<T>>& loca
     // receive and append ghosts
     for (int dst = 0; dst < P; ++dst)
     {
-        auto& ps = locals[dst];
         for (int src = 0; src < P; ++src)
         {
             if (src == dst) continue;
-            auto idx    = comm.receiveVector<std::uint32_t>(dst, src, "halo-idx");
-            auto packed = comm.receiveVector<T>(dst, src, "halo");
-            auto ids    = comm.receiveVector<std::uint64_t>(dst, src, "halo-id");
-            std::size_t k = idx.size();
-            if (packed.size() != k * fieldNames.size() || ids.size() != k)
+            auto idx = comm.receiveVector<std::uint32_t>(dst, src, "halo-idx");
+            if (receiveParticles(comm, dst, src, "halo", locals[dst]) != idx.size())
             {
                 throw std::runtime_error("halo: packed size mismatch");
             }
-            std::size_t base = ps.size();
-            ps.resize(base + k);
-            auto fields = ps.realFields();
-            for (std::size_t f = 0; f < fields.size(); ++f)
+            for (auto i : idx)
             {
-                for (std::size_t g = 0; g < k; ++g)
-                {
-                    (*fields[f])[base + g] = packed[f * k + g];
-                }
-            }
-            for (std::size_t g = 0; g < k; ++g)
-            {
-                ps.id[base + g] = ids[g];
                 maps[dst].sourceRank.push_back(src);
-                maps[dst].sourceIndex.push_back(idx[g]);
+                maps[dst].sourceIndex.push_back(i);
             }
         }
     }

@@ -32,9 +32,6 @@
 #include "core/config.hpp"
 #include "domain/box.hpp"
 #include "domain/halo.hpp"
-#include "domain/orb.hpp"
-#include "domain/sfc_partition.hpp"
-#include "domain/slab.hpp"
 #include "parallel/comm.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/machine.hpp"
@@ -88,23 +85,7 @@ WorkloadProbe probeWorkload(const ParticleSet<T>& global, const Box<T>& box,
 
     // real decomposition
     std::vector<T> weights(global.size(), T(1));
-    std::vector<int> assignment;
-    if (cfg.decomposition == DecompositionMethod::OrthogonalRecursiveBisection)
-    {
-        assignment = orbDecompose<T>(global.x, global.y, global.z, weights, ranks, box)
-                         .assignment;
-    }
-    else if (cfg.decomposition == DecompositionMethod::Slab1D)
-    {
-        assignment =
-            slabDecompose<T>(global.x, global.y, global.z, weights, ranks, box).assignment;
-    }
-    else
-    {
-        assignment =
-            sfcPartition<T>(global.x, global.y, global.z, weights, ranks, box, cfg.sfcCurve)
-                .assignment;
-    }
+    auto assignment = decomposeDomain<T>(cfg, global.x, global.y, global.z, weights, ranks, box);
 
     std::vector<ParticleSet<T>> locals(ranks);
     for (std::size_t i = 0; i < global.size(); ++i)
@@ -140,11 +121,8 @@ WorkloadProbe probeWorkload(const ParticleSet<T>& global, const Box<T>& box,
         std::size_t nLoc = probe.localParticles[r];
         if (nLoc == 0) continue;
 
-        typename Octree<T>::BuildParams bp;
-        bp.leafSize = cfg.treeLeafSize;
-        bp.curve    = cfg.sfcCurve;
         Octree<T> tree;
-        tree.build(ps.x, ps.y, ps.z, box, bp);
+        tree.build(ps.x, ps.y, ps.z, box, treeBuildParams(cfg));
 
         std::vector<std::size_t> localIdx(nLoc);
         std::iota(localIdx.begin(), localIdx.end(), std::size_t(0));

@@ -22,6 +22,15 @@
 /// histogram. Global/Adaptive keep the global clamp so their dt min is
 /// bitwise identical to the seed behaviour.
 ///
+/// ## Global and Adaptive steps
+///
+/// A Global/Adaptive step is candidateMin() (every particle's candidate
+/// into ps.dt, and their exact min) followed by commit() (the first-step
+/// initialDt clamp, the Adaptive growth cap, the step counter). advance()
+/// runs both over one set. The distributed driver (domain/distributed.hpp)
+/// runs candidateMin() on each rank and commits the allreduce-min of the
+/// ranks' results, so both drivers take their dt from this one rule.
+///
 /// ## The bin schedule
 ///
 /// Activity is anchored at the last full synchronization (cycleStart()):
@@ -54,6 +63,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -132,15 +143,58 @@ public:
     /// Individual mode).
     T advance(ParticleSet<T>& ps, T maxVsignal, const LoopPolicy& policy = {})
     {
+        if (par_.mode != TimesteppingMode::Individual)
+            return commit(candidateMin(ps, maxVsignal, ps.dt, policy));
         activeStep_ = stepCount_;
+        advanceIndividual(ps, maxVsignal, policy);
+        ++stepCount_;
+        return current_;
+    }
+
+    /// The per-particle candidates of \p ps into \p out (one per particle)
+    /// and their minimum, the first half of a Global/Adaptive step and of an
+    /// Individual full sync. The min is exact over per-worker partials (a
+    /// selection, not an accumulation), so it is bitwise the same for any
+    /// pool size, chunking or split of the set: the distributed driver takes
+    /// the min of its ranks' results and commit()s it.
+    T candidateMin(const ParticleSet<T>& ps, T maxVsignal, std::span<T> out,
+                   const LoopPolicy& policy = {}) const
+    {
+        if (out.size() != ps.size())
+            throw std::invalid_argument("TimestepController: one candidate per particle");
+        std::vector<WorkerSlot<T>> workerMin(parallelForWorkers(), WorkerSlot<T>{par_.maxDt});
+        parallelFor(
+            ps.size(),
+            [&](std::size_t i, std::size_t worker) {
+                T dti  = particleTimestep(ps, i, maxVsignal, par_);
+                out[i] = dti;
+                workerMin[worker].value = std::min(workerMin[worker].value, dti);
+            },
+            policy);
+        T dtMin = par_.maxDt;
+        for (const auto& v : workerMin)
+            dtMin = std::min(dtMin, v.value);
+        return dtMin;
+    }
+
+    /// The rest of a Global/Adaptive step from the set's candidate minimum:
+    /// the first step is clamped to initialDt, an Adaptive step grows by at
+    /// most maxGrowth, and the step counter advances. Returns the Delta t.
+    /// Throws std::logic_error in Individual mode, whose bins need the
+    /// per-particle state advance() keeps.
+    T commit(T dtMin)
+    {
         if (par_.mode == TimesteppingMode::Individual)
+            throw std::logic_error("TimestepController::commit: Individual mode bins "
+                                   "per particle; call advance()");
+        activeStep_ = stepCount_;
+        if (firstStep_)
         {
-            advanceIndividual(ps, maxVsignal, policy);
+            firstStep_ = false;
+            dtMin      = std::min(dtMin, par_.initialDt);
         }
-        else
-        {
-            advanceGlobal(ps, maxVsignal, policy);
-        }
+        bool capped = par_.mode == TimesteppingMode::Adaptive && current_ > T(0);
+        current_    = capped ? std::min(dtMin, current_ * par_.maxGrowth) : dtMin;
         ++stepCount_;
         return current_;
     }
@@ -215,42 +269,6 @@ public:
     }
 
 private:
-    void advanceGlobal(ParticleSet<T>& ps, T maxVsignal, const LoopPolicy& policy)
-    {
-        std::size_t n = ps.size();
-
-        // exact min reduction over per-worker partials (selection, not
-        // accumulation: bitwise stable for any pool size or chunking)
-        std::vector<WorkerSlot<T>> workerMin(parallelForWorkers(),
-                                             WorkerSlot<T>{par_.maxDt});
-        parallelFor(
-            n,
-            [&](std::size_t i, std::size_t worker) {
-                T dti = particleTimestep(ps, i, maxVsignal, par_);
-                ps.dt[i] = dti;
-                workerMin[worker].value = std::min(workerMin[worker].value, dti);
-            },
-            policy);
-        T dtMin = par_.maxDt;
-        for (const auto& v : workerMin)
-            dtMin = std::min(dtMin, v.value);
-        if (firstStep_)
-        {
-            firstStep_ = false;
-            dtMin = std::min(dtMin, par_.initialDt);
-        }
-
-        if (par_.mode == TimesteppingMode::Adaptive)
-        {
-            current_ = (current_ > T(0)) ? std::min(dtMin, current_ * par_.maxGrowth)
-                                         : dtMin;
-        }
-        else
-        {
-            current_ = dtMin;
-        }
-    }
-
     /// One advance of the hierarchical binned schedule; see the file header
     /// for the full scheme.
     void advanceIndividual(ParticleSet<T>& ps, T maxVsignal, const LoopPolicy& policy)
@@ -263,21 +281,9 @@ private:
         {
             // every particle's interval ends here and the previous force
             // pass covered the whole set: re-derive the hierarchy from
-            // scratch (exact per-worker min reduction as in Global mode)
-            std::vector<WorkerSlot<T>> workerMin(parallelForWorkers(),
-                                                 WorkerSlot<T>{par_.maxDt});
+            // scratch
             cand_.resize(n);
-            parallelFor(
-                n,
-                [&](std::size_t i, std::size_t worker) {
-                    T dti    = particleTimestep(ps, i, maxVsignal, par_);
-                    cand_[i] = dti;
-                    workerMin[worker].value = std::min(workerMin[worker].value, dti);
-                },
-                policy);
-            T dtMin = par_.maxDt;
-            for (const auto& v : workerMin)
-                dtMin = std::min(dtMin, v.value);
+            T dtMin = candidateMin(ps, maxVsignal, cand_, policy);
 
             cycleStart_ = s;
             if (firstStep_)

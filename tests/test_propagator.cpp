@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "core/code_profiles.hpp"
@@ -325,6 +326,47 @@ TEST(Propagator, SingleRankAndOneRankDistributedAreBitwiseIdentical)
     expectBitwise(g.u, ref.u, "u");
     expectBitwise(g.p, ref.p, "p");
     expectBitwise(g.c, ref.c, "c");
+
+    // Adaptive leg: the distributed driver commits its rank's candidate
+    // min through the same controller. initialDt clamps step 0, and the
+    // growth cap and the CFL minimum each set some later step (checked
+    // below)
+    cfg.timestep.mode      = TimesteppingMode::Adaptive;
+    cfg.timestep.initialDt = 2.5e-4;
+    Simulation<double> sharedA(patch.ps, patch.setup.box, Eos<double>(patch.setup.eos),
+                               cfg);
+    DistributedSimulation<double> distA(patch.ps, patch.setup.box,
+                                        Eos<double>(patch.setup.eos), cfg, 1);
+    sharedA.computeForces();
+    std::size_t capped = 0, cflSet = 0;
+    double lastDt = 0;
+    for (int s = 0; s < 6; ++s)
+    {
+        double dt = sharedA.advance().dt;
+        ASSERT_EQ(distA.advance().dt, dt) << "step " << s;
+        if (s == 0)
+            EXPECT_EQ(dt, cfg.timestep.initialDt);
+        else
+            ++(dt == lastDt * cfg.timestep.maxGrowth ? capped : cflSet);
+        lastDt = dt;
+    }
+    EXPECT_GT(capped, 0u);
+    EXPECT_GT(cflSet, 0u);
+
+    auto gA          = distA.gather();
+    const auto& refA = sharedA.particles();
+    auto refAById    = refA.idOrder();
+    ASSERT_EQ(gA.size(), refA.size());
+    for (std::size_t i = 0; i < gA.size(); ++i)
+        ASSERT_EQ(gA.id[i], refA.id[refAById[i]]);
+    for (auto field : {&ParticleSetD::x, &ParticleSetD::y, &ParticleSetD::z, &ParticleSetD::vx,
+                       &ParticleSetD::vy, &ParticleSetD::vz, &ParticleSetD::h,
+                       &ParticleSetD::rho, &ParticleSetD::u, &ParticleSetD::p,
+                       &ParticleSetD::c})
+    {
+        for (std::size_t i = 0; i < gA.size(); ++i)
+            ASSERT_EQ((gA.*field)[i], (refA.*field)[refAById[i]]) << "Adaptive, id " << gA.id[i];
+    }
 }
 
 TEST(Propagator, DistributedRanksReportTheirListHealth)
@@ -356,10 +398,19 @@ TEST(Propagator, DistributedRanksReportTheirListHealth)
         EXPECT_EQ(got.ranks[0].hUnconverged, ref.hUnconverged);
         EXPECT_EQ(got.ranks[0].hIterations, ref.hIterations);
 
+        // the two-rank run warns like the shared driver, with the ranks'
+        // summed count
+        testing::internal::CaptureStderr();
+        auto twoRep      = two.advance();
+        std::string warn = testing::internal::GetCapturedStderr();
         std::size_t overflow = 0;
-        for (const auto& r : two.advance().ranks)
+        for (const auto& r : twoRep.ranks)
             overflow += r.neighborOverflow;
         EXPECT_GT(overflow, 0u);
+        EXPECT_NE(warn.find("sphexa: step " + std::to_string(twoRep.step) + ": " +
+                            std::to_string(overflow) + " neighbor list(s) exceeded ngmax=48"),
+                  std::string::npos)
+            << warn;
     }
 }
 

@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
+#include <stdexcept>
+#include <vector>
 
 #include "core/code_profiles.hpp"
 #include "core/simulation.hpp"
 #include "ic/evrard.hpp"
 #include "ic/sedov.hpp"
 #include "ic/square_patch.hpp"
+#include "math/rng.hpp"
 
 using namespace sphexa;
 
@@ -253,6 +257,63 @@ TEST(Timestepping, BinsArePowersOfTwo)
     }
     EXPECT_GT(ps.bin[5], ps.bin[0]);
     EXPECT_EQ(ctl.maxUsedBin(), ps.bin[5]);
+}
+
+TEST(Timestepping, CommittedMinOfTwoHalvesIsTheWholeSetsStep)
+{
+    // the distributed driver's dt: candidateMin over each part of a split
+    // set, then one commit of their min, must be advance() over the whole
+    // set bit for bit, every step and every ps.dt[i], in both global modes.
+    // h is rescaled each step so the initialDt clamp (step 0), the Adaptive
+    // growth cap and the candidate minimum all set some step
+    const std::size_t n = 40, half = 17;
+    const double hScale[] = {1.0, 0.6, 1.5, 0.5, 2.0};
+    std::vector<std::size_t> first(half), second(n - half);
+    std::iota(first.begin(), first.end(), std::size_t(0));
+    std::iota(second.begin(), second.end(), half);
+    for (auto mode : {TimesteppingMode::Global, TimesteppingMode::Adaptive})
+    {
+        SCOPED_TRACE(timesteppingName(mode));
+        TimestepParams<double> par;
+        par.mode      = mode;
+        par.initialDt = 0.005;
+        TimestepController<double> whole(par), split(par);
+        ParticleSetD ps(n);
+        std::size_t capped = 0, minSet = 0;
+        for (int s = 0; s < 5; ++s)
+        {
+            Xoshiro256pp rng(11);
+            for (std::size_t i = 0; i < n; ++i)
+            {
+                ps.h[i]  = hScale[s] * (0.05 + 0.1 * rng.uniform());
+                ps.c[i]  = 0.5 + rng.uniform();
+                ps.ax[i] = rng.uniform() - 0.5;
+                ps.ay[i] = rng.uniform() - 0.5;
+                ps.az[i] = rng.uniform() - 0.5;
+            }
+            auto a = ps.gather(first), b = ps.gather(second);
+            double prev = whole.currentDt();
+            double dt   = whole.advance(ps, 1.0);
+            double dtSplit =
+                split.commit(std::min(split.candidateMin(a, 1.0, a.dt),
+                                      split.candidateMin(b, 1.0, b.dt)));
+            ASSERT_EQ(dtSplit, dt) << "step " << s;
+            EXPECT_EQ(split.stepCount(), whole.stepCount());
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(i < half ? a.dt[i] : b.dt[i - half], ps.dt[i]) << "particle " << i;
+            if (s == 0)
+                EXPECT_EQ(dt, par.initialDt);
+            else
+                ++(dt == prev * par.maxGrowth ? capped : minSet);
+        }
+        EXPECT_EQ(capped > 0, mode == TimesteppingMode::Adaptive);
+        EXPECT_GT(minSet, 0u);
+    }
+
+    TimestepParams<double> individual;
+    individual.mode = TimesteppingMode::Individual;
+    TimestepController<double> binned(individual);
+    EXPECT_THROW(binned.commit(1.0), std::logic_error);
 }
 
 // --- parent-code profiles ----------------------------------------------------------
