@@ -10,8 +10,10 @@
 /// time-stepping, IAD cost, gravity order, decomposition method) flows from
 /// the real code paths — and (b) the descriptive metadata needed to
 /// regenerate the comparison tables, and (c) a cost scale calibrating the
-/// simulated absolute per-step times to the paper's measurements
-/// (EXPERIMENTS.md documents the calibration).
+/// simulated absolute per-step times to the paper's measurements (each
+/// profile's costScale* comment derives its ratio from Figs. 1-3; each
+/// bench/bench_fig*.cpp passes its curve's 12-core anchor to
+/// runScalingCurve, which hands it to normalizeToAnchor).
 
 #include <string>
 #include <vector>
@@ -101,9 +103,10 @@ struct CodeProfile
 
     /// Relative per-interaction cost on the square patch and on Evrard,
     /// normalized to SPHYNX = 1 on each test. Calibrated from the 12-core
-    /// points of Figs. 1-3 (see EXPERIMENTS.md); encodes implementation
-    /// overheads our feature emulation cannot reproduce (e.g. ChaNGa's
-    /// gravity-oriented tree being exercised by a pure-CFD test).
+    /// points of Figs. 1-3 (each profile's comment gives the ratio);
+    /// encodes implementation overheads our feature emulation cannot
+    /// reproduce (e.g. ChaNGa's gravity-oriented tree being exercised by a
+    /// pure-CFD test).
     T costScaleSquare = T(1);
     T costScaleEvrard = T(1);
 };
@@ -212,24 +215,6 @@ CodeProfile<T> sphflowProfile()
     // Fig. 3 vs 1a at 12 cores: 31.00 / 38.25 ~ 0.81
     p.costScaleSquare = T(0.81);
     p.costScaleEvrard = T(1); // not run (no self-gravity)
-    return p;
-}
-
-/// SPH-flow run in its native regime: the weakly-compressible free-surface
-/// mode (Tait closure, Debrun spiky kernel, mirror-ghost walls available).
-/// The Table 1/3 sphflowProfile() emulates SPH-flow inside the paper's
-/// compressible comparison; this preset is the same parent pointed at the
-/// CFD scenarios the golden validation gallery covers (square patch, dam
-/// break). Scenario generators fill in the Tait parameters, walls and body
-/// force (ic/square_patch.hpp, ic/dam_break.hpp).
-template<class T>
-CodeProfile<T> wcsphProfile()
-{
-    CodeProfile<T> p     = sphflowProfile<T>();
-    p.name               = "SPH-flow/WCSPH";
-    p.config.hydroMode   = HydroMode::WeaklyCompressible;
-    p.config.kernel      = KernelType::DebrunSpiky;
-    p.kernelDesc         = "Debrun spiky";
     return p;
 }
 

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -22,7 +23,7 @@
 #include "parallel/parallel_for.hpp"
 #include "sph/boundaries.hpp"
 #include "sph/density.hpp"
-#include "sph/eos_wcsph.hpp"
+#include "sph/eos.hpp"
 #include "sph/iad.hpp"
 #include "sph/kernels.hpp"
 #include "sph/momentum_energy.hpp"
@@ -33,20 +34,6 @@
 #include "tree/octree.hpp"
 
 namespace sphexa {
-
-/// Hydrodynamic closure regime: the compressible (astro) pipelines of the
-/// paper's two test cases, or the weakly-compressible free-surface mode of
-/// the CFD parent (Tait EOS, optional solid walls and body force).
-enum class HydroMode
-{
-    Compressible,
-    WeaklyCompressible,
-};
-
-constexpr std::string_view hydroModeName(HydroMode m)
-{
-    return m == HydroMode::Compressible ? "compressible" : "weakly-compressible";
-}
 
 /// Neighbor discovery mode (Table 1: "Global Tree Walk" vs individual).
 enum class NeighborMode
@@ -157,9 +144,8 @@ struct SimulationConfig
     /// integration: the same force pipeline as global stepping, with every
     /// pass after set-up walking only the active 2^k bins (ActiveSubset)
     /// while the rest of the set is drifted. Both drivers reject either one
-    /// without the other (checkSteppingRule); under a non-Compressible
-    /// hydroMode the pair degenerates to global stepping at the
-    /// controller's base dt.
+    /// without the other, and binned stepping rejects walls and a body
+    /// force (checkSteppingRule).
     TimestepParams<T> timestep{};
     NeighborMode neighborMode = NeighborMode::GlobalTreeWalk;
 
@@ -168,14 +154,15 @@ struct SimulationConfig
 
     ArtificialViscosity<T> av{};
 
-    // --- WCSPH free-surface mode (sph/eos_wcsph.hpp, sph/boundaries.hpp) ---
-    HydroMode hydroMode = HydroMode::Compressible;
-    /// Tait closure parameters, used when hydroMode is WeaklyCompressible.
-    WcsphEosParams<T> wcsphEos{};
-    /// Solid-wall mirror-ghost boundaries (phase K of the WCSPH pipeline).
+    // --- free-surface features (sph/eos.hpp, sph/boundaries.hpp) ---
+    /// SPH-flow's weakly-compressible Tait closure; disengaged (the
+    /// default), the closure is an ideal gas (eosFromConfig).
+    std::optional<TaitEos<T>> taitEos{};
+    /// Solid-wall mirror-ghost boundaries: any wall adds phase K's ghost
+    /// bracket to the single-rank pipeline.
     BoundaryConfig<T> boundaries{};
-    /// Uniform body force (dam-break gravity), applied after the SPH
-    /// accelerations by the WCSPH pipeline's body-force op.
+    /// Uniform body force (dam-break gravity): a nonzero value adds the
+    /// body-force op after phase H's SPH accelerations.
     Vec3<T> constantAccel{T(0), T(0), T(0)};
 
     // --- discretization control ---
@@ -186,7 +173,6 @@ struct SimulationConfig
     /// Not the allocation unit: rows are packed into a grow-only arena
     /// (tree/neighbors.hpp) sized by what the neighborhoods hold.
     unsigned ngmax = 384;
-    unsigned treeLeafSize = 64;
     /// Curve of the SFC reorder (phase L, run on every Global walk), the
     /// octree (phases A/B) and the SFC decomposition. Hilbert is the
     /// default: its locality (no octant-boundary jumps) gives the cluster
@@ -211,42 +197,54 @@ struct SimulationConfig
     PhaseSchedule phaseSchedule{};
 };
 
-/// The equation of state a configuration selects: the Tait closure built
-/// from the config's WCSPH parameters in the weakly-compressible mode, an
-/// ideal gas (\p idealGamma) otherwise.
+/// Whether a configuration's body force is nonzero.
+template<class T>
+bool hasBodyForce(const SimulationConfig<T>& cfg)
+{
+    const Vec3<T>& g = cfg.constantAccel;
+    return g.x != T(0) || g.y != T(0) || g.z != T(0);
+}
+
+/// The equation of state a configuration selects: its Tait closure when
+/// one is set, an ideal gas (\p idealGamma) otherwise.
 template<class T>
 Eos<T> eosFromConfig(const SimulationConfig<T>& cfg, T idealGamma = T(5) / T(3))
 {
-    if (cfg.hydroMode == HydroMode::WeaklyCompressible)
-    {
-        return Eos<T>(makeTaitEos(cfg.wcsphEos));
-    }
+    if (cfg.taitEos) return Eos<T>(*cfg.taitEos);
     return Eos<T>(IdealGasEos<T>(idealGamma));
 }
 
 /// The stepping rule both drivers' constructors hold a config to:
 /// Individual time-stepping and the IndividualTreeWalk go together, since
-/// either one alone would silently run global stepping. Throws
-/// std::invalid_argument naming \p driver otherwise.
+/// either one alone would silently run global stepping; and binned
+/// stepping runs neither walls nor a body force (the active set would
+/// list the mirror ghosts, and the body force would kick inactive
+/// particles every base step). Throws std::invalid_argument naming
+/// \p driver otherwise.
 template<class T>
 void checkSteppingRule(const SimulationConfig<T>& cfg, const std::string& driver)
 {
-    if ((cfg.timestep.mode == TimesteppingMode::Individual) !=
-        (cfg.neighborMode == NeighborMode::IndividualTreeWalk))
+    const bool individual = cfg.timestep.mode == TimesteppingMode::Individual;
+    if (individual != (cfg.neighborMode == NeighborMode::IndividualTreeWalk))
     {
         throw std::invalid_argument(driver + ": Individual time-stepping and the "
                                              "IndividualTreeWalk neighbor mode go together");
+    }
+    if (individual && (cfg.boundaries.anyWall() || hasBodyForce(cfg)))
+    {
+        throw std::invalid_argument(driver + ": Individual time-stepping runs neither "
+                                             "walls nor a body force");
     }
 }
 
 /// The octree parameters a configuration selects: phase A's trees, the
 /// distributed driver's replicated gravity tree (which must be the tree
-/// phase A builds) and the scaling probe's per-rank trees.
+/// phase A builds) and the scaling probe's per-rank trees, all at
+/// BuildParams' default leaf size of 64.
 template<class T>
 typename Octree<T>::BuildParams treeBuildParams(const SimulationConfig<T>& cfg)
 {
     typename Octree<T>::BuildParams bp;
-    bp.leafSize      = cfg.treeLeafSize;
     bp.curve         = cfg.sfcCurve;
     bp.parallelBuild = cfg.parallelTreeBuild;
     return bp;

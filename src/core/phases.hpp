@@ -24,7 +24,7 @@ enum class Phase : int
     H_MomentumEnergy,
     I_SelfGravity,
     J_TimestepUpdate,
-    /// WCSPH mirror-ghost bracket (sph/boundaries.hpp): appended after the
+    /// Wall mirror-ghost bracket (sph/boundaries.hpp): appended after the
     /// paper's lettered phases so A..J keep their Fig. 4 values.
     K_GhostExchange,
     /// SFC particle reordering (tree/sfc_sort.hpp): runs FIRST in the

@@ -20,9 +20,10 @@
 ///
 /// PipelineFactory assembles pipelines declaratively from a
 /// SimulationConfig — and therefore from the Table 1/3 parent-code presets
-/// of core/code_profiles.hpp: an Evrard-style config (selfGravity on)
-/// selects hydro+gravity, the square patch and Sedov configs select
-/// hydro-only, and custom() accepts any op list for bespoke scenarios.
+/// of core/code_profiles.hpp. The single-rank list is built in one place
+/// from the config facts each optional op needs: walls add phase K's ghost
+/// bracket, a nonzero body force its op after phase H, and selfGravity
+/// phase I; custom() accepts any op list for bespoke scenarios.
 
 #include <algorithm>
 #include <functional>
@@ -146,7 +147,7 @@ namespace phase_ops {
 /// set along the configured curve so every downstream sweep is cache-local
 /// and the cluster search's fixed-size runs of consecutive particles are
 /// spatially tight. Placed FIRST in the pipelines that carry it — before
-/// the WCSPH ghost bracket (ghosts never move) and before the tree build
+/// the wall ghost bracket (ghosts never move) and before the tree build
 /// (every list is rebuilt over the new order). Runs on every Global walk
 /// and only there: an active-subset step reuses neighbor lists whose
 /// entries reference pre-reorder slots, and the distributed driver orders
@@ -359,10 +360,9 @@ PhaseOp<T> selfGravity()
             }};
 }
 
-/// WCSPH ghost creation (phase K, before the tree build): mirror the reals
+/// Wall ghost creation (phase K, before the tree build): mirror the reals
 /// across the configured walls and size the neighbor list for the enlarged
-/// set. A no-op when the config declares no walls, so the WCSPH pipeline
-/// degenerates to the compressible one on wall-free scenarios.
+/// set. The factory adds it only to configs with walls.
 template<class T>
 PhaseOp<T> ghostCreate()
 {
@@ -372,7 +372,7 @@ PhaseOp<T> ghostCreate()
             }};
 }
 
-/// WCSPH ghost removal (phase K, after the force phases): truncate the
+/// Wall ghost removal (phase K, after the force phases): truncate the
 /// ghost tail so integration and conservation see real particles only.
 template<class T>
 PhaseOp<T> ghostRemove()
@@ -386,15 +386,14 @@ PhaseOp<T> ghostRemove()
 }
 
 /// Uniform body force (dam-break gravity): added onto the SPH
-/// accelerations, so it shares phase H's timing slot. A no-op at zero
-/// acceleration.
+/// accelerations, so it shares phase H's timing slot. The factory adds it
+/// only to configs with a nonzero body force.
 template<class T>
 PhaseOp<T> bodyForce()
 {
     return {Phase::H_MomentumEnergy, [](StepContext<T>& ctx) {
                 const Vec3<T>& g = ctx.cfg.constantAccel;
-                if (g.x == T(0) && g.y == T(0) && g.z == T(0)) return;
-                auto& ps = ctx.ps;
+                auto& ps         = ctx.ps;
                 parallelFor(
                     ps.size(),
                     [&](std::size_t i, std::size_t) {
@@ -414,58 +413,30 @@ template<class T>
 class PipelineFactory
 {
 public:
-    /// Hydro-only force pipeline: phases A..H (square patch, Sedov),
-    /// preceded by phase L's SFC reorder, which runs on every Global walk.
-    static Propagator<T> hydro()
-    {
-        return custom({phase_ops::sfcReorder<T>(), phase_ops::treeBuild<T>(),
-                       phase_ops::neighborSearch<T>(),
-                       phase_ops::smoothingLength<T>(),
-                       phase_ops::neighborSymmetrize<T>(), phase_ops::density<T>(),
-                       phase_ops::eosAndIad<T>(), phase_ops::divCurl<T>(),
-                       phase_ops::momentumEnergy<T>()});
-    }
-
-    /// Hydro + self-gravity pipeline: phases A..I (Evrard collapse).
-    static Propagator<T> hydroGravity()
-    {
-        auto p   = hydro();
-        auto seg = p.segments();
-        seg.back().ops.push_back(phase_ops::selfGravity<T>());
-        return Propagator<T>(std::move(seg));
-    }
-
-    /// WCSPH free-surface pipeline: the hydro phases bracketed by the
-    /// mirror-ghost ops of phase K (create before the tree build, remove
-    /// after forces) plus the uniform body force after phase H. With no
-    /// walls and zero body force every added op is a no-op and the phase
-    /// bodies match hydro()/hydroGravity() exactly — the pipeline-
-    /// equivalence gate the golden tests exploit.
-    static Propagator<T> wcsph(const SimulationConfig<T>& cfg)
-    {
-        std::vector<PhaseOp<T>> ops{
-            phase_ops::sfcReorder<T>(),   phase_ops::ghostCreate<T>(),
-            phase_ops::treeBuild<T>(),
-            phase_ops::neighborSearch<T>(), phase_ops::smoothingLength<T>(),
-            phase_ops::neighborSymmetrize<T>(), phase_ops::density<T>(),
-            phase_ops::eosAndIad<T>(),    phase_ops::divCurl<T>(),
-            phase_ops::momentumEnergy<T>(), phase_ops::bodyForce<T>()};
-        if (cfg.selfGravity) ops.push_back(phase_ops::selfGravity<T>());
-        ops.push_back(phase_ops::ghostRemove<T>());
-        return custom(std::move(ops));
-    }
-
-    /// Shared-memory pipeline for a configuration: the closure (WCSPH or
-    /// compressible) and self-gravity select the phase list. Binned
-    /// integration (the paper's Table 1/2 ChaNGa row) runs the compressible
-    /// list too; only the driver's walk mode differs: on an ActiveSubset
-    /// walk phase B fills and walks the controller's force set (see
-    /// sph/timestep.hpp), C iterates h for it and D..H(..I) evaluate the
-    /// subset only, while inactive particles are merely drifted.
+    /// Shared-memory pipeline for a configuration: phase L's SFC reorder,
+    /// then A..H, each optional op added by the config fact it needs —
+    /// walls bracket the force phases with phase K's mirror ghosts (create
+    /// before the tree build, remove after the forces), a nonzero
+    /// constantAccel adds the body force after phase H, and selfGravity
+    /// adds phase I. Binned integration (the paper's Table 1/2 ChaNGa row)
+    /// runs the same list; only the driver's walk mode differs: on an
+    /// ActiveSubset walk phase B fills and walks the controller's force set
+    /// (see sph/timestep.hpp), C iterates h for it and D..H(..I) evaluate
+    /// the subset only, while inactive particles are merely drifted.
     static Propagator<T> singleRank(const SimulationConfig<T>& cfg)
     {
-        if (cfg.hydroMode == HydroMode::WeaklyCompressible) return wcsph(cfg);
-        return cfg.selfGravity ? hydroGravity() : hydro();
+        const bool walls = cfg.boundaries.anyWall();
+        std::vector<PhaseOp<T>> ops{phase_ops::sfcReorder<T>()};
+        if (walls) ops.push_back(phase_ops::ghostCreate<T>());
+        ops.insert(ops.end(), {phase_ops::treeBuild<T>(), phase_ops::neighborSearch<T>(),
+                               phase_ops::smoothingLength<T>(),
+                               phase_ops::neighborSymmetrize<T>(), phase_ops::density<T>(),
+                               phase_ops::eosAndIad<T>(), phase_ops::divCurl<T>(),
+                               phase_ops::momentumEnergy<T>()});
+        if (hasBodyForce(cfg)) ops.push_back(phase_ops::bodyForce<T>());
+        if (cfg.selfGravity) ops.push_back(phase_ops::selfGravity<T>());
+        if (walls) ops.push_back(phase_ops::ghostRemove<T>());
+        return custom(std::move(ops));
     }
 
     /// Distributed per-rank pipeline for a configuration: the same phase

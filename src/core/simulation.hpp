@@ -62,9 +62,9 @@ public:
         checkSteppingRule(cfg_, "Simulation");
     }
 
-    /// Convenience: derive the EOS from the configuration — the Tait
-    /// closure of the config's WCSPH parameters in the weakly-compressible
-    /// mode, an ideal gas otherwise (core/config.hpp, eosFromConfig).
+    /// Convenience: derive the EOS from the configuration — its Tait
+    /// closure when one is set, an ideal gas otherwise (core/config.hpp,
+    /// eosFromConfig).
     Simulation(ParticleSet<T> ps, Box<T> box, SimulationConfig<T> cfg)
         : Simulation(std::move(ps), box, eosFromConfig<T>(cfg), cfg)
     {
@@ -242,15 +242,12 @@ public:
 
 private:
     /// Whether this driver runs the binned (individual time-stepping)
-    /// leapfrog: Individual bins + active-subset walks (the constructor
-    /// admits the two only together), compressible hydro only (the WCSPH
-    /// ghost bracket would put mirror particles into the active set; that
-    /// combination falls back to global stepping at the controller's base
-    /// dt).
+    /// leapfrog: Individual bins + active-subset walks, which the
+    /// constructor admits only together and only without walls or a body
+    /// force (checkSteppingRule).
     bool binnedIntegration() const
     {
-        return cfg_.hydroMode == HydroMode::Compressible &&
-               cfg_.timestep.mode == TimesteppingMode::Individual;
+        return cfg_.timestep.mode == TimesteppingMode::Individual;
     }
 
     /// One force-pipeline pass; \p stepId tags the report and the emitted

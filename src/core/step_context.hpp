@@ -155,7 +155,7 @@ struct StepContext
     MissingPairs<T>* missingPairs = nullptr;
     T maxVsignal{0};
     T potentialEnergy{0};
-    /// Mirror ghosts currently appended at the tail of ps (WCSPH phase K);
+    /// Mirror ghosts currently appended at the tail of ps (wall phase K);
     /// zero outside the ghostCreate..ghostRemove bracket.
     std::size_t nGhosts = 0;
     unsigned hIterations = 0;

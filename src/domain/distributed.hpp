@@ -83,12 +83,12 @@ struct DistributedStepReport
     }
 };
 
-/// Distributed-memory simulation over P simulated ranks. Runs the
-/// compressible pipeline at one global dt, Global or Adaptive. The
-/// constructor rejects (std::invalid_argument) what checkSteppingRule
-/// rejects for both drivers, a WeaklyCompressible config, whose mirror
-/// ghosts and body force the distributed assembly lacks, and Individual
-/// time-stepping, whose bins need per-particle state across ranks.
+/// Distributed-memory simulation over P simulated ranks. Runs the phases
+/// A..H (plus replicated gravity) at one global dt, Global or Adaptive,
+/// under any EOS. The constructor rejects (std::invalid_argument) what
+/// checkSteppingRule rejects for both drivers, walls and a body force,
+/// whose ops the distributed segments lack, and Individual time-stepping,
+/// whose bins need per-particle state across ranks.
 template<class T>
 class DistributedSimulation
 {
@@ -110,9 +110,9 @@ public:
     {
         if (global.empty())
             throw std::invalid_argument("DistributedSimulation: empty particle set");
-        if (cfg_.hydroMode != HydroMode::Compressible)
+        if (cfg_.boundaries.anyWall() || hasBodyForce(cfg_))
             throw std::invalid_argument(
-                "DistributedSimulation: only Compressible hydro is supported");
+                "DistributedSimulation: walls and body forces are not supported");
         checkSteppingRule(cfg_, "DistributedSimulation");
         if (cfg_.timestep.mode == TimesteppingMode::Individual)
             throw std::invalid_argument(

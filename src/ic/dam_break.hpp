@@ -26,6 +26,7 @@
 #include "domain/box.hpp"
 #include "ic/lattice.hpp"
 #include "parallel/parallel_for.hpp"
+#include "sph/eos.hpp"
 #include "sph/eos_wcsph.hpp"
 #include "sph/particles.hpp"
 
@@ -91,20 +92,15 @@ DamBreakSetup<T> makeDamBreak(ParticleSet<T>& ps, const DamBreakConfig<T>& cfg =
     return {tank, eos, mass, dx, T(2) * std::sqrt(cfg.g * H)};
 }
 
-/// The SimulationConfig the dam break runs under: WCSPH pipeline with the
-/// setup's Tait closure, solid walls on both x faces and the floor
-/// (free-slip), gravity as the constant body force.
+/// The SimulationConfig the dam break runs under: the setup's Tait
+/// closure, solid walls on both x faces and the floor (free-slip), gravity
+/// as the constant body force.
 template<class T>
 SimulationConfig<T> damBreakConfig(const DamBreakConfig<T>& cfg,
                                    const DamBreakSetup<T>& setup)
 {
     SimulationConfig<T> sc;
-    sc.hydroMode              = HydroMode::WeaklyCompressible;
-    sc.wcsphEos.rho0          = setup.eos.referenceDensity();
-    sc.wcsphEos.c0            = setup.eos.referenceSoundSpeed();
-    sc.wcsphEos.gamma         = setup.eos.gamma();
-    sc.wcsphEos.pressureFloor = setup.eos.pressureFloor();
-    sc.boundaries.enabled     = true;
+    sc.taitEos                = setup.eos;
     sc.boundaries.wallLo      = {{true, true, false}}; // x=0 wall, floor
     sc.boundaries.wallHi      = {{true, false, false}}; // far x wall; open top
     sc.boundaries.condition   = WallCondition::FreeSlip;

@@ -92,19 +92,14 @@ SquarePatchSetup<T> makeSquarePatch(ParticleSet<T>& ps, const SquarePatchConfig<
 }
 
 /// The SimulationConfig the validated free-surface square patch runs
-/// under: the WCSPH pipeline with the setup's Tait parameters. The patch
-/// is all free surface (no solid walls), so only the closure and pipeline
-/// seams differ from the compressible configuration — which is exactly the
-/// pipeline-equivalence property the golden gallery checks.
+/// under: the setup's Tait closure. The patch is all free surface (no
+/// solid walls, no body force), so only the closure differs from the
+/// default configuration.
 template<class T>
 SimulationConfig<T> squarePatchConfig(const SquarePatchSetup<T>& setup)
 {
     SimulationConfig<T> cfg;
-    cfg.hydroMode              = HydroMode::WeaklyCompressible;
-    cfg.wcsphEos.rho0          = setup.eos.referenceDensity();
-    cfg.wcsphEos.c0            = setup.eos.referenceSoundSpeed();
-    cfg.wcsphEos.gamma         = setup.eos.gamma();
-    cfg.wcsphEos.pressureFloor = setup.eos.pressureFloor();
+    cfg.taitEos = setup.eos;
     return cfg;
 }
 

@@ -9,7 +9,8 @@
 /// these per-unit costs to predict per-rank compute time on a target
 /// machine. Phase *proportions* therefore come from measured kernel costs;
 /// only the absolute scale is pinned to the paper's measured per-step times
-/// (one anchor per figure, documented in EXPERIMENTS.md).
+/// (one 12-core anchor per curve, which each bench/bench_fig*.cpp passes to
+/// runScalingCurve and so to normalizeToAnchor, perf/cluster_sim.hpp).
 
 #include <cstddef>
 

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file boundaries.hpp
-/// Mirror ghost-particle solid boundaries for the WCSPH free-surface mode.
+/// Mirror ghost-particle solid boundaries for the free-surface scenarios.
 ///
 /// The astro test cases of the paper are wall-free (periodic or open), but
 /// the CFD parent's scenarios — dam break, tank sloshing — need solid walls.
@@ -50,7 +50,6 @@ constexpr std::string_view wallConditionName(WallCondition c)
 template<class T>
 struct BoundaryConfig
 {
-    bool enabled = false;
     std::array<bool, 3> wallLo{{false, false, false}}; ///< x/y/z low faces
     std::array<bool, 3> wallHi{{false, false, false}}; ///< x/y/z high faces
     WallCondition condition = WallCondition::FreeSlip;
@@ -60,8 +59,7 @@ struct BoundaryConfig
 
     bool anyWall() const
     {
-        return enabled && (wallLo[0] || wallLo[1] || wallLo[2] || wallHi[0] ||
-                           wallHi[1] || wallHi[2]);
+        return wallLo[0] || wallLo[1] || wallLo[2] || wallHi[0] || wallHi[1] || wallHi[2];
     }
 };
 

@@ -13,13 +13,10 @@
 /// calPressureWcsph/calSoundSpeedWcsph functions mirror the
 /// cal_pressure_wcsph(rho, rho0, c^2, gamma) reference formula of WCSPH
 /// codes and are the analytic oracle the golden tests check TaitEos
-/// (sph/eos.hpp) against; WcsphEosParams is the SimulationConfig block that
-/// selects the closure at runtime (core/config.hpp, eosFromConfig).
+/// (sph/eos.hpp) against; a config selects that closure through its
+/// taitEos field (core/config.hpp, eosFromConfig).
 
 #include <cmath>
-#include <limits>
-
-#include "sph/eos.hpp"
 
 namespace sphexa {
 
@@ -45,26 +42,6 @@ template<class T>
 T calSoundSpeedWcsph(T rho, T rho0, T c0Squared, T gamma)
 {
     return std::sqrt(c0Squared * std::pow(rho / rho0, gamma - T(1)));
-}
-
-/// The SimulationConfig-selectable WCSPH closure parameters. Defaults give
-/// water-like stiffness in natural units; scenario generators (square
-/// patch, dam break) overwrite rho0/c0 from their flow scales.
-template<class T>
-struct WcsphEosParams
-{
-    T rho0  = T(1);  ///< reference (free-surface) density
-    T c0    = T(10); ///< reference sound speed, ~10x the max flow speed
-    T gamma = T(7);  ///< Tait exponent (water)
-    /// Tensile stability control: pressures are floored here (-inf = off).
-    T pressureFloor = -std::numeric_limits<T>::infinity();
-};
-
-/// The TaitEos a WCSPH parameter block selects.
-template<class T>
-TaitEos<T> makeTaitEos(const WcsphEosParams<T>& p)
-{
-    return TaitEos<T>(p.rho0, p.c0, p.gamma, p.pressureFloor);
 }
 
 } // namespace sphexa

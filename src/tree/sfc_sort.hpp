@@ -20,7 +20,7 @@
 /// Adams-Bashforth du_m1 history, ids, time-step bins — and keeps its key
 /// and permutation buffers across steps so a steady-state resort allocates
 /// nothing. State that is NOT per-particle needs no remap: AWF scheduling
-/// weights are per-worker, and the WCSPH ghost bracket is created after the
+/// weights are per-worker, and the wall ghost bracket is created after the
 /// reorder runs (phase L precedes phase K in the pipeline), so ghosts never
 /// move. Neighbor lists are invalidated by a resort; the pipeline refills
 /// them in phase B before any consumer runs.

@@ -227,7 +227,6 @@ TEST(ClusterList, MatchesTreeWalkWithMirrorGhosts)
         ps.m[i] = 1.0;
     }
     BoundaryConfig<double> bc;
-    bc.enabled   = true;
     bc.wallLo[2] = true;
     bc.wallHi[0] = true;
     std::size_t nGhosts = appendMirrorGhosts(ps, box, bc);

@@ -408,9 +408,13 @@ TEST(Distributed, RejectsConfigsItCannotRun)
     auto setup = makeSquarePatch(ps, pc);
     Eos<double> eos(setup.eos);
 
-    SimulationConfig<double> wcsph;
-    wcsph.hydroMode = HydroMode::WeaklyCompressible;
-    EXPECT_THROW(DistributedSimulation<double>(ps, setup.box, eosFromConfig(wcsph), wcsph, 2),
+    SimulationConfig<double> walls;
+    walls.boundaries.wallLo[1] = true;
+    EXPECT_THROW(DistributedSimulation<double>(ps, setup.box, eos, walls, 2),
+                 std::invalid_argument);
+    SimulationConfig<double> bodyForce;
+    bodyForce.constantAccel = {0.0, -1.0, 0.0};
+    EXPECT_THROW(DistributedSimulation<double>(ps, setup.box, eos, bodyForce, 2),
                  std::invalid_argument);
 
     SimulationConfig<double> individual;
@@ -432,6 +436,13 @@ TEST(Distributed, RejectsConfigsItCannotRun)
     SimulationConfig<double> adaptive;
     adaptive.timestep.mode = TimesteppingMode::Adaptive;
     EXPECT_NO_THROW(DistributedSimulation<double>(ps, setup.box, eos, adaptive, 2));
+
+    // a Tait closure runs like any other EOS: the square patch's own config
+    auto patch = squarePatchConfig(setup);
+    DistributedSimulation<double> tait(ps, setup.box, eosFromConfig(patch), patch, 2);
+    auto rep = tait.advance();
+    EXPECT_EQ(tait.step(), 1u);
+    EXPECT_GT(rep.dt, 0.0);
 }
 
 TEST(Simulation, RejectsConfigsItCannotRun)
@@ -458,14 +469,24 @@ TEST(Simulation, RejectsConfigsItCannotRun)
     binned.timestep.mode = TimesteppingMode::Individual;
     EXPECT_THROW(Simulation<double>(ps, setup.box, eos, binned), std::invalid_argument);
 
-    // the pair runs binned; under WCSPH it keeps its documented fallback to
-    // global stepping (the golden gallery's Evrard Wcsph leg runs it)
+    // the pair runs binned, under the square patch's Tait closure too
     binned.neighborMode = NeighborMode::IndividualTreeWalk;
     EXPECT_NO_THROW(Simulation<double>(ps, setup.box, eos, binned));
-    SimulationConfig<double> wcsph = binned;
-    wcsph.hydroMode                = HydroMode::WeaklyCompressible;
-    EXPECT_NO_THROW(Simulation<double>(ps, setup.box, eosFromConfig(wcsph), wcsph));
+    SimulationConfig<double> tait = squarePatchConfig(setup);
+    tait.timestep.mode            = TimesteppingMode::Individual;
+    tait.neighborMode             = NeighborMode::IndividualTreeWalk;
+    EXPECT_NO_THROW(Simulation<double>(ps, setup.box, tait));
     EXPECT_NO_THROW(Simulation<double>(ps, setup.box, eos, SimulationConfig<double>{}));
+
+    // binned stepping runs neither walls (the active set would list the
+    // mirror ghosts) nor a body force (it would kick inactive particles
+    // every base step), and it must not run them as global stepping
+    SimulationConfig<double> walls = binned;
+    walls.boundaries.wallLo[1]     = true;
+    EXPECT_THROW(Simulation<double>(ps, setup.box, eos, walls), std::invalid_argument);
+    SimulationConfig<double> bodyForce = binned;
+    bodyForce.constantAccel            = {0.0, -1.0, 0.0};
+    EXPECT_THROW(Simulation<double>(ps, setup.box, eos, bodyForce), std::invalid_argument);
 }
 
 TEST(Distributed, ConservationHolds)

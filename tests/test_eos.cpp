@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "core/config.hpp"
 #include "sph/eos.hpp"
 #include "sph/eos_wcsph.hpp"
 
@@ -86,22 +87,22 @@ TEST(Tait, MatchesWcsphReferenceFormula)
 
 TEST(Tait, MakeTaitEosAppliesParameterBlock)
 {
-    WcsphEosParams<double> p;
-    p.rho0          = 2.0;
-    p.c0            = 20.0;
-    p.gamma         = 7.0;
-    p.pressureFloor = 0.0;
-    TaitEos<double> eos = makeTaitEos(p);
+    TaitEos<double> eos(2.0, 20.0, 7.0, /*pressureFloor*/ 0.0);
     EXPECT_DOUBLE_EQ(eos.referenceDensity(), 2.0);
     EXPECT_DOUBLE_EQ(eos.referenceSoundSpeed(), 20.0);
     // the floor clamps the tensile branch: rho < rho0 gives P = 0, not P < 0
     EXPECT_DOUBLE_EQ(eos(1.9, 0.0).pressure, 0.0);
     EXPECT_GT(eos(2.1, 0.0).pressure, 0.0);
     // defaults leave the floor off: tension passes through
-    WcsphEosParams<double> open;
-    open.rho0 = 2.0;
-    open.c0   = 20.0;
-    EXPECT_LT(makeTaitEos(open)(1.9, 0.0).pressure, 0.0);
+    TaitEos<double> open(2.0, 20.0);
+    EXPECT_LT(open(1.9, 0.0).pressure, 0.0);
+
+    // a config selects the closure by its taitEos field alone
+    SimulationConfig<double> cfg;
+    EXPECT_EQ(eosFromConfig(cfg).name(), "ideal-gas");
+    cfg.taitEos = eos;
+    EXPECT_EQ(eosFromConfig(cfg).name(), "tait");
+    EXPECT_DOUBLE_EQ(eosFromConfig(cfg)(1.9, 0.0).pressure, 0.0);
 }
 
 TEST(Isothermal, PressureProportionalToDensity)

@@ -1,8 +1,9 @@
 /// Golden-value validation gallery (ctest label `golden`): every scenario
-/// checked against an analytic or published reference, under BOTH phase
-/// pipelines (the compressible hydro assembly and the WCSPH assembly with
-/// its ghost/body-force brackets), at worker-pool sizes {1, 4} and under
-/// both compute backends (Scalar and the Simd lane kernels).
+/// checked against an analytic or published reference, on the single-rank
+/// pipeline its config builds (phase K's ghost bracket and the body force
+/// only where the scenario has walls and gravity), at worker-pool sizes
+/// {1, 4} and under both compute backends (Scalar and the Simd lane
+/// kernels).
 ///
 /// References:
 ///  - Sedov-Taylor: R(t) = xi0 (E t^2 / rho0)^{1/5}  (ic/sedov.hpp)
@@ -10,12 +11,6 @@
 ///  - Square patch: Colagrossi double-sine pressure series (math/series.hpp)
 ///  - Dam break: Ritter dry-bed surge x(t) = x0 + 2 sqrt(gH) t
 ///  - Tait/Cole EOS: P = B[(rho/rho0)^gamma - 1], B = c0^2 rho0 / gamma
-///
-/// The two pipeline legs are physically equivalent for the wall-free,
-/// force-free scenarios (the WCSPH assembly's extra phases are no-ops
-/// there) — PipelineEquivalence pins that down bitwise. The dam break
-/// needs walls to be well-posed, so both its legs run the WCSPH assembly;
-/// the compressible/WCSPH contrast is exercised by the other scenarios.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +28,7 @@
 #include "ic/square_patch.hpp"
 #include "math/series.hpp"
 #include "parallel/parallel_for.hpp"
+#include "sph/eos.hpp"
 #include "sph/eos_wcsph.hpp"
 #include "step_variants.hpp"
 
@@ -40,20 +36,9 @@ using namespace sphexa;
 
 namespace {
 
-enum class Leg
-{
-    Compressible, ///< PipelineFactory::hydro()/hydroGravity() phase list
-    Wcsph         ///< PipelineFactory::wcsph(): ghost + body-force brackets
-};
-
-const char* legName(Leg leg)
-{
-    return leg == Leg::Compressible ? "Compressible" : "Wcsph";
-}
-
-/// Gallery axis: (worker-pool size, pipeline assembly, compute backend).
+/// Gallery axis: (worker-pool size, compute backend).
 class GoldenGallery
-    : public ::testing::TestWithParam<std::tuple<std::size_t, Leg, KernelBackend>>
+    : public ::testing::TestWithParam<std::tuple<std::size_t, KernelBackend>>
 {
 protected:
     void SetUp() override
@@ -64,18 +49,12 @@ protected:
     void TearDown() override { WorkerPool::instance().resize(saved_); }
 
     std::size_t pool() const { return std::get<0>(GetParam()); }
-    Leg leg() const { return std::get<1>(GetParam()); }
-    KernelBackend backend() const { return std::get<2>(GetParam()); }
+    KernelBackend backend() const { return std::get<1>(GetParam()); }
 
-    /// Route a scenario config through the requested pipeline assembly and
-    /// compute backend. The scenario's EOS is passed explicitly, so
-    /// switching the mode only switches the phase list — never the physics
-    /// closure.
+    /// A scenario config on the requested compute backend.
     template<class T>
-    SimulationConfig<T> withLeg(SimulationConfig<T> cfg) const
+    SimulationConfig<T> withBackend(SimulationConfig<T> cfg) const
     {
-        cfg.hydroMode = leg() == Leg::Wcsph ? HydroMode::WeaklyCompressible
-                                            : HydroMode::Compressible;
         cfg.kernelBackend = backend();
         return cfg;
     }
@@ -126,7 +105,7 @@ TEST_P(GoldenGallery, SedovShockRadiusMatchesSimilaritySolution)
     cfg.neighborTolerance  = 10;
     cfg.timestep.initialDt = 1e-6; // skip the 1e-7 ramp; CFL takes over
     Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos),
-                           withLeg(cfg));
+                           withBackend(cfg));
     sim.computeForces();
 
     // R(t) = xi0 (E t^2 / rho0)^{1/5}; at this resolution the measured
@@ -139,7 +118,7 @@ TEST_P(GoldenGallery, SedovShockRadiusMatchesSimilaritySolution)
         double measured = shockShellRadius(sim.particles());
         double analytic = sedovShockRadius(sim.time(), ic.energy, ic.rho0);
         EXPECT_NEAR(measured, analytic, 0.25 * analytic)
-            << legName(leg()) << " pool=" << pool() << " t=" << sim.time();
+            << "pool=" << pool() << " t=" << sim.time();
         EXPECT_GT(measured, prev); // the shock front must expand
         prev = measured;
     }
@@ -162,7 +141,7 @@ TEST_P(GoldenGallery, EvrardEnergyCurvesMatchAnalyticPotential)
     cfg.targetNeighbors   = 60;
     cfg.neighborTolerance = 10;
     Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos),
-                           withLeg(cfg));
+                           withBackend(cfg));
     sim.computeForces();
 
     // initial potential energy vs the analytic -2/3 G M^2 / R of the 1/r
@@ -188,12 +167,9 @@ TEST_P(GoldenGallery, EvrardEnergyCurvesMatchAnalyticPotential)
 TEST_P(GoldenGallery, EvrardIndividualTimesteppingConservesEnergy)
 {
     // The Individual (2^k-binned) mode on the dynamic-range scenario it
-    // exists for. The Compressible leg runs the binned pipeline proper
-    // (active-subset forces + per-particle kicks); the WCSPH leg exercises
-    // the documented fallback — Individual bins with a ghost-bracket
-    // assembly degenerate to global stepping at the base dt. Both must
-    // conserve energy; the pool axis {1, 4} of the gallery doubles as a
-    // pool-invariance run of the binned code path.
+    // exists for: the binned pipeline proper (active-subset forces +
+    // per-particle kicks) must conserve energy; the pool axis {1, 4} of
+    // the gallery doubles as a pool-invariance run of the binned code path.
     ParticleSetD ps;
     EvrardConfig<double> ic;
     ic.nSide = 14;
@@ -214,7 +190,7 @@ TEST_P(GoldenGallery, EvrardIndividualTimesteppingConservesEnergy)
     // same 1e-3 budget
     cfg.timestep.cflCourant = 0.25;
     Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos),
-                           withLeg(cfg));
+                           withBackend(cfg));
     sim.computeForces();
     auto c0 = sim.conservation();
 
@@ -233,13 +209,10 @@ TEST_P(GoldenGallery, EvrardIndividualTimesteppingConservesEnergy)
     auto c1 = sim.conservation();
     EXPECT_NEAR(c1.totalEnergy(), c0.totalEnergy(),
                 1e-3 * std::abs(c0.totalEnergy()))
-        << legName(leg()) << " pool=" << pool();
-    if (leg() == Leg::Compressible)
-    {
-        // the binned pipeline must actually save particle-updates
-        EXPECT_LT(updates, std::size_t(steps) * n)
-            << "active-subset walk did no better than stepping everyone";
-    }
+        << "pool=" << pool();
+    // the binned pipeline must actually save particle-updates
+    EXPECT_LT(updates, std::size_t(steps) * n)
+        << "active-subset walk did no better than stepping everyone";
 }
 
 // --- scenario 3: rotating square patch -------------------------------------
@@ -265,9 +238,9 @@ TEST_P(GoldenGallery, SquarePatchPressureFieldMatchesGoldenSeries)
         EXPECT_DOUBLE_EQ(ps.p[i], series(ps.x[i] + 0.5, ps.y[i] + 0.5)) << i;
     }
 
-    // evolved under the Tait closure on the requested pipeline leg, the
-    // rigid rotation conserves mass, momentum and angular momentum
-    auto cfg              = withLeg(squarePatchConfig(setup));
+    // evolved under the Tait closure, the rigid rotation conserves mass,
+    // momentum and angular momentum
+    auto cfg              = withBackend(squarePatchConfig(setup));
     cfg.targetNeighbors   = 60;
     cfg.neighborTolerance = 10;
     Simulation<double> sim(std::move(ps), setup.box, cfg);
@@ -282,111 +255,50 @@ TEST_P(GoldenGallery, SquarePatchPressureFieldMatchesGoldenSeries)
     EXPECT_NEAR(c1.angularMomentum.z, c0.angularMomentum.z, 1e-4 * scale);
 }
 
-// --- scenario 4: pipeline & pool equivalence --------------------------------
+// --- scenario 4: one Global search, physics of the per-particle walk ---------
 
-TEST_P(GoldenGallery, PipelinesBitwiseEquivalentOnWallFreeScenario)
+namespace {
+
+/// A run that swaps the shipped pipeline for its variant without phase L
+/// (\p reorder false) and with the per-particle walk in phase B
+/// (\p perParticleWalk true), then computes forces and takes four steps.
+void runVariant(Simulation<double>& sim, bool reorder, bool perParticleWalk)
 {
-    // With no walls and no body force, the WCSPH assembly's extra phases
-    // are exact no-ops: both assemblies must produce bit-identical state.
-    // Combined with the pool axis of this gallery, a green run of this test
-    // at pools {1, 4} also proves pool-size invariance of both assemblies.
-    auto runPatch = [&](HydroMode mode) {
-        ParticleSetD ps;
-        SquarePatchConfig<double> ic;
-        ic.nx = ic.ny = 12;
-        ic.nz         = 4;
-        auto setup    = makeSquarePatch(ps, ic);
-        auto cfg      = squarePatchConfig(setup);
-        cfg.hydroMode         = mode;
-        cfg.targetNeighbors   = 60;
-        cfg.neighborTolerance = 10;
-        cfg.kernelBackend     = backend();
-        // explicit EOS: the mode must switch ONLY the phase list, never the
-        // closure (the 3-arg ctor would derive an ideal gas in Compressible)
-        Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos), cfg);
-        sim.computeForces();
-        sim.run(5);
-        return sim;
-    };
-
-    auto a = runPatch(HydroMode::Compressible);
-    auto b = runPatch(HydroMode::WeaklyCompressible);
-    const auto& pa = a.particles();
-    const auto& pb = b.particles();
-    ASSERT_EQ(pa.size(), pb.size());
-    for (std::size_t i = 0; i < pa.size(); ++i)
+    if (!reorder || perParticleWalk)
     {
-        ASSERT_EQ(pa.x[i], pb.x[i]) << i;
-        ASSERT_EQ(pa.y[i], pb.y[i]) << i;
-        ASSERT_EQ(pa.vx[i], pb.vx[i]) << i;
-        ASSERT_EQ(pa.rho[i], pb.rho[i]) << i;
-        ASSERT_EQ(pa.p[i], pb.p[i]) << i;
+        sim.setPipeline(variantOf(sim.pipeline(), reorder, perParticleWalk));
     }
+    sim.computeForces();
+    sim.run(4);
 }
 
-// --- scenario 4b: one Global search, physics of the per-particle walk --------
+} // namespace
 
 TEST_P(GoldenGallery, ClusterSearchModePhysicsBitwiseMatchesTreeWalk)
 {
     // The cluster search (tree/cluster_list.hpp) must not change physics at
     // all: after un-permuting the SFC reorder, every field is bit-identical
-    // to a run whose phase B walks the tree per particle. The compressible
-    // leg runs Sedov CROSS-frame (the per-particle reference drops phase L
-    // and stays in lattice order, the shipped run is SFC-sorted every step)
-    // and adds a third run, the shipped op list without phase L, which must
-    // match too: phase L only changes where particles are stored. The WCSPH
-    // leg runs the dam break — walls, ghosts, body force — same-frame (both
-    // runs reorder, so the comparison isolates the search under the ghost
-    // bracket; under walls a run without phase L is not bitwise, as mirror
-    // ghosts take their source's id and clamp onto boundary keys).
+    // to a run whose phase B walks the tree per particle. Sedov runs
+    // CROSS-frame (the per-particle reference drops phase L and stays in
+    // lattice order, the shipped run is SFC-sorted every step), and a third
+    // run, the shipped op list without phase L, must match too: phase L
+    // only changes where particles are stored.
     auto runScenario = [&](bool reorder, bool perParticleWalk) {
-        auto vary = [&](Simulation<double>& sim) {
-            if (!reorder || perParticleWalk)
-            {
-                sim.setPipeline(variantOf(sim.pipeline(), reorder, perParticleWalk));
-            }
-        };
-        if (leg() == Leg::Compressible)
-        {
-            ParticleSetD ps;
-            SedovConfig<double> ic;
-            ic.nSide   = 12;
-            auto setup = makeSedov(ps, ic);
-            SimulationConfig<double> cfg;
-            cfg.targetNeighbors    = 50;
-            cfg.neighborTolerance  = 10;
-            cfg.timestep.initialDt = 1e-6;
-            cfg.kernelBackend      = backend();
-            Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos),
-                                   cfg);
-            vary(sim);
-            sim.computeForces();
-            sim.run(4);
-            return sim;
-        }
         ParticleSetD ps;
-        DamBreakConfig<double> ic;
-        ic.nx = ic.ny = 12;
-        ic.nz         = 4;
-        auto setup    = makeDamBreak(ps, ic);
-        auto cfg      = damBreakConfig(ic, setup);
-        cfg.targetNeighbors    = 60;
+        SedovConfig<double> ic;
+        ic.nSide   = 12;
+        auto setup = makeSedov(ps, ic);
+        SimulationConfig<double> cfg;
+        cfg.targetNeighbors    = 50;
         cfg.neighborTolerance  = 10;
-        cfg.timestep.initialDt = 1e-4;
+        cfg.timestep.initialDt = 1e-6;
         cfg.kernelBackend      = backend();
-        Simulation<double> sim(std::move(ps), setup.box, cfg);
-        vary(sim);
-        sim.computeForces();
-        sim.run(4);
+        Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos), cfg);
+        runVariant(sim, reorder, perParticleWalk);
         return sim;
     };
 
     auto shipped = runScenario(true, false);
-    if (leg() == Leg::Wcsph)
-    {
-        expectSamePhysicsById(runScenario(true, true), shipped);
-        return;
-    }
     expectSamePhysicsById(runScenario(false, true), shipped);
 
     auto unsorted = runScenario(false, false);
@@ -398,12 +310,37 @@ TEST_P(GoldenGallery, ClusterSearchModePhysicsBitwiseMatchesTreeWalk)
     expectSamePhysicsById(unsorted, shipped);
 }
 
+TEST_P(GoldenGallery, ClusterSearchModePhysicsBitwiseMatchesTreeWalkOnDamBreak)
+{
+    // The same property under walls, ghosts and a body force: the dam
+    // break runs same-frame (both runs reorder, so the comparison isolates
+    // the search under the ghost bracket; under walls a run without phase
+    // L is not bitwise, as mirror ghosts take their source's id and clamp
+    // onto boundary keys).
+    auto runScenario = [&](bool perParticleWalk) {
+        ParticleSetD ps;
+        DamBreakConfig<double> ic;
+        ic.nx = ic.ny = 12;
+        ic.nz         = 4;
+        auto setup    = makeDamBreak(ps, ic);
+        auto cfg      = damBreakConfig(ic, setup);
+        cfg.targetNeighbors    = 60;
+        cfg.neighborTolerance  = 10;
+        cfg.timestep.initialDt = 1e-4;
+        cfg.kernelBackend      = backend();
+        Simulation<double> sim(std::move(ps), setup.box, cfg);
+        runVariant(sim, true, perParticleWalk);
+        return sim;
+    };
+
+    auto shipped = runScenario(false);
+    expectSamePhysicsById(runScenario(true), shipped);
+}
+
 // --- scenario 5: dam break --------------------------------------------------
 
 TEST_P(GoldenGallery, DamBreakFrontWithinRitterBand)
 {
-    // Walls make the problem well-posed, so both legs run the WCSPH
-    // assembly here (see the header comment); the pool axis still applies.
     ParticleSetD ps;
     DamBreakConfig<double> ic;
     ic.nx = ic.ny = 16;
@@ -460,11 +397,7 @@ TEST_P(GoldenGallery, TaitEosMatchesPublishedReferenceFormula)
     double ref = B * (std::pow(rho / rho0, gamma) - 1.0);
     EXPECT_NEAR(calPressureWcsph(rho, rho0, c2, gamma), ref, 1e-9 * ref);
 
-    WcsphEosParams<double> params;
-    params.rho0  = rho0;
-    params.c0    = std::sqrt(c2);
-    params.gamma = gamma;
-    TaitEos<double> eos = makeTaitEos(params);
+    TaitEos<double> eos(rho0, std::sqrt(c2), gamma);
     EXPECT_NEAR(eos(rho, 0.0).pressure, ref, 1e-9 * ref);
     // c^2 = c0^2 (rho/rho0)^{gamma-1}
     EXPECT_NEAR(eos(rho, 0.0).soundSpeed, calSoundSpeedWcsph(rho, rho0, c2, gamma),
@@ -474,15 +407,12 @@ TEST_P(GoldenGallery, TaitEosMatchesPublishedReferenceFormula)
     EXPECT_LT(eos(0.95 * rho0, 0.0).pressure, 0.0);
 }
 
-// Scalar instances carry no backend suffix: Pool1Compressible,
-// Pool1CompressibleSimd, ...
+// Scalar instances carry no backend suffix: Pool1, Pool1Simd, Pool4, ...
 INSTANTIATE_TEST_SUITE_P(
     Gallery, GoldenGallery,
     ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{4}),
-                       ::testing::Values(Leg::Compressible, Leg::Wcsph),
                        ::testing::Values(KernelBackend::Scalar, KernelBackend::Simd)),
     [](const auto& info) {
         return std::string("Pool") + std::to_string(std::get<0>(info.param)) +
-               legName(std::get<1>(info.param)) +
-               (std::get<2>(info.param) == KernelBackend::Simd ? "Simd" : "");
+               (std::get<1>(info.param) == KernelBackend::Simd ? "Simd" : "");
     });

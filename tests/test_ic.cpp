@@ -356,16 +356,15 @@ TEST(DamBreak, ConfigSelectsWcsphPipelineWallsAndGravity)
     auto setup = makeDamBreak(ps, cfg);
     auto sc    = damBreakConfig(cfg, setup);
 
-    EXPECT_EQ(sc.hydroMode, HydroMode::WeaklyCompressible);
-    EXPECT_TRUE(sc.boundaries.enabled);
+    ASSERT_TRUE(sc.taitEos.has_value());
     EXPECT_TRUE(sc.boundaries.wallLo[0]);  // dam-side wall
     EXPECT_TRUE(sc.boundaries.wallLo[1]);  // floor
     EXPECT_TRUE(sc.boundaries.wallHi[0]);  // far wall
     EXPECT_FALSE(sc.boundaries.wallHi[1]); // open top
     EXPECT_FALSE(sc.boundaries.wallLo[2]); // periodic z: no wall
     EXPECT_DOUBLE_EQ(sc.constantAccel.y, -cfg.g);
-    EXPECT_DOUBLE_EQ(sc.wcsphEos.c0, setup.eos.referenceSoundSpeed());
-    EXPECT_DOUBLE_EQ(sc.wcsphEos.pressureFloor, 0.0); // free surface: no tension
+    EXPECT_DOUBLE_EQ(sc.taitEos->referenceSoundSpeed(), setup.eos.referenceSoundSpeed());
+    EXPECT_DOUBLE_EQ(sc.taitEos->pressureFloor(), 0.0); // free surface: no tension
 }
 
 TEST(DamBreak, RitterFrontIsLinearInTime)

@@ -16,6 +16,7 @@
 #include "core/propagator.hpp"
 #include "core/simulation.hpp"
 #include "domain/distributed.hpp"
+#include "ic/lattice.hpp"
 #include "ic/sedov.hpp"
 #include "ic/square_patch.hpp"
 #include "math/rng.hpp"
@@ -81,6 +82,27 @@ TEST(PipelineFactory, GravityPhaseSkippedWithoutSelfGravity)
 
     cfg.selfGravity = true;
     EXPECT_TRUE(PipelineFactory<double>::singleRank(cfg).hasPhase(Phase::I_SelfGravity));
+}
+
+TEST(PipelineFactory, WallsAndBodyForceAddTheirOps)
+{
+    // walls bracket the force phases with phase K (create after phase L,
+    // remove last) and a nonzero body force follows phase H in H's slot
+    SimulationConfig<double> cfg;
+    cfg.boundaries.wallLo[1] = true;
+    cfg.constantAccel        = {0.0, -1.0, 0.0};
+    using P                  = Phase;
+    std::vector<Phase> expected{P::L_SfcSort,          P::K_GhostExchange,
+                                P::A_TreeBuild,        P::B_NeighborSearch,
+                                P::C_SmoothingLength,  P::D_NeighborSymmetrize,
+                                P::E_Density,          P::F_EosAndIad,
+                                P::G_DivCurl,          P::H_MomentumEnergy,
+                                P::H_MomentumEnergy,   P::K_GhostExchange};
+    EXPECT_EQ(PipelineFactory<double>::singleRank(cfg).phases(), expected);
+
+    cfg.selfGravity = true;
+    expected.insert(expected.end() - 1, P::I_SelfGravity);
+    EXPECT_EQ(PipelineFactory<double>::singleRank(cfg).phases(), expected);
 }
 
 TEST(PipelineFactory, DistributedSegmentsCoverAtoHWithHaloSyncs)
@@ -466,4 +488,45 @@ TEST(Propagator, DistributedPhaseLogCoversAllRanks)
                 << "rank " << r << " " << phaseName(Phase(p));
         }
     }
+}
+
+TEST(Propagator, IdealGasConfigRunsItsWallsAndBodyForce)
+{
+    // walls and a body force belong to the config, not to a closure: an
+    // ideal gas with them runs both
+    const std::size_t side = 10;
+    auto lattice           = [&](Box<double> box) {
+        ParticleSetD ps;
+        cubicLattice(ps, side, side, side, box);
+        for (std::size_t i = 0; i < ps.size(); ++i)
+        {
+            ps.m[i] = 1.0 / double(ps.size());
+            ps.h[i] = initialSmoothingLength(ps.size(), box, 50u);
+            ps.u[i] = 1.0;
+        }
+        return ps;
+    };
+    Eos<double> gas(IdealGasEos<double>(5.0 / 3.0));
+
+    SimulationConfig<double> walled = patchConfig();
+    walled.boundaries.wallLo[1]     = true;
+    Box<double> tank{{0, 0, 0}, {1, 1, 1}, true, false, true};
+    Simulation<double> withWalls(lattice(tank), tank, gas, walled);
+    EXPECT_TRUE(withWalls.pipeline().hasPhase(Phase::K_GhostExchange));
+    withWalls.advance();
+    EXPECT_EQ(withWalls.particles().size(), side * side * side); // ghosts removed
+
+    // a periodic lattice at rest: the SPH forces cancel, so one Global step
+    // leaves exactly the body force's impulse, total momentum M g dt
+    SimulationConfig<double> falling = patchConfig();
+    falling.constantAccel            = {0.0, -2.0, 0.0};
+    Box<double> box{{0, 0, 0}, {1, 1, 1}, true, true, true};
+    Simulation<double> sim(lattice(box), box, gas, falling);
+    auto rep       = sim.advance();
+    auto c         = sim.conservation();
+    double impulse = c.mass * -2.0 * rep.dt;
+    ASSERT_GT(rep.dt, 0.0);
+    EXPECT_NEAR(c.momentum.y, impulse, 1e-9 * std::abs(impulse));
+    EXPECT_NEAR(c.momentum.x, 0.0, 1e-9 * std::abs(impulse));
+    EXPECT_NEAR(c.momentum.z, 0.0, 1e-9 * std::abs(impulse));
 }
