@@ -106,7 +106,7 @@ FigureSeries runScalingCurve(TestCase tc, const CodeProfile<T>& profile,
                                     : double(profile.costScaleEvrard);
     sc.activityFactor =
         profile.config.timestep.mode == TimesteppingMode::Individual ? 0.6 : 1.0;
-    sc.serialTreeBuild = !profile.config.parallelTreeBuild;
+    sc.serialTreeBuild = true; // the parent profiles model phase A as serial (Fig. 4)
 
     // one probe per distinct rank count
     std::map<int, WorkloadProbe> probes;

@@ -127,7 +127,6 @@ CodeProfile<T> sphynxProfile()
     p.config.neighborMode   = NeighborMode::GlobalTreeWalk;
     p.config.gravity.order  = MultipoleOrder::Quadrupole;
     p.config.decomposition  = DecompositionMethod::Slab1D; // "Straightforward"
-    p.config.parallelTreeBuild = false; // the serial phase A of Fig. 4
 
     p.kernelDesc              = "Sinc";
     p.gradientsDesc           = "IAD";
@@ -234,7 +233,6 @@ CodeProfile<T> sphexaProfile()
     p.config.neighborMode      = NeighborMode::GlobalTreeWalk;
     p.config.gravity.order     = MultipoleOrder::Hexadecapole;
     p.config.decomposition     = DecompositionMethod::SpaceFillingCurve;
-    p.config.parallelTreeBuild = true; // the improvement Fig. 4 motivated
 
     p.kernelDesc              = "Sinc, M4 spline, Wendland";
     p.gradientsDesc           = "IAD, Kernel derivatives";

@@ -142,7 +142,7 @@ struct SimulationConfig
     /// Time-step control (sph/timestep.hpp). Individual mode together with
     /// IndividualTreeWalk below makes the shared-memory driver run binned
     /// integration: the same force pipeline as global stepping, with every
-    /// pass after set-up walking only the active 2^k bins (ActiveSubset)
+    /// pass after set-up walking only the active 2^k bins (a Subset walk)
     /// while the rest of the set is drifted. Both drivers reject either one
     /// without the other, and binned stepping rejects walls and a body
     /// force (checkSteppingRule).
@@ -179,8 +179,6 @@ struct SimulationConfig
     /// search ~1.6x fewer candidate tests per cluster member than Morton,
     /// which stays selectable.
     SfcCurve sfcCurve = SfcCurve::Hilbert;
-    bool parallelTreeBuild = false;  ///< SPHYNX v1.3.1 built its tree serially
-    bool symmetrizeNeighbors = true; ///< exact pairwise momentum conservation
 
     /// Compute backend of the hot SPH sums (phases E-H): the 8-lane (Simd,
     /// the default, Sinc through a lookup table) or the 1-lane (Scalar,
@@ -245,8 +243,7 @@ template<class T>
 typename Octree<T>::BuildParams treeBuildParams(const SimulationConfig<T>& cfg)
 {
     typename Octree<T>::BuildParams bp;
-    bp.curve         = cfg.sfcCurve;
-    bp.parallelBuild = cfg.parallelTreeBuild;
+    bp.curve = cfg.sfcCurve;
     return bp;
 }
 

@@ -9,8 +9,10 @@
 /// segments; segment boundaries carry the halo fields the distributed
 /// driver must refresh before the next segment may run (the cross-rank data
 /// dependencies of IAD, momentum and the Balsara limiter). The Propagator
-/// runs a pipeline and applies timing, StepReport accounting and the
-/// tracer's phase events uniformly — no call site hand-inserts Timer::lap().
+/// runs a pipeline and applies timing and the tracer's phase events
+/// uniformly — no call site hand-inserts Timer::lap(). It times each phase
+/// into the report the StepContext references, the record the phases write
+/// their counters into, so a pass has one record and nothing copies it.
 ///
 /// Both drivers execute these same units:
 ///  - Simulation (core/simulation.hpp) runs the full pipeline in one
@@ -62,8 +64,8 @@ struct PipelineSegment
 };
 
 /// The pipeline runner: executes phase units over a StepContext, timing
-/// each one into StepReport::phaseSeconds and emitting a PhaseEvent per
-/// phase when a log is attached.
+/// each one into the context's report (StepReport::phaseSeconds) and
+/// emitting a PhaseEvent per phase when a log is attached.
 template<class T>
 class Propagator
 {
@@ -96,42 +98,25 @@ public:
 
     /// Execute one segment for one rank; the distributed driver interleaves
     /// these with the halo refreshes named in haloFieldsAfter.
-    void runSegment(std::size_t segment, StepContext<T>& ctx,
-                    std::array<double, phaseCount>& phaseSeconds,
-                    PhaseEventLog* log = nullptr, int rank = 0) const
+    void runSegment(std::size_t segment, StepContext<T>& ctx, PhaseEventLog* log = nullptr,
+                    int rank = 0) const
     {
         Timer t;
         for (const auto& op : segments_[segment].ops)
         {
             op.run(ctx);
             double sec = t.lap();
-            phaseSeconds[int(op.phase)] += sec;
+            ctx.report.phaseSeconds[int(op.phase)] += sec;
             if (log) log->record(rank, op.phase, sec);
         }
     }
 
     /// Execute the whole pipeline in one address space (shared-memory
-    /// driver): sync specs are no-ops, outputs land in the report.
-    void run(StepContext<T>& ctx, StepReport<T>& rep, PhaseEventLog* log = nullptr,
-             int rank = 0) const
+    /// driver): sync specs are no-ops.
+    void run(StepContext<T>& ctx, PhaseEventLog* log = nullptr, int rank = 0) const
     {
         for (std::size_t s = 0; s < segments_.size(); ++s)
-            runSegment(s, ctx, rep.phaseSeconds, log, rank);
-        harvest(ctx, rep);
-    }
-
-    /// Copy the context's per-step outputs into the report (the runner does
-    /// this in run(); the distributed driver calls it for each rank after
-    /// the last segment, into the StepReport part of its RankStepReport).
-    static void harvest(const StepContext<T>& ctx, StepReport<T>& rep)
-    {
-        rep.neighborInteractions = ctx.neighborInteractions;
-        rep.activeParticles      = ctx.activeParticles;
-        rep.hIterations          = ctx.hIterations;
-        rep.hUnconverged         = ctx.hUnconverged;
-        rep.neighborOverflow     = ctx.neighborOverflow;
-        rep.gravityStats         = ctx.gravityStats;
-        rep.phaseLoad            = ctx.phaseLoad;
+            runSegment(s, ctx, log, rank);
     }
 
 private:
@@ -139,8 +124,10 @@ private:
 };
 
 /// The phase units themselves. Each body is mode-aware through the
-/// StepContext (global walk, active-subset walk, or per-rank local walk) so
-/// the shared-memory and distributed drivers execute the exact same code.
+/// StepContext (a Global walk or a Subset walk: a binned pass's active bins
+/// or a rank's owned particles) so the shared-memory and distributed
+/// drivers execute the exact same code, and writes its counters into the
+/// context's report.
 namespace phase_ops {
 
 /// SFC particle reorder (phase L, tree/sfc_sort.hpp): physically sort the
@@ -149,7 +136,7 @@ namespace phase_ops {
 /// spatially tight. Placed FIRST in the pipelines that carry it — before
 /// the wall ghost bracket (ghosts never move) and before the tree build
 /// (every list is rebuilt over the new order). Runs on every Global walk
-/// and only there: an active-subset step reuses neighbor lists whose
+/// and only there: a binned Subset step reuses neighbor lists whose
 /// entries reference pre-reorder slots, and the distributed driver orders
 /// particles in its decomposition glue instead.
 template<class T>
@@ -161,11 +148,13 @@ PhaseOp<T> sfcReorder()
             }};
 }
 
+/// Octree build (phase A) over every particle the walk's set holds, ghosts
+/// included. It runs on every walk: a distributed rank that owns nothing
+/// builds its tree over its ghosts alone, or an empty one.
 template<class T>
 PhaseOp<T> treeBuild()
 {
     return {Phase::A_TreeBuild, [](StepContext<T>& ctx) {
-                if (ctx.skipEmptyLocal()) return;
                 ctx.tree.build(ctx.ps.x, ctx.ps.y, ctx.ps.z, ctx.box, treeBuildParams(ctx.cfg));
             }};
 }
@@ -176,7 +165,7 @@ PhaseOp<T> neighborSearch()
     return {Phase::B_NeighborSearch, [](StepContext<T>& ctx) {
                 auto& ps = ctx.ps;
                 // this step's overflow accounting starts at the search
-                // (phases C/D may add more via their nl.set calls)
+                // (phase C's re-walks place rows through the same path)
                 ctx.nl.resetOverflow();
                 auto& ws  = ctx.buffers.clusters;
                 auto  pol = ctx.loopPolicy(Phase::B_NeighborSearch);
@@ -184,19 +173,17 @@ PhaseOp<T> neighborSearch()
                 {
                     findNeighborsClustered(ctx.tree, ps.x, ps.y, ps.z, ps.h, ctx.nl, ws,
                                            kClusterSize, pol);
-                    ctx.activeParticles = ps.size();
+                    ctx.report.activeParticles = ps.size();
                     return;
                 }
-                // a subset walk: the controller's active bins (ActiveSubset)
-                // or the rank's owned particles (LocalIndices); an empty
-                // set fills nothing
-                if (ctx.walkMode == WalkMode::ActiveSubset && ctx.controller)
-                {
-                    ctx.walkIndices = ctx.controller->activeParticles(ps);
-                }
+                // a Subset walk: a binned pass takes the controller's force
+                // set here, inside B's timer; otherwise the driver set the
+                // indices (a rank's owned particles). An empty set fills
+                // nothing
+                if (ctx.controller) ctx.walkIndices = ctx.controller->activeParticles(ps);
                 findNeighborsClustered(ctx.tree, ps.x, ps.y, ps.z, ps.h, ctx.walkIndices, ctx.nl,
                                        ws, kClusterSize, pol);
-                ctx.activeParticles = ctx.walkIndices.size();
+                ctx.report.activeParticles = ctx.walkIndices.size();
             }};
 }
 
@@ -208,16 +195,15 @@ PhaseOp<T> smoothingLength()
                 SmoothingLengthParams<T> hp;
                 hp.targetNeighbors = ctx.cfg.targetNeighbors;
                 hp.tolerance       = ctx.cfg.neighborTolerance;
-                // phase B just filled the lists for the current h (all
-                // particles in Global mode, the rank's owned particles in
-                // LocalIndices mode, the controller's active bins in
-                // ActiveSubset mode), so the iteration never repeats the
-                // initial search — one shared h path for all drivers
+                // phase B just filled the lists for the current h (every
+                // particle on a Global walk, the walked indices on a Subset
+                // walk), so the iteration never repeats the initial search
+                // — one shared h path for all drivers
                 auto hres = updateSmoothingLengths(ctx.ps, ctx.tree, ctx.nl, ctx.buffers.clusters,
                                                    hp, ctx.activeSpan(), /*reuseLists*/ true,
                                                    ctx.loopPolicy(Phase::C_SmoothingLength));
-                ctx.hIterations  = hres.iterations;
-                ctx.hUnconverged = hres.unconverged;
+                ctx.report.hIterations  = hres.iterations;
+                ctx.report.hUnconverged = hres.unconverged;
             }};
 }
 
@@ -225,46 +211,34 @@ template<class T>
 PhaseOp<T> neighborSymmetrize()
 {
     return {Phase::D_NeighborSymmetrize, [](StepContext<T>& ctx) {
-                if (ctx.skipEmptyWalk())
-                {
-                    ctx.neighborInteractions = 0;
-                    ctx.neighborOverflow     = 0;
-                    return;
-                }
-                // ActiveSubset lists are deliberately NOT symmetrized: an
-                // inactive neighbor's list is stale by construction, so
-                // pairwise antisymmetry only holds at full synchronizations
-                // (where conservation is measured) — ChaNGa's trade-off.
-                if (ctx.walkMode == WalkMode::Global && ctx.cfg.symmetrizeNeighbors)
-                {
-                    auto& pairs    = ctx.buffers.pairs;
-                    const auto& ps = ctx.ps;
-                    // the box the phase-B search measured its distances in
-                    findMissingPairs(ctx.nl, ps.x, ps.y, ps.z, ps.h, ctx.tree.box(), pairs,
-                                     std::span<const std::uint64_t>(ps.id.data(), ctx.nl.size()),
-                                     ctx.loopPolicy(Phase::D_NeighborSymmetrize));
-                    ctx.missingPairs = &pairs;
-                }
                 // phase D closes the list-building bracket (B fills, C may
                 // re-walk, D buckets the missing pairs): snapshot overflow
                 // here so the report reflects the rows the SPH sums read
-                const auto* pairs    = ctx.missingPairs;
-                ctx.neighborOverflow = ctx.nl.overflowCount() + (pairs ? pairs->cutRows : 0);
-                // interaction counter: walked particles only when a subset
-                // was searched (other entries are stale/ghost), whole list
-                // plus the kept buckets on a global walk
-                if (ctx.walkMode == WalkMode::Global)
+                auto& rep = ctx.report;
+                if (ctx.walkMode == WalkMode::Subset)
                 {
-                    ctx.neighborInteractions =
-                        ctx.nl.totalNeighbors() + (pairs ? pairs->keptEntries : 0);
-                }
-                else
-                {
+                    // Subset lists are deliberately NOT symmetrized: on a
+                    // binned pass an inactive neighbor's list is stale by
+                    // construction, so pairwise antisymmetry only holds at
+                    // full synchronizations (where conservation is
+                    // measured) — ChaNGa's trade-off; a rank's lists lack
+                    // its ghosts' rows. Only the walked rows are counted
                     std::size_t inter = 0;
                     for (std::size_t i : ctx.walkIndices)
                         inter += ctx.nl.count(i);
-                    ctx.neighborInteractions = inter;
+                    rep.neighborInteractions = inter;
+                    rep.neighborOverflow     = ctx.nl.overflowCount();
+                    return;
                 }
+                auto& pairs    = ctx.buffers.pairs;
+                const auto& ps = ctx.ps;
+                // the box the phase-B search measured its distances in
+                findMissingPairs(ctx.nl, ps.x, ps.y, ps.z, ps.h, ctx.tree.box(), pairs,
+                                 std::span<const std::uint64_t>(ps.id.data(), ctx.nl.size()),
+                                 ctx.loopPolicy(Phase::D_NeighborSymmetrize));
+                ctx.missingPairs         = &pairs;
+                rep.neighborOverflow     = ctx.nl.overflowCount() + pairs.cutRows;
+                rep.neighborInteractions = ctx.nl.totalNeighbors() + pairs.keptEntries;
             }};
 }
 
@@ -350,12 +324,13 @@ PhaseOp<T> selfGravity()
                 if (!ctx.gravity) return; // distributed glue replicates instead
                 if (ctx.skipEmptyWalk()) return;
                 ctx.gravity->prepare(ctx.tree, ctx.ps, ctx.cfg.gravity);
-                // active-subset steps accelerate the walked targets only; the
-                // accumulated potential is then partial, so conservation
-                // diagnostics read it at full synchronizations (where the
-                // span is the whole set). Empty span = all (Global walks).
+                // binned Subset steps accelerate the walked targets only;
+                // the accumulated potential is then partial, so
+                // conservation diagnostics read it at full synchronizations
+                // (where the span is the whole set). Empty span = all
+                // (Global walks).
                 ctx.potentialEnergy = ctx.gravity->accumulate(
-                    ctx.ps, &ctx.gravityStats, ctx.activeSpan(),
+                    ctx.ps, &ctx.report.gravityStats, ctx.activeSpan(),
                     ctx.loopPolicy(Phase::I_SelfGravity));
             }};
 }
@@ -419,10 +394,11 @@ public:
     /// before the tree build, remove after the forces), a nonzero
     /// constantAccel adds the body force after phase H, and selfGravity
     /// adds phase I. Binned integration (the paper's Table 1/2 ChaNGa row)
-    /// runs the same list; only the driver's walk mode differs: on an
-    /// ActiveSubset walk phase B fills and walks the controller's force set
-    /// (see sph/timestep.hpp), C iterates h for it and D..H(..I) evaluate
-    /// the subset only, while inactive particles are merely drifted.
+    /// runs the same list; only the driver's walk mode differs: on a Subset
+    /// walk with the controller attached phase B fills and walks the
+    /// controller's force set (see sph/timestep.hpp), C iterates h for it
+    /// and E..H(..I) evaluate the subset only, while inactive particles are
+    /// merely drifted.
     static Propagator<T> singleRank(const SimulationConfig<T>& cfg)
     {
         const bool walls = cfg.boundaries.anyWall();

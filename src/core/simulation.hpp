@@ -19,7 +19,9 @@
 /// (domain/distributed.hpp), which runs them per rank over a decomposed
 /// domain. Phase J (time-step + kick-drift-kick) brackets the force
 /// pipeline in the driver; its dt is the TimestepController's
-/// (sph/timestep.hpp), the rule the distributed driver commits too.
+/// (sph/timestep.hpp), the rule the distributed driver commits too. A step
+/// has one StepReport: advance() creates it before phase J, whose loops
+/// account into it, and the force pass between J's halves writes it.
 ///
 /// docs/ARCHITECTURE.md walks the full pipeline stage by stage and names
 /// the header implementing each stage.
@@ -141,7 +143,12 @@ public:
     /// step() calls it internally afterwards. The report's time/dt reflect
     /// the current simulation state (dt is the last step size used, zero
     /// before the first advance()).
-    StepReport<T> computeForces() { return forcePass(stepCount_); }
+    StepReport<T> computeForces()
+    {
+        StepReport<T> rep;
+        forcePass(stepCount_, log_, rep);
+        return rep;
+    }
 
     /// Advance one time-step (kick-drift-kick). Returns the step report of
     /// the force recomputation plus the J-phase timing.
@@ -151,24 +158,16 @@ public:
         {
             // seed forces silently: this pass's report is discarded, and
             // logging it would double-count phases A..I for the step
-            PhaseEventLog* saved = std::exchange(log_, nullptr);
-            try
-            {
-                computeForces();
-            }
-            catch (...)
-            {
-                log_ = saved;
-                throw;
-            }
-            log_ = saved;
+            StepReport<T> seed;
+            forcePass(stepCount_, nullptr, seed);
         }
 
         // phase J runs under the configured strategy like any hot loop; its
-        // busy times land in the report harvested from the force pass below
-        PhaseLoadStats jLoad;
-        const LoopPolicy jPolicy =
-            cfg_.phaseSchedule.loopPolicy(Phase::J_TimestepUpdate, &buffers_.awf, jLoad);
+        // busy times land in the step's report, which the force pass below
+        // writes too
+        StepReport<T> rep;
+        const LoopPolicy jPolicy = cfg_.phaseSchedule.loopPolicy(
+            Phase::J_TimestepUpdate, &buffers_.awf, rep.phaseLoad[int(Phase::J_TimestepUpdate)]);
 
         bool binned = binnedIntegration();
 
@@ -192,7 +191,7 @@ public:
 
         // forces at the new positions (phases A..I), tagged with the step
         // id the returned report will carry so log events and reports join
-        StepReport<T> rep = forcePass(stepCount_ + 1);
+        forcePass(stepCount_ + 1, log_, rep);
 
         // --- phase J (part 2): second kick + energy update ---
         t.reset();
@@ -212,7 +211,6 @@ public:
         jTime += t.lap();
 
         rep.phaseSeconds[int(Phase::J_TimestepUpdate)] = jTime;
-        rep.phaseLoad[int(Phase::J_TimestepUpdate)]    = std::move(jLoad);
         if (log_) log_->record(0, Phase::J_TimestepUpdate, jTime);
         rep.dt   = dtStep;
         rep.time = time_;
@@ -242,7 +240,7 @@ public:
 
 private:
     /// Whether this driver runs the binned (individual time-stepping)
-    /// leapfrog: Individual bins + active-subset walks, which the
+    /// leapfrog: Individual bins + Subset walks, which the
     /// constructor admits only together and only without walls or a body
     /// force (checkSteppingRule).
     bool binnedIntegration() const
@@ -250,28 +248,30 @@ private:
         return cfg_.timestep.mode == TimesteppingMode::Individual;
     }
 
-    /// One force-pipeline pass; \p stepId tags the report and the emitted
-    /// phase events (the current step for standalone computeForces(), the
-    /// upcoming one inside advance()).
-    StepReport<T> forcePass(std::uint64_t stepId)
+    /// One force-pipeline pass into \p rep, recorded into \p log when one
+    /// is given; \p stepId tags the report and the emitted phase events
+    /// (the current step for standalone computeForces(), the upcoming one
+    /// inside advance()).
+    void forcePass(std::uint64_t stepId, PhaseEventLog* log, StepReport<T>& rep)
     {
-        StepReport<T> rep;
         rep.step = stepId;
         rep.time = time_;
         rep.dt   = controller_.currentDt();
 
-        StepContext<T> ctx{ps_, box_, cfg_, kernel_, laneKernel_, eos_, tree_, nl_, buffers_};
-        ctx.gravity    = &gravity_;
-        ctx.controller = &controller_;
-        // active-subset walks only under the binned integrator: mixing a
-        // subset force pass with the global kick (stale du on inactive
-        // particles) would silently violate the trapezoid energy update, so
-        // every non-binned combination runs full global walks
-        bool subset  = binnedIntegration() && controller_.stepCount() > 0;
-        ctx.walkMode = subset ? WalkMode::ActiveSubset : WalkMode::Global;
+        StepContext<T> ctx{ps_, box_, cfg_, kernel_, laneKernel_, eos_, tree_, nl_, buffers_, rep};
+        ctx.gravity = &gravity_;
+        // Subset walks only under the binned integrator: mixing a subset
+        // force pass with the global kick (stale du on inactive particles)
+        // would silently violate the trapezoid energy update, so every
+        // non-binned combination runs full global walks
+        if (binnedIntegration() && controller_.stepCount() > 0)
+        {
+            ctx.walkMode   = WalkMode::Subset;
+            ctx.controller = &controller_;
+        }
 
-        if (log_) log_->beginStep(stepId);
-        pipeline_.run(ctx, rep, log_, /*rank*/ 0);
+        if (log) log->beginStep(stepId);
+        pipeline_.run(ctx, log, /*rank*/ 0);
 
         // keep the walked set: on a binned step this is the force/kick-end
         // set advance() closes right after this pass (empty on Global walks)
@@ -282,7 +282,6 @@ private:
         maxVsignal_      = ctx.maxVsignal;
         potentialEnergy_ = ctx.potentialEnergy;
         forcesValid_     = true;
-        return rep;
     }
 
     ParticleSet<T> ps_;

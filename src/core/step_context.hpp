@@ -13,8 +13,9 @@
 /// Both drivers — the shared-memory Simulation (core/simulation.hpp) and
 /// the distributed DistributedSimulation (domain/distributed.hpp) — execute
 /// the same phase units over a StepContext, take their dt from the same
-/// TimestepController rule (sph/timestep.hpp) and harvest the same report;
-/// only decomposition, halo and reduction glue remains driver-specific.
+/// TimestepController rule (sph/timestep.hpp) and have the runner and the
+/// phases write the same report, which the context references; only
+/// decomposition, halo and reduction glue remains driver-specific.
 /// docs/ARCHITECTURE.md walks the pipeline stage by stage.
 
 #include <array>
@@ -43,7 +44,9 @@
 namespace sphexa {
 
 /// Per-step report: timings and work counters, the raw material of the
-/// performance experiments.
+/// performance experiments. The one record of a force pass: the runner
+/// times each phase into it and the phases write their counters into it
+/// through StepContext::report; phase J adds its own time and loops.
 template<class T>
 struct StepReport
 {
@@ -108,18 +111,18 @@ struct PhaseBuffers
     MomentumRecordBuffer<T> momentum; ///< phase H's packed neighbor records
 };
 
-/// How the neighbor phases (B/C) traverse the particle set.
+/// Which particles a force pass walks.
 enum class WalkMode
 {
-    Global,       ///< global tree walk + h iteration over all particles
-    ActiveSubset, ///< individual walks over the controller's active bin
-                  ///< (ChaNGa-style multi-time-stepping); empty set = all
-    LocalIndices, ///< distributed rank: walk the owned (non-ghost) particles
+    Global, ///< every particle: the global search, phase L and phase D run
+    Subset, ///< walkIndices only: a binned pass's active bins (phase B asks
+            ///< the attached controller) or a rank's owned particles
 };
 
 /// Everything a phase unit may read or write during one force evaluation.
-/// The driver owns the referenced state; the context adds the traversal
-/// mode and collects the per-step outputs that end up in StepReport.
+/// The driver owns the referenced state, including the report the pass
+/// writes; the context adds the traversal mode and the few outputs the
+/// driver reads back after the pass.
 template<class T>
 struct StepContext
 {
@@ -133,45 +136,40 @@ struct StepContext
     Octree<T>& tree;
     NeighborList<T>& nl;
     PhaseBuffers<T>& buffers;
+    /// The pass's record: the runner adds each phase's seconds, the phases
+    /// write their counters and account their loops (loopPolicy) into it.
+    StepReport<T>& report;
 
     /// Barnes-Hut solver for the in-place phase I; null in the distributed
     /// driver, which replicates the tree in its reduction glue instead.
     GravitySolver<T>* gravity = nullptr;
-    /// Time-step controller; consulted by phase B in ActiveSubset mode.
+    /// Time-step controller of a binned pass: phase B takes the force set
+    /// from it. Null on every other walk.
     TimestepController<T>* controller = nullptr;
 
     WalkMode walkMode = WalkMode::Global;
-    /// Indices walked in ActiveSubset/LocalIndices modes (phase B fills the
-    /// active set itself when a controller is attached). In LocalIndices
-    /// mode these are the rank's owned particles; entries of ps beyond them
-    /// are ghosts.
+    /// Indices a Subset walk visits: phase B fills them from the controller
+    /// when one is attached; otherwise the driver sets them (a rank's owned
+    /// particles, whose entries of ps are followed by its ghosts).
     std::vector<std::size_t> walkIndices{};
 
-    // --- outputs, harvested into StepReport/driver state by the runner ---
+    // --- outputs the driver reads back after the pass ---
     /// buffers.pairs when phase D filled it in this force pass, which phase
-    /// H then sums after each row. Null when D did not run (binned and
-    /// distributed walks, or symmetrizeNeighbors off), so no pass reads an
-    /// earlier pass's buckets.
+    /// H then sums after each row. Null when D did not run (Subset walks),
+    /// so no pass reads an earlier pass's buckets.
     MissingPairs<T>* missingPairs = nullptr;
     T maxVsignal{0};
     T potentialEnergy{0};
     /// Mirror ghosts currently appended at the tail of ps (wall phase K);
     /// zero outside the ghostCreate..ghostRemove bracket.
     std::size_t nGhosts = 0;
-    unsigned hIterations = 0;
-    std::size_t hUnconverged = 0;
-    std::size_t neighborInteractions = 0;
-    std::size_t activeParticles = 0;
-    std::size_t neighborOverflow = 0;
-    GravityStats gravityStats{};
-    std::array<PhaseLoadStats, phaseCount> phaseLoad{};
 
     /// The LoopPolicy a phase's ParallelFor loops run under
-    /// (PhaseSchedule::loopPolicy), accounting into this context's
-    /// phaseLoad slot.
+    /// (PhaseSchedule::loopPolicy), accounting into the report's phaseLoad
+    /// slot of \p p.
     LoopPolicy loopPolicy(Phase p)
     {
-        return cfg.phaseSchedule.loopPolicy(p, &buffers.awf, phaseLoad[int(p)]);
+        return cfg.phaseSchedule.loopPolicy(p, &buffers.awf, report.phaseLoad[int(p)]);
     }
 
     /// The compute-backend selection the SPH phase shells dispatch on:
@@ -186,25 +184,13 @@ struct StepContext
                                             : std::span<const std::size_t>(walkIndices);
     }
 
-    /// A distributed rank that owns no particles skips every phase body
-    /// (an empty ActiveSubset means "all", so only LocalIndices short-circuits).
-    bool skipEmptyLocal() const
-    {
-        return walkMode == WalkMode::LocalIndices && walkIndices.empty();
-    }
-
-    /// The post-search variant for phases C..I: once phase B has filled
-    /// walkIndices, an empty ActiveSubset is a genuinely empty force set
-    /// (every bin-0 particle was promoted at an interval boundary), NOT
-    /// "all" — running a kernel with the empty-span convention there would
-    /// overwrite the stashed mid-interval du/dt of inactive particles.
-    /// Phases before B (tree build, ghost bracket) must keep skipEmptyLocal().
-    bool skipEmptyWalk() const
-    {
-        return (walkMode == WalkMode::LocalIndices ||
-                walkMode == WalkMode::ActiveSubset) &&
-               walkIndices.empty();
-    }
+    /// Whether phases C and E..I skip their bodies: a Subset walk over no
+    /// particles (a rank that owns none, or a binned step whose bin-0
+    /// particles were all promoted at an interval boundary). Running a
+    /// kernel with the empty-span convention there would sweep every
+    /// particle and overwrite the stashed mid-interval du/dt of inactive
+    /// ones.
+    bool skipEmptyWalk() const { return walkMode == WalkMode::Subset && walkIndices.empty(); }
 };
 
 /// One runner-emitted phase timing event. The pipeline runner records these

@@ -19,9 +19,13 @@
 ///      allreduce-min, then the local kick-drift-kick
 ///
 /// Only decomposition, migration, halo exchange and the global reductions
-/// live here. The phase bodies, the dt rule, the per-rank report
-/// (Propagator::harvest into a StepReport), the overflow warning and the
+/// live here. The phase bodies, the dt rule, the per-rank report (a
+/// StepReport each rank's StepContext references, which the runner and the
+/// phases write as they write Simulation's), the overflow warning and the
 /// per-rank phase buffers (PhaseBuffers) are the ones Simulation uses.
+/// Every rank walks its owned particles as a Subset walk; a rank that owns
+/// none still builds its tree (over the ghosts it holds) and runs no phase
+/// body after the search.
 /// Per-rank phase wall times are recorded uniformly by the pipeline runner
 /// (attach a PhaseEventLog to trace them); they drive the POP metrics, the
 /// Fig. 4 trace, and the strong-scaling predictions of perf/cluster_sim.hpp.
@@ -48,14 +52,12 @@
 namespace sphexa {
 
 /// Per-rank, per-step measurements: the rank's StepReport (its phase
-/// times and busy times, work counters and list health, harvested as the
-/// shared-memory driver's are) plus what only a rank has.
+/// times and busy times, work counters and list health, written by the
+/// runner and the phases as the shared-memory driver's are) plus what only
+/// a rank has.
 template<class T>
 struct RankStepReport : StepReport<T>
 {
-    double decompositionSeconds = 0;
-    double haloSeconds = 0;
-    std::size_t localParticles = 0;
     std::size_t ghostParticles = 0;
     simmpi::Traffic traffic{}; ///< traffic sent this step
 };
@@ -156,13 +158,12 @@ public:
         // phase J part 1: each rank's dt candidates from the current
         // forces, the controller's commit of their global min, then the
         // first kick + drift; like the pipeline phases it runs under the
-        // configured strategy on every rank, and all its loops join the
-        // rank's J slot
-        std::vector<PhaseLoadStats> jLoad(P);
-        std::vector<double> jSeconds(P, 0.0);
+        // configured strategy on every rank, and both halves account their
+        // loops and seconds into the rank's J slot
+        constexpr int J = int(Phase::J_TimestepUpdate);
         auto jPolicyFor = [&](int r) {
             return cfg_.phaseSchedule.loopPolicy(Phase::J_TimestepUpdate, &rankBuffers_[r].awf,
-                                                 jLoad[r]);
+                                                 rep.ranks[r].phaseLoad[J]);
         };
         std::vector<T> dtContrib(P);
         for (int r = 0; r < P; ++r)
@@ -170,14 +171,14 @@ public:
             Timer t;
             dtContrib[r] =
                 controller_.candidateMin(locals_[r], lastMaxVsig_, locals_[r].dt, jPolicyFor(r));
-            jSeconds[r] = t.elapsed();
+            rep.ranks[r].phaseSeconds[J] += t.elapsed();
         }
         T dtStep = controller_.commit(comm_.allreduceMin<T>(dtContrib));
         for (int r = 0; r < P; ++r)
         {
             Timer t;
             kickDrift(locals_[r], dtStep, box_, jPolicyFor(r));
-            jSeconds[r] += t.elapsed();
+            rep.ranks[r].phaseSeconds[J] += t.elapsed();
         }
 
         // forces at the new positions (decompose, halos, phases A..I)
@@ -190,13 +191,11 @@ public:
         rep.time = time_;
         for (int r = 0; r < P; ++r)
         {
+            auto& rr = rep.ranks[r];
             Timer t;
             kickEnergy(locals_[r], dtStep, eos_.isIdealGas(), jPolicyFor(r));
-            jSeconds[r] += t.elapsed();
-            auto& rr = rep.ranks[r];
-            rr.phaseSeconds[int(Phase::J_TimestepUpdate)] = jSeconds[r];
-            rr.phaseLoad[int(Phase::J_TimestepUpdate)]    = std::move(jLoad[r]);
-            if (log_) log_->record(r, Phase::J_TimestepUpdate, jSeconds[r]);
+            rr.phaseSeconds[J] += t.elapsed();
+            if (log_) log_->record(r, Phase::J_TimestepUpdate, rr.phaseSeconds[J]);
             rr.step    = rep.step;
             rr.time    = rep.time;
             rr.dt      = rep.dt;
@@ -248,28 +247,16 @@ private:
         int P = comm_.size();
 
         // 1. decomposition + migration
-        {
-            Timer t;
-            decomposeAndMigrate();
-            double sec = t.elapsed() / P;
-            for (auto& r : rep.ranks)
-                r.decompositionSeconds = sec;
-        }
+        decomposeAndMigrate();
 
         // 2. halo exchange with margin
-        {
-            Timer t;
-            T margin = haloMargin();
-            exchangeHalos(comm_, locals_, maps_, box_, margin);
-            double sec = t.elapsed() / P;
-            for (auto& r : rep.ranks)
-                r.haloSeconds = sec;
-        }
+        exchangeHalos(comm_, locals_, maps_, box_, haloMargin());
 
         // 3. per-rank force pipeline (phases A..H). One StepContext per
-        // rank over the shared phase units and the rank's buffers; the
-        // halo-sync specs at segment boundaries name the ghost fields each
-        // cross-rank data dependency needs refreshed.
+        // rank over the shared phase units, the rank's buffers and its
+        // report, walking the rank's owned particles; the halo-sync specs
+        // at segment boundaries name the ghost fields each cross-rank data
+        // dependency needs refreshed.
         rankTree_.resize(P);
         rankNl_.resize(P);
         rankVsig_.assign(P, T(0));
@@ -280,11 +267,11 @@ private:
             rankNl_[r].reset(locals_[r].size(), cfg_.ngmax);
             auto& ctx = ctxs.emplace_back(StepContext<T>{locals_[r], box_, cfg_, kernel_,
                                                          laneKernel_, eos_, rankTree_[r],
-                                                         rankNl_[r], rankBuffers_[r]});
-            ctx.walkMode = WalkMode::LocalIndices;
+                                                         rankNl_[r], rankBuffers_[r],
+                                                         rep.ranks[r]});
+            ctx.walkMode = WalkMode::Subset;
             ctx.walkIndices.resize(nLocal_[r]);
             std::iota(ctx.walkIndices.begin(), ctx.walkIndices.end(), std::size_t(0));
-            rep.ranks[r].localParticles = nLocal_[r];
             rep.ranks[r].ghostParticles = locals_[r].size() - nLocal_[r];
         }
         const auto& segments = pipeline_.segments();
@@ -292,7 +279,7 @@ private:
         {
             for (int r = 0; r < P; ++r)
             {
-                pipeline_.runSegment(s, ctxs[r], rep.ranks[r].phaseSeconds, log_, r);
+                pipeline_.runSegment(s, ctxs[r], log_, r);
             }
             if (!segments[s].haloFieldsAfter.empty())
             {
@@ -304,7 +291,6 @@ private:
         for (int r = 0; r < P; ++r)
         {
             rankVsig_[r] = ctxs[r].maxVsignal;
-            Propagator<T>::harvest(ctxs[r], rep.ranks[r]);
             overflow += rep.ranks[r].neighborOverflow;
         }
         warnNeighborOverflow(rep.step, overflow, cfg_.ngmax);

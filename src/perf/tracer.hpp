@@ -251,7 +251,9 @@ inline PhaseParallelism sphynx131Parallelism()
     return p;
 }
 
-/// The improved (mini-app) profile: parallel tree build, no serial tails.
+/// The improved (mini-app) profile Fig. 4 motivated: no serial tails in any
+/// phase. A modeled target: the shipped phase A still splits its nodes
+/// serially (tree/octree.hpp).
 inline PhaseParallelism sphexaParallelism()
 {
     PhaseParallelism p;

@@ -9,11 +9,10 @@
 /// every subtree is a contiguous slice — the property both the neighbor walk
 /// (step 2) and the SFC domain decomposition rely on.
 ///
-/// The build is sequential by default, mirroring the SPHYNX v1.3.1 behaviour
-/// the paper's Extrae analysis exposed (serial phase A with idle threads,
-/// Fig. 4); a task-parallel build is available as the "improved" variant
-/// (BuildParams::parallelBuild), and Octree.ParallelBuildEquivalent in
-/// tests/test_tree.cpp checks that it builds the same tree.
+/// The key pass runs in parallel above 4096 particles; the node split is
+/// serial, as SPHYNX v1.3.1's phase A was (idle threads in the paper's
+/// Fig. 4). Splitting the root's subtrees in parallel measured no faster
+/// from 5.6k to 1e6 particles, so the split stays serial.
 ///
 /// Neighbor queries over the built tree live in tree/cluster_list.hpp; the
 /// SFC keys are defined in tree/morton.hpp and tree/hilbert.hpp
@@ -62,9 +61,8 @@ public:
 
     struct BuildParams
     {
-        unsigned leafSize = 64;             ///< max particles per leaf
+        unsigned leafSize = 64; ///< max particles per leaf
         SfcCurve curve    = SfcCurve::Morton;
-        bool     parallelBuild = false;     ///< task-parallel subtree builds
     };
 
     Octree() = default;
@@ -115,13 +113,7 @@ public:
         nodes_.clear();
         nodes_.reserve(2 * n_ / std::max(1u, params.leafSize) + 64);
         nodes_.push_back(Node{{}, {}, 0, Index(n_), 0, 0, 0});
-        if (n_ > params.leafSize)
-        {
-            if (params.parallelBuild)
-                buildParallel();
-            else
-                buildBelow(nodes_, 0, 0);
-        }
+        if (n_ > params.leafSize) buildBelow(0, 0);
 
         computeAabbs(x, y, z);
     }
@@ -158,35 +150,23 @@ public:
     }
 
 private:
-    /// A node still to be split: its index and the SFC key its octant
-    /// starts at.
-    struct Pending
+    /// Depth-first build of the subtree below nodes_[nodeIdx], whose first
+    /// SFC key is \p keyBase: its non-empty octants are appended as
+    /// consecutive nodes and linked to it, then each child that needs
+    /// splitting (more than leafSize particles, less than maxDepth deep) is
+    /// built in octant order, so its subtree follows its siblings.
+    void buildBelow(Index nodeIdx, KeyType keyBase)
     {
-        Index   node;
-        KeyType base;
-    };
-
-    /// The children of one split that still need splitting: more than
-    /// leafSize particles, less than maxDepth deep.
-    struct Split
-    {
-        Pending child[8];
-        int     count = 0;
-    };
-
-    /// Split out[nodeIdx] into its non-empty octants: appends them to \p out
-    /// as consecutive nodes, links the parent to them, and returns those
-    /// that need splitting further. \p keyBase is the node's first key.
-    Split splitNode(std::vector<Node>& out, Index nodeIdx, KeyType keyBase) const
-    {
-        const Index first = out[nodeIdx].first;
-        const Index last  = first + out[nodeIdx].count;
-        const int   depth = out[nodeIdx].depth;
+        const Index first = nodes_[nodeIdx].first;
+        const Index last  = first + nodes_[nodeIdx].count;
+        const int   depth = nodes_[nodeIdx].depth;
         // Key width of one child octant at this depth.
         KeyType childWidth = KeyType(1) << (3 * (maxDepth - depth - 1));
 
-        Index childStart = Index(out.size());
-        Split split;
+        Index childStart = Index(nodes_.size());
+        Index split[8]{};
+        KeyType splitBase[8]{};
+        int nSplit = 0;
         Index segFirst = first;
         for (int c = 0; c < 8; ++c)
         {
@@ -205,67 +185,20 @@ private:
                 child.first = segFirst;
                 child.count = segLast - segFirst;
                 child.depth = std::uint8_t(depth + 1);
-                Index childIdx = Index(out.size());
-                out.push_back(child);
+                Index childIdx = Index(nodes_.size());
+                nodes_.push_back(child);
                 if (child.count > params_.leafSize && depth + 1 < maxDepth)
                 {
-                    split.child[split.count++] = {childIdx, keyBase + KeyType(c) * childWidth};
+                    split[nSplit]       = childIdx;
+                    splitBase[nSplit++] = keyBase + KeyType(c) * childWidth;
                 }
             }
             segFirst = segLast;
         }
-        out[nodeIdx].child     = childStart;
-        out[nodeIdx].nChildren = std::uint8_t(out.size() - childStart);
-        return split;
-    }
-
-    /// Depth-first serial build of the subtree below out[nodeIdx]: every
-    /// node's children are consecutive, and each child's subtree follows
-    /// its siblings in octant order.
-    void buildBelow(std::vector<Node>& out, Index nodeIdx, KeyType keyBase) const
-    {
-        Split split = splitNode(out, nodeIdx, keyBase);
-        for (int i = 0; i < split.count; ++i)
-            buildBelow(out, split.child[i].node, split.child[i].base);
-    }
-
-    /// Task-parallel build: split the root, build each root child's subtree
-    /// into its own vector (nodes_ must not reallocate under concurrent
-    /// writers), then splice the subtrees in octant order, which gives the
-    /// serial build's node array.
-    void buildParallel()
-    {
-        Split split = splitNode(nodes_, 0, 0);
-        std::vector<std::vector<Node>> subtrees(split.count);
-        LoopPolicy taskPolicy;
-        taskPolicy.strategy = SchedulingStrategy::SelfScheduling; // 1 subtree per chunk
-        parallelFor(std::size_t(split.count), [&](std::size_t i, std::size_t) {
-            // index 0 is a placeholder copy of the subtree's root
-            subtrees[i] = {nodes_[split.child[i].node]};
-            buildBelow(subtrees[i], 0, split.child[i].base);
-        }, taskPolicy);
-        for (int i = 0; i < split.count; ++i)
-        {
-            spliceSubtree(split.child[i].node, subtrees[i]);
-        }
-    }
-
-    /// Splice a detached subtree under \p attachAt: subtree node 0 replaces
-    /// the attach node; remaining nodes are appended with shifted indices.
-    void spliceSubtree(Index attachAt, const std::vector<Node>& sub)
-    {
-        if (sub.size() <= 1) return;
-        Index base = Index(nodes_.size());
-        // Subtree root's children start at sub index 1 -> global base.
-        Node root = sub[0];
-        nodes_[attachAt].child     = base + root.child - 1;
-        nodes_[attachAt].nChildren = root.nChildren;
-        for (std::size_t i = 1; i < sub.size(); ++i)
-        {
-            Node nd = sub[i];
-            if (nd.nChildren > 0) nd.child = base + nd.child - 1;
-            nodes_.push_back(nd);
-        }
+        nodes_[nodeIdx].child     = childStart;
+        nodes_[nodeIdx].nChildren = std::uint8_t(nodes_.size() - childStart);
+        for (int i = 0; i < nSplit; ++i)
+            buildBelow(split[i], splitBase[i]);
     }
 
     void computeAabbs(std::span<const T> x, std::span<const T> y, std::span<const T> z)

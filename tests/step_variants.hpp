@@ -1,10 +1,11 @@
 #pragma once
 
 /// \file step_variants.hpp
-/// Test helpers for comparing the shipped step across storage frames:
-/// op-list variants of a pipeline (without phase L, with the per-particle
-/// walk in phase B) and a bitwise comparison of two runs joined on
-/// particle id. Used by the golden gallery and tests/test_propagator.cpp.
+/// Test helpers for comparing the shipped step across storage frames and
+/// drivers: op-list variants of a pipeline (without phase L, with the
+/// per-particle walk in phase B, without phase D's missing pairs) and a
+/// bitwise comparison of two runs joined on particle id. Used by the golden
+/// gallery and the driver-equivalence tests.
 
 #include <gtest/gtest.h>
 
@@ -40,11 +41,36 @@ inline Propagator<double> variantOf(const Propagator<double>& pipeline, bool reo
                                    oracle::findNeighborsGlobal(
                                        ctx.tree, ps.x, ps.y, ps.z, ps.h, ctx.nl,
                                        ctx.loopPolicy(Phase::B_NeighborSearch));
-                                   ctx.activeParticles = ps.size();
+                                   ctx.report.activeParticles = ps.size();
                                }});
                 continue;
             }
             ops.push_back(op);
+        }
+    }
+    return PipelineFactory<double>::custom(std::move(ops));
+}
+
+/// \p pipeline's op list with phase D reduced to its two counters,
+/// nl.overflowCount() and nl.totalNeighbors(): no missing pairs are
+/// bucketed, so phase H sums the rows alone, as it does on the distributed
+/// driver's Subset walks. For comparing a Simulation with that driver.
+inline Propagator<double> withoutMissingPairs(const Propagator<double>& pipeline)
+{
+    std::vector<PhaseOp<double>> ops;
+    for (const auto& seg : pipeline.segments())
+    {
+        for (const auto& op : seg.ops)
+        {
+            if (op.phase != Phase::D_NeighborSymmetrize)
+            {
+                ops.push_back(op);
+                continue;
+            }
+            ops.push_back({Phase::D_NeighborSymmetrize, [](StepContext<double>& ctx) {
+                               ctx.report.neighborOverflow     = ctx.nl.overflowCount();
+                               ctx.report.neighborInteractions = ctx.nl.totalNeighbors();
+                           }});
         }
     }
     return PipelineFactory<double>::custom(std::move(ops));

@@ -14,8 +14,10 @@
 #include "domain/orb.hpp"
 #include "domain/sfc_partition.hpp"
 #include "ic/evrard.hpp"
+#include "ic/sedov.hpp"
 #include "ic/square_patch.hpp"
 #include "math/rng.hpp"
+#include "step_variants.hpp"
 
 using namespace sphexa;
 
@@ -354,9 +356,11 @@ TEST_P(DistributedEquivalence, MatchesSharedMemoryDriver)
     cfg.targetNeighbors = 50;
     cfg.neighborTolerance = 10;
     cfg.decomposition = method;
-    cfg.symmetrizeNeighbors = false; // the distributed driver can't (halo pairs)
 
+    // phase D off: the distributed driver can't bucket missing pairs (halo
+    // pairs)
     Simulation<double> shared(ps, setup.box, Eos<double>(setup.eos), cfg);
+    shared.setPipeline(withoutMissingPairs(shared.pipeline()));
     DistributedSimulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg, P);
 
     shared.computeForces();
@@ -386,6 +390,56 @@ TEST_P(DistributedEquivalence, MatchesSharedMemoryDriver)
     // same algorithm, different summation order: tight but not bitwise
     EXPECT_LT(maxDx, 1e-9);
     EXPECT_LT(maxDv, 1e-6);
+}
+
+TEST(Distributed, RanksThatOwnNothingChangeNothing)
+{
+    // 27 particles on 40 ranks leave 13 ranks owning nothing: each still
+    // builds its tree, runs no phase body after the search and reports no
+    // work, and the gathered state is bitwise the 8-rank run's
+    for (bool gravity : {false, true})
+    {
+        SCOPED_TRACE(gravity ? "self-gravity" : "hydro");
+        ParticleSetD ps;
+        SedovConfig<double> ic;
+        ic.nSide   = 3;
+        auto setup = makeSedov(ps, ic);
+        SimulationConfig<double> cfg;
+        cfg.targetNeighbors    = 6;
+        cfg.neighborTolerance  = 2;
+        cfg.timestep.initialDt = 1e-6;
+        cfg.selfGravity        = gravity;
+        cfg.gravity.softening  = 0.05;
+
+        auto run = [&](int ranks) {
+            DistributedSimulation<double> dist(ps, setup.box, Eos<double>(setup.eos), cfg,
+                                               ranks);
+            for (int s = 0; s < 3; ++s)
+            {
+                auto rep      = dist.advance();
+                int emptyRanks = 0;
+                for (int r = 0; r < ranks; ++r)
+                {
+                    if (dist.localCount(r) > 0) continue;
+                    ++emptyRanks;
+                    EXPECT_EQ(rep.ranks[r].neighborInteractions, 0u) << "rank " << r;
+                    EXPECT_EQ(rep.ranks[r].activeParticles, 0u) << "rank " << r;
+                }
+                if (ranks == 40)
+                {
+                    EXPECT_EQ(emptyRanks, 13) << "step " << s;
+                }
+            }
+            return dist.gather();
+        };
+        auto many = run(40);
+        auto few  = run(8);
+        ASSERT_EQ(many.id, few.id);
+        const auto a = many.realFields();
+        const auto b = few.realFields();
+        for (std::size_t f = 0; f < a.size(); ++f)
+            EXPECT_EQ(*a[f], *b[f]) << ParticleSetD::realFieldNames()[f];
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

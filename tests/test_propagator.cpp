@@ -61,7 +61,7 @@ TEST(PipelineFactory, PhaseOrderMatchesFig4Sequence)
     auto phases = PipelineFactory<double>::singleRank(cfg).phases();
 
     // the full hydro+gravity force pipeline is the L sfc-sort op (run on
-    // every Global walk, a no-op on a binned step's ActiveSubset walks)
+    // every Global walk, a no-op on a binned step's Subset walks)
     // followed by exactly A..I in Fig. 4 order (phase J brackets the
     // pipeline in the driver's kick-drift-kick)
     ASSERT_EQ(phases.size(), 10u);
@@ -194,6 +194,78 @@ TEST(Propagator, FirstAdvanceLogsOnlyTheReportedForcePass)
     }
 }
 
+TEST(Propagator, PhaseJAccountsIntoTheStepReport)
+{
+    // both halves of phase J account into the step's report: its seconds,
+    // and one loop per J pass — the dt candidates, kickDrift and
+    // kickEnergy on a Global step of either driver, at least as many on
+    // the binned leapfrog
+    auto expectJ = [](const StepReport<double>& rep, bool exact, const char* driver) {
+        const auto& load = rep.phaseLoad[int(Phase::J_TimestepUpdate)];
+        EXPECT_GT(rep.phaseSeconds[int(Phase::J_TimestepUpdate)], 0.0) << driver;
+        EXPECT_GE(load.invocations, 3u) << driver;
+        if (exact) { EXPECT_EQ(load.invocations, 3u) << driver; }
+    };
+    auto patch = makePatch();
+    Eos<double> eos(patch.setup.eos);
+    SimulationConfig<double> binnedCfg = patchConfig();
+    binnedCfg.timestep.mode            = TimesteppingMode::Individual;
+    binnedCfg.neighborMode             = NeighborMode::IndividualTreeWalk;
+
+    Simulation<double> global(patch.ps, patch.setup.box, eos, patchConfig());
+    Simulation<double> binned(patch.ps, patch.setup.box, eos, binnedCfg);
+    DistributedSimulation<double> dist(patch.ps, patch.setup.box, eos, patchConfig(), 2);
+    for (int s = 0; s < 3; ++s)
+    {
+        SCOPED_TRACE(testing::Message() << "step " << s);
+        expectJ(global.advance(), true, "Global");
+        expectJ(binned.advance(), false, "binned");
+        auto rep = dist.advance();
+        ASSERT_EQ(rep.ranks.size(), 2u);
+        for (const auto& rank : rep.ranks)
+            expectJ(rank, true, "distributed rank");
+    }
+}
+
+TEST(Propagator, EmptySubsetPassRunsNoPhaseBody)
+{
+    // a Subset walk over no particles (no controller, no indices): phase
+    // A builds its tree and B searches nothing, every later body is
+    // skipped, so no particle field changes and the report counts nothing
+    ParticleSetD ps;
+    SedovConfig<double> ic;
+    ic.nSide   = 6;
+    auto setup = makeSedov(ps, ic);
+    SimulationConfig<double> cfg;
+    cfg.selfGravity = true;
+    const ParticleSetD before = ps;
+
+    Kernel<double> kernel(cfg.kernel, cfg.sincExponent);
+    LaneKernel<double> lanes(kernel);
+    Eos<double> eos(setup.eos);
+    Octree<double> tree;
+    NeighborList<double> nl(ps.size(), cfg.ngmax);
+    PhaseBuffers<double> buffers;
+    GravitySolver<double> gravity;
+    StepReport<double> rep;
+    StepContext<double> ctx{ps, setup.box, cfg, kernel, lanes, eos, tree, nl, buffers, rep};
+    ctx.gravity  = &gravity;
+    ctx.walkMode = WalkMode::Subset;
+    PipelineFactory<double>::singleRank(cfg).run(ctx);
+
+    EXPECT_EQ(tree.particleCount(), ps.size());
+    const auto fields = ps.realFields();
+    const auto ref    = before.realFields();
+    for (std::size_t f = 0; f < fields.size(); ++f)
+        EXPECT_EQ(*fields[f], *ref[f]) << ParticleSetD::realFieldNames()[f];
+    EXPECT_EQ(ps.id, before.id);
+    EXPECT_EQ(ps.nc, before.nc);
+    EXPECT_EQ(rep.activeParticles, 0u);
+    EXPECT_EQ(rep.neighborInteractions, 0u);
+    EXPECT_EQ(rep.neighborOverflow, 0u);
+    EXPECT_EQ(rep.hIterations, 0u);
+}
+
 TEST(Propagator, SymmetrizePhaseReportsWorkerBusyTime)
 {
     // phase D runs through parallelFor under its LoopPolicy, so a Global
@@ -299,10 +371,12 @@ TEST(Propagator, SingleRankAndOneRankDistributedAreBitwiseIdentical)
     // bitwise only if the reorder changes no summation order
     auto patch = makePatch();
     SimulationConfig<double> cfg = patchConfig();
-    cfg.symmetrizeNeighbors = false; // the distributed driver can't (halo pairs)
 
+    // phase D off: the distributed driver can't bucket missing pairs (halo
+    // pairs)
     Simulation<double> shared(patch.ps, patch.setup.box, Eos<double>(patch.setup.eos),
                               cfg);
+    shared.setPipeline(withoutMissingPairs(shared.pipeline()));
     DistributedSimulation<double> dist(patch.ps, patch.setup.box,
                                        Eos<double>(patch.setup.eos), cfg, 1);
 
@@ -357,6 +431,7 @@ TEST(Propagator, SingleRankAndOneRankDistributedAreBitwiseIdentical)
     cfg.timestep.initialDt = 2.5e-4;
     Simulation<double> sharedA(patch.ps, patch.setup.box, Eos<double>(patch.setup.eos),
                                cfg);
+    sharedA.setPipeline(withoutMissingPairs(sharedA.pipeline()));
     DistributedSimulation<double> distA(patch.ps, patch.setup.box,
                                         Eos<double>(patch.setup.eos), cfg, 1);
     sharedA.computeForces();
@@ -399,11 +474,11 @@ TEST(Propagator, DistributedRanksReportTheirListHealth)
     // both, as in the bitwise test above)
     auto patch = makePatch();
     SimulationConfig<double> cfg = patchConfig();
-    cfg.symmetrizeNeighbors = false;
-    cfg.ngmax               = 48;
+    cfg.ngmax = 48;
 
     Simulation<double> shared(patch.ps, patch.setup.box, Eos<double>(patch.setup.eos),
                               cfg);
+    shared.setPipeline(withoutMissingPairs(shared.pipeline()));
     DistributedSimulation<double> one(patch.ps, patch.setup.box,
                                       Eos<double>(patch.setup.eos), cfg, 1);
     DistributedSimulation<double> two(patch.ps, patch.setup.box,

@@ -361,7 +361,6 @@ TEST(CodeProfiles, SphexaProfileUnionFeatures)
     auto p = sphexaProfile<double>();
     EXPECT_EQ(p.kernelDesc, "Sinc, M4 spline, Wendland");
     EXPECT_EQ(p.gradientsDesc, "IAD, Kernel derivatives");
-    EXPECT_TRUE(p.config.parallelTreeBuild);
     EXPECT_EQ(p.loadBalancing, LoadBalancingStrategy::DlbSelfScheduling);
 }
 

@@ -381,52 +381,6 @@ TEST(Octree, EmptyAndSingle)
     EXPECT_EQ(tree.node(0).count, 1u);
 }
 
-TEST(Octree, ParallelBuildEquivalent)
-{
-    auto c = randomCloud(20000, 99);
-    Box<double> box{{0, 0, 0}, {1, 1, 1}};
-
-    for (SfcCurve curve : {SfcCurve::Morton, SfcCurve::Hilbert})
-    {
-        SCOPED_TRACE(curve == SfcCurve::Morton ? "Morton" : "Hilbert");
-        Octree<double> seq, par;
-        Octree<double>::BuildParams ps;
-        ps.curve         = curve;
-        ps.parallelBuild = false;
-        seq.build(c.x, c.y, c.z, box, ps);
-        ps.parallelBuild = true;
-        par.build(c.x, c.y, c.z, box, ps);
-
-        // the same node array, field by field
-        EXPECT_EQ(seq.order(), par.order());
-        ASSERT_EQ(seq.nodeCount(), par.nodeCount());
-        ASSERT_GT(seq.nodeCount(), 64u);
-        for (std::size_t k = 0; k < seq.nodeCount(); ++k)
-        {
-            const auto& a = seq.nodes()[k];
-            const auto& b = par.nodes()[k];
-            ASSERT_EQ(a.first, b.first) << k;
-            ASSERT_EQ(a.count, b.count) << k;
-            ASSERT_EQ(a.child, b.child) << k;
-            ASSERT_EQ(a.nChildren, b.nChildren) << k;
-            ASSERT_EQ(a.depth, b.depth) << k;
-            for (std::size_t d = 0; d < 3; ++d)
-            {
-                ASSERT_EQ(a.lo[d], b.lo[d]) << k;
-                ASSERT_EQ(a.hi[d], b.hi[d]) << k;
-            }
-        }
-        // neighbor searches must agree
-        NeighborList<double> nlSeq(c.x.size(), 64), nlPar(c.x.size(), 64);
-        oracle::findNeighborsGlobal(seq, c.x, c.y, c.z, c.h, nlSeq);
-        oracle::findNeighborsGlobal(par, c.x, c.y, c.z, c.h, nlPar);
-        for (std::size_t i = 0; i < c.x.size(); ++i)
-        {
-            ASSERT_EQ(nlSeq.count(i), nlPar.count(i)) << i;
-        }
-    }
-}
-
 // --- neighbor search equivalence (property test) ----------------------------
 
 namespace {
