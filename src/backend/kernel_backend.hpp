@@ -23,8 +23,9 @@
 /// with the one closedFormShape of sph/kernels.hpp, bitwise alike.
 ///
 /// The selection is a SimulationConfig field plumbed by the drivers through
-/// StepContext into the PipelineFactory phase ops; standalone callers of
-/// computeDensity & friends that pass no ComputeBackend get Scalar.
+/// StepContext into the phase ops of forcePipeline (core/propagator.hpp);
+/// standalone callers of computeDensity & friends that pass no
+/// ComputeBackend get Scalar.
 
 #include <cstddef>
 #include <span>

@@ -13,13 +13,14 @@
 /// simulated absolute per-step times to the paper's measurements (each
 /// profile's costScale* comment derives its ratio from Figs. 1-3; each
 /// bench/bench_fig*.cpp passes its curve's 12-core anchor to
-/// runScalingCurve, which hands it to normalizeToAnchor).
+/// runScalingCurve, which hands it to normalizeToAnchor). A preset's op list
+/// is forcePipeline(profile.config) (core/propagator.hpp), the one either
+/// driver runs for that config.
 
 #include <string>
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/propagator.hpp"
 
 namespace sphexa {
 
@@ -255,15 +256,6 @@ template<class T>
 std::vector<CodeProfile<T>> parentProfiles()
 {
     return {sphynxProfile<T>(), changaProfile<T>(), sphflowProfile<T>()};
-}
-
-/// The shared-memory force pipeline a parent-code preset selects: the
-/// profile's SimulationConfig determines the phase list declaratively
-/// (hydro-only vs hydro+gravity; see core/propagator.hpp).
-template<class T>
-Propagator<T> pipelineFor(const CodeProfile<T>& profile)
-{
-    return PipelineFactory<T>::singleRank(profile.config);
 }
 
 } // namespace sphexa

@@ -42,11 +42,6 @@ enum class NeighborMode
     IndividualTreeWalk,
 };
 
-constexpr std::string_view neighborModeName(NeighborMode m)
-{
-    return m == NeighborMode::GlobalTreeWalk ? "Global Tree Walk" : "Individual Tree Walk";
-}
-
 /// Domain decomposition method (Tables 3 and 4). Slab1D is SPHYNX's
 /// "Straightforward" decomposition: contiguous slabs along one axis —
 /// simple, but with the worst surface-to-volume ratio of the three.
@@ -56,18 +51,6 @@ enum class DecompositionMethod
     SpaceFillingCurve,
     Slab1D,
 };
-
-constexpr std::string_view decompositionName(DecompositionMethod m)
-{
-    switch (m)
-    {
-        case DecompositionMethod::OrthogonalRecursiveBisection:
-            return "Orthogonal Recursive Bisection";
-        case DecompositionMethod::SpaceFillingCurve: return "Space Filling Curve";
-        case DecompositionMethod::Slab1D: return "Straightforward (1D slabs)";
-    }
-    return "?";
-}
 
 /// Per-phase scheduling strategies for the ParallelFor hot loops (Table 4:
 /// "DLB with self-scheduling"): which self-scheduling rule each phase of
@@ -159,7 +142,7 @@ struct SimulationConfig
     /// default), the closure is an ideal gas (eosFromConfig).
     std::optional<TaitEos<T>> taitEos{};
     /// Solid-wall mirror-ghost boundaries: any wall adds phase K's ghost
-    /// bracket to the single-rank pipeline.
+    /// bracket to the force pipeline (the distributed driver rejects them).
     BoundaryConfig<T> boundaries{};
     /// Uniform body force (dam-break gravity): a nonzero value adds the
     /// body-force op after phase H's SPH accelerations.

@@ -5,31 +5,28 @@
 ///
 /// A phase of the paper's Fig. 4 timeline is a first-class named unit — a
 /// PhaseOp with a run(StepContext&) entry point — instead of a block of
-/// driver code. A pipeline is an ordered list of phases grouped into
-/// segments; segment boundaries carry the halo fields the distributed
-/// driver must refresh before the next segment may run (the cross-rank data
-/// dependencies of IAD, momentum and the Balsara limiter). The Propagator
-/// runs a pipeline and applies timing and the tracer's phase events
-/// uniformly — no call site hand-inserts Timer::lap(). It times each phase
-/// into the report the StepContext references, the record the phases write
-/// their counters into, so a pass has one record and nothing copies it.
+/// driver code. A pipeline is one ordered list of ops; an op also names the
+/// ghost fields a distributed rank must refresh after it, before the next
+/// op may read them (the cross-rank data dependencies of IAD, momentum and
+/// the Balsara limiter: phases E, F and G). The Propagator runs the list and
+/// applies timing and the tracer's phase events uniformly through runOp —
+/// no call site hand-inserts Timer::lap(). It times each phase into the
+/// report the StepContext references, the record the phases write their
+/// counters into, so a pass has one record and nothing copies it.
 ///
-/// Both drivers execute these same units:
-///  - Simulation (core/simulation.hpp) runs the full pipeline in one
-///    address space, ignoring the sync specs;
-///  - DistributedSimulation (domain/distributed.hpp) runs each segment once
-///    per rank and performs the halo refresh named at the boundary.
+/// Both drivers execute the one list forcePipeline(cfg) builds:
+///  - Simulation (core/simulation.hpp) runs it over its one context and
+///    ignores the halo fields;
+///  - DistributedSimulation (domain/distributed.hpp) runs op k on every
+///    rank, then refreshes the ghost fields op k names.
 ///
-/// PipelineFactory assembles pipelines declaratively from a
-/// SimulationConfig — and therefore from the Table 1/3 parent-code presets
-/// of core/code_profiles.hpp. The single-rank list is built in one place
-/// from the config facts each optional op needs: walls add phase K's ghost
-/// bracket, a nonzero body force its op after phase H, and selfGravity
-/// phase I; custom() accepts any op list for bespoke scenarios.
+/// forcePipeline builds the list from the config facts each optional op
+/// needs: walls add phase K's ghost bracket, a nonzero body force its op
+/// after phase H, and selfGravity phase I. Any other op list is a
+/// Propagator(ops) of its own.
 
 #include <algorithm>
 #include <functional>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,21 +42,14 @@
 
 namespace sphexa {
 
-/// A named, first-class unit of work: one lettered phase of Algorithm 1.
+/// A named, first-class unit of work: one lettered phase of Algorithm 1,
+/// plus the ghost fields a distributed rank refreshes after it (empty for
+/// all but phases E, F and G; the shared-memory driver ignores them).
 template<class T>
 struct PhaseOp
 {
     Phase phase;
     std::function<void(StepContext<T>&)> run;
-};
-
-/// A run of consecutive phases with no cross-rank data dependency inside,
-/// plus the ghost fields that must be refreshed before the next segment
-/// (empty for the shared-memory driver and for the final segment).
-template<class T>
-struct PipelineSegment
-{
-    std::vector<PhaseOp<T>> ops;
     std::vector<std::string> haloFieldsAfter{};
 };
 
@@ -70,57 +60,54 @@ template<class T>
 class Propagator
 {
 public:
-    Propagator() = default;
-    explicit Propagator(std::vector<PipelineSegment<T>> segments)
-        : segments_(std::move(segments))
+    explicit Propagator(std::vector<PhaseOp<T>> ops)
+        : ops_(std::move(ops))
     {
     }
 
-    const std::vector<PipelineSegment<T>>& segments() const { return segments_; }
+    const std::vector<PhaseOp<T>>& ops() const { return ops_; }
 
-    /// Flattened phase order across all segments.
+    /// The phase of every op, in run order.
     std::vector<Phase> phases() const
     {
         std::vector<Phase> out;
-        for (const auto& seg : segments_)
-            for (const auto& op : seg.ops)
-                out.push_back(op.phase);
+        for (const auto& op : ops_)
+            out.push_back(op.phase);
         return out;
     }
 
     bool hasPhase(Phase p) const
     {
-        for (const auto& seg : segments_)
-            for (const auto& op : seg.ops)
-                if (op.phase == p) return true;
-        return false;
+        return std::any_of(ops_.begin(), ops_.end(),
+                           [p](const PhaseOp<T>& op) { return op.phase == p; });
     }
 
-    /// Execute one segment for one rank; the distributed driver interleaves
-    /// these with the halo refreshes named in haloFieldsAfter.
-    void runSegment(std::size_t segment, StepContext<T>& ctx, PhaseEventLog* log = nullptr,
-                    int rank = 0) const
+    /// Run op \p k over \p ctx and time it: the seconds since \p clock's
+    /// last lap go into the context's report and, when \p log is given,
+    /// into one PhaseEvent of \p rank. The distributed driver calls it for
+    /// op k on every rank before it refreshes the op's halo fields.
+    void runOp(std::size_t k, StepContext<T>& ctx, Timer& clock, PhaseEventLog* log,
+               int rank = 0) const
     {
-        Timer t;
-        for (const auto& op : segments_[segment].ops)
-        {
-            op.run(ctx);
-            double sec = t.lap();
-            ctx.report.phaseSeconds[int(op.phase)] += sec;
-            if (log) log->record(rank, op.phase, sec);
-        }
+        const auto& op = ops_[k];
+        op.run(ctx);
+        double sec = clock.lap();
+        ctx.report.phaseSeconds[int(op.phase)] += sec;
+        if (log) log->record(rank, op.phase, sec);
     }
 
-    /// Execute the whole pipeline in one address space (shared-memory
-    /// driver): sync specs are no-ops.
-    void run(StepContext<T>& ctx, PhaseEventLog* log = nullptr, int rank = 0) const
+    /// Run every op in one address space (the shared-memory driver): one
+    /// lap chain, so the phase seconds tile the pass; halo fields are
+    /// ignored.
+    void run(StepContext<T>& ctx, PhaseEventLog* log = nullptr) const
     {
-        for (std::size_t s = 0; s < segments_.size(); ++s)
-            runSegment(s, ctx, log, rank);
+        Timer clock;
+        for (std::size_t k = 0; k < ops_.size(); ++k)
+            runOp(k, ctx, clock, log);
     }
 
 private:
-    std::vector<PipelineSegment<T>> segments_;
+    std::vector<PhaseOp<T>> ops_;
 };
 
 /// The phase units themselves. Each body is mode-aware through the
@@ -133,12 +120,12 @@ namespace phase_ops {
 /// SFC particle reorder (phase L, tree/sfc_sort.hpp): physically sort the
 /// set along the configured curve so every downstream sweep is cache-local
 /// and the cluster search's fixed-size runs of consecutive particles are
-/// spatially tight. Placed FIRST in the pipelines that carry it — before
-/// the wall ghost bracket (ghosts never move) and before the tree build
-/// (every list is rebuilt over the new order). Runs on every Global walk
-/// and only there: a binned Subset step reuses neighbor lists whose
-/// entries reference pre-reorder slots, and the distributed driver orders
-/// particles in its decomposition glue instead.
+/// spatially tight. Placed FIRST in the list — before the wall ghost
+/// bracket (ghosts never move) and before the tree build (every list is
+/// rebuilt over the new order). Runs on every Global walk and only there:
+/// a binned Subset step reuses neighbor lists whose entries reference
+/// pre-reorder slots, and a distributed rank's owned particles are followed
+/// by ghosts whose slots its halo map names.
 template<class T>
 PhaseOp<T> sfcReorder()
 {
@@ -150,7 +137,7 @@ PhaseOp<T> sfcReorder()
 
 /// Octree build (phase A) over every particle the walk's set holds, ghosts
 /// included. It runs on every walk: a distributed rank that owns nothing
-/// builds its tree over its ghosts alone, or an empty one.
+/// receives no ghosts, so it builds an empty tree.
 template<class T>
 PhaseOp<T> treeBuild()
 {
@@ -257,7 +244,9 @@ PhaseOp<T> density()
                                             ctx.cfg.veExponent, vePol);
                 computeDensity(ctx.ps, ctx.nl, ctx.kernel, ctx.box, ctx.activeSpan(), pol,
                                ctx.computeBackend());
-            }};
+            },
+            // phases F..H read their neighbors' h and density-pass outputs
+            {"h", "rho", "vol", "gradh", "xmass"}};
 }
 
 template<class T>
@@ -288,7 +277,9 @@ PhaseOp<T> eosAndIad()
                     computeIadCoefficients(ps, ctx.nl, ctx.kernel, ctx.box, act, pol,
                                            ctx.computeBackend());
                 }
-            }};
+            },
+            // momentum reads its neighbors' EOS and IAD outputs
+            {"p", "c", "c11", "c12", "c13", "c22", "c23", "c33"}};
 }
 
 template<class T>
@@ -299,7 +290,10 @@ PhaseOp<T> divCurl()
                 computeDivCurl(ctx.ps, ctx.nl, ctx.kernel, ctx.box, ctx.cfg.gradients,
                                ctx.activeSpan(), ctx.loopPolicy(Phase::G_DivCurl),
                                ctx.computeBackend());
-            }};
+            },
+            // momentum reads its neighbors' Balsara limiter and velocity
+            // derivatives
+            {"balsara", "divv", "curlv"}};
 }
 
 template<class T>
@@ -321,7 +315,7 @@ template<class T>
 PhaseOp<T> selfGravity()
 {
     return {Phase::I_SelfGravity, [](StepContext<T>& ctx) {
-                if (!ctx.gravity) return; // distributed glue replicates instead
+                if (!ctx.gravity) return; // a rank: the driver replicates the solve
                 if (ctx.skipEmptyWalk()) return;
                 ctx.gravity->prepare(ctx.tree, ctx.ps, ctx.cfg.gravity);
                 // binned Subset steps accelerate the walked targets only;
@@ -337,7 +331,7 @@ PhaseOp<T> selfGravity()
 
 /// Wall ghost creation (phase K, before the tree build): mirror the reals
 /// across the configured walls and size the neighbor list for the enlarged
-/// set. The factory adds it only to configs with walls.
+/// set. forcePipeline adds it only to configs with walls.
 template<class T>
 PhaseOp<T> ghostCreate()
 {
@@ -361,7 +355,7 @@ PhaseOp<T> ghostRemove()
 }
 
 /// Uniform body force (dam-break gravity): added onto the SPH
-/// accelerations, so it shares phase H's timing slot. The factory adds it
+/// accelerations, so it shares phase H's timing slot. forcePipeline adds it
 /// only to configs with a nonzero body force.
 template<class T>
 PhaseOp<T> bodyForce()
@@ -382,66 +376,31 @@ PhaseOp<T> bodyForce()
 
 } // namespace phase_ops
 
-/// Assembles pipelines declaratively from a SimulationConfig (and therefore
-/// from the code_profiles.hpp presets).
+/// The force pipeline of a configuration, which both drivers run: phase
+/// L's SFC reorder, then A..H, each optional op added by the config fact it
+/// needs — walls bracket the force phases with phase K's mirror ghosts
+/// (create before the tree build, remove after the forces), a nonzero
+/// constantAccel adds the body force after phase H, and selfGravity adds
+/// phase I. Binned integration (the paper's Table 1/2 ChaNGa row) and a
+/// distributed rank run the same list; only the walk mode differs: on a
+/// Subset walk phase L does nothing, with the controller attached phase B
+/// fills and walks the controller's force set (see sph/timestep.hpp), C
+/// iterates h for the walked set and E..H(..I) evaluate it only, while
+/// inactive particles are merely drifted.
 template<class T>
-class PipelineFactory
+Propagator<T> forcePipeline(const SimulationConfig<T>& cfg)
 {
-public:
-    /// Shared-memory pipeline for a configuration: phase L's SFC reorder,
-    /// then A..H, each optional op added by the config fact it needs —
-    /// walls bracket the force phases with phase K's mirror ghosts (create
-    /// before the tree build, remove after the forces), a nonzero
-    /// constantAccel adds the body force after phase H, and selfGravity
-    /// adds phase I. Binned integration (the paper's Table 1/2 ChaNGa row)
-    /// runs the same list; only the driver's walk mode differs: on a Subset
-    /// walk with the controller attached phase B fills and walks the
-    /// controller's force set (see sph/timestep.hpp), C iterates h for it
-    /// and E..H(..I) evaluate the subset only, while inactive particles are
-    /// merely drifted.
-    static Propagator<T> singleRank(const SimulationConfig<T>& cfg)
-    {
-        const bool walls = cfg.boundaries.anyWall();
-        std::vector<PhaseOp<T>> ops{phase_ops::sfcReorder<T>()};
-        if (walls) ops.push_back(phase_ops::ghostCreate<T>());
-        ops.insert(ops.end(), {phase_ops::treeBuild<T>(), phase_ops::neighborSearch<T>(),
-                               phase_ops::smoothingLength<T>(),
-                               phase_ops::neighborSymmetrize<T>(), phase_ops::density<T>(),
-                               phase_ops::eosAndIad<T>(), phase_ops::divCurl<T>(),
-                               phase_ops::momentumEnergy<T>()});
-        if (hasBodyForce(cfg)) ops.push_back(phase_ops::bodyForce<T>());
-        if (cfg.selfGravity) ops.push_back(phase_ops::selfGravity<T>());
-        if (walls) ops.push_back(phase_ops::ghostRemove<T>());
-        return custom(std::move(ops));
-    }
-
-    /// Distributed per-rank pipeline for a configuration: the same phase
-    /// units grouped into segments, with the ghost fields each cross-rank
-    /// data dependency needs refreshed at the boundaries (IAD reads the
-    /// neighbors' density-pass volumes, momentum their EOS + IAD outputs,
-    /// the AV limiter their Balsara value). Self-gravity is not a per-rank
-    /// phase: the driver replicates the tree in its reduction glue.
-    static Propagator<T> distributed(const SimulationConfig<T>&)
-    {
-        std::vector<PipelineSegment<T>> segs;
-        segs.push_back({{phase_ops::treeBuild<T>(), phase_ops::neighborSearch<T>(),
-                         phase_ops::smoothingLength<T>(),
-                         phase_ops::neighborSymmetrize<T>(), phase_ops::density<T>()},
-                        {"h", "rho", "vol", "gradh", "xmass"}});
-        segs.push_back({{phase_ops::eosAndIad<T>()},
-                        {"p", "c", "c11", "c12", "c13", "c22", "c23", "c33"}});
-        segs.push_back({{phase_ops::divCurl<T>()}, {"balsara", "divv", "curlv"}});
-        segs.push_back({{phase_ops::momentumEnergy<T>()}, {}});
-        return Propagator<T>(std::move(segs));
-    }
-
-    /// A bespoke single-segment pipeline from any op list.
-    static Propagator<T> custom(std::vector<PhaseOp<T>> ops)
-    {
-        std::vector<PipelineSegment<T>> segs;
-        segs.push_back({std::move(ops), {}});
-        return Propagator<T>(std::move(segs));
-    }
-};
+    const bool walls = cfg.boundaries.anyWall();
+    std::vector<PhaseOp<T>> ops{phase_ops::sfcReorder<T>()};
+    if (walls) ops.push_back(phase_ops::ghostCreate<T>());
+    ops.insert(ops.end(), {phase_ops::treeBuild<T>(), phase_ops::neighborSearch<T>(),
+                           phase_ops::smoothingLength<T>(), phase_ops::neighborSymmetrize<T>(),
+                           phase_ops::density<T>(), phase_ops::eosAndIad<T>(),
+                           phase_ops::divCurl<T>(), phase_ops::momentumEnergy<T>()});
+    if (hasBodyForce(cfg)) ops.push_back(phase_ops::bodyForce<T>());
+    if (cfg.selfGravity) ops.push_back(phase_ops::selfGravity<T>());
+    if (walls) ops.push_back(phase_ops::ghostRemove<T>());
+    return Propagator<T>(std::move(ops));
+}
 
 } // namespace sphexa

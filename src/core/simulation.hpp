@@ -14,10 +14,11 @@
 ///
 /// The phase letters match the Extrae timeline of Fig. 4; the pipeline
 /// runner times every phase uniformly and emits tracer events (attach a
-/// PhaseEventLog to capture them). The phase bodies themselves live in
-/// core/propagator.hpp and are shared with the distributed driver
-/// (domain/distributed.hpp), which runs them per rank over a decomposed
-/// domain. Phase J (time-step + kick-drift-kick) brackets the force
+/// PhaseEventLog to capture them). The op list is forcePipeline(cfg)
+/// (core/propagator.hpp), the one the distributed driver
+/// (domain/distributed.hpp) runs per rank over a decomposed domain; this
+/// driver runs it over its one context and ignores the ops' halo fields.
+/// Phase J (time-step + kick-drift-kick) brackets the force
 /// pipeline in the driver; its dt is the TimestepController's
 /// (sph/timestep.hpp), the rule the distributed driver commits too. A step
 /// has one StepReport: advance() creates it before phase J, whose loops
@@ -58,7 +59,7 @@ public:
         , laneKernel_(kernel_)
         , nl_(ps_.size(), cfg_.ngmax)
         , controller_(cfg_.timestep)
-        , pipeline_(PipelineFactory<T>::singleRank(cfg_))
+        , pipeline_(forcePipeline(cfg_))
     {
         if (ps_.empty()) throw std::invalid_argument("Simulation: empty particle set");
         checkSteppingRule(cfg_, "Simulation");
@@ -93,7 +94,7 @@ public:
     const AwfWeightStore& awfWeights() const { return buffers_.awf; }
 
     /// Replace the force pipeline (custom phase sequences; the default is
-    /// PipelineFactory::singleRank(config)). Forces must be recomputed.
+    /// forcePipeline(config)). Forces must be recomputed.
     void setPipeline(Propagator<T> pipeline)
     {
         pipeline_    = std::move(pipeline);
@@ -271,7 +272,7 @@ private:
         }
 
         if (log) log->beginStep(stepId);
-        pipeline_.run(ctx, log, /*rank*/ 0);
+        pipeline_.run(ctx, log);
 
         // keep the walked set: on a binned step this is the force/kick-end
         // set advance() closes right after this pass (empty on Global walks)

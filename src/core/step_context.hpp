@@ -72,10 +72,6 @@ struct StepReport
     /// loop under their LoopPolicy (the tree build).
     std::array<PhaseLoadStats, phaseCount> phaseLoad{};
 
-    /// POP load-balance efficiency of one phase: mean/max worker busy time
-    /// over the phase's ParallelFor executions (1.0 when unmeasured).
-    double phaseLoadBalance(Phase p) const { return phaseLoad[int(p)].loadBalance(); }
-
     double totalSeconds() const
     {
         double s = 0;

@@ -98,15 +98,6 @@ struct Box
         Vec3<T> l = lengths();
         return {(p.x - lo.x) / l.x, (p.y - lo.y) / l.y, (p.z - lo.z) / l.z};
     }
-
-    /// Grow the box on all sides by \p margin.
-    Box grown(T margin) const
-    {
-        Box b = *this;
-        b.lo -= Vec3<T>{margin, margin, margin};
-        b.hi += Vec3<T>{margin, margin, margin};
-        return b;
-    }
 };
 
 /// Compute the tight bounding box of a point cloud, optionally expanded by a

@@ -8,10 +8,11 @@
 /// code:
 ///   1. domain decomposition (ORB or SFC, Table 4) + particle migration
 ///   2. halo exchange with a 2 h_max margin
-///   3. per-rank Algorithm-1 phases A..H through the SAME phase units the
-///      shared-memory driver runs (core/propagator.hpp), segment by
-///      segment; the ghost-field refreshes between segments come from the
-///      pipeline's declarative halo-sync specs
+///   3. the op list the shared-memory driver runs (forcePipeline,
+///      core/propagator.hpp), op by op: op k on every rank, then a refresh
+///      of the ghost fields op k names (after phases E, F and G). Phase L
+///      does nothing on a rank's Subset walk and phase I nothing without
+///      the context's gravity solver, which a rank lacks
 ///   4. self-gravity via a replicated tree (positions/masses allgathered —
 ///      the communication is counted; see docs/DESIGN.md substitution notes)
 ///   5. phase J: every rank's dt candidates through the one
@@ -24,8 +25,8 @@
 /// phases write as they write Simulation's), the overflow warning and the
 /// per-rank phase buffers (PhaseBuffers) are the ones Simulation uses.
 /// Every rank walks its owned particles as a Subset walk; a rank that owns
-/// none still builds its tree (over the ghosts it holds) and runs no phase
-/// body after the search.
+/// none publishes no halo box, so it receives no ghosts, builds an empty
+/// tree and runs no phase body after the search.
 /// Per-rank phase wall times are recorded uniformly by the pipeline runner
 /// (attach a PhaseEventLog to trace them); they drive the POP metrics, the
 /// Fig. 4 trace, and the strong-scaling predictions of perf/cluster_sim.hpp.
@@ -85,12 +86,13 @@ struct DistributedStepReport
     }
 };
 
-/// Distributed-memory simulation over P simulated ranks. Runs the phases
-/// A..H (plus replicated gravity) at one global dt, Global or Adaptive,
-/// under any EOS. The constructor rejects (std::invalid_argument) what
-/// checkSteppingRule rejects for both drivers, walls and a body force,
-/// whose ops the distributed segments lack, and Individual time-stepping,
-/// whose bins need per-particle state across ranks.
+/// Distributed-memory simulation over P simulated ranks. Runs the config's
+/// force pipeline (plus replicated gravity) at one global dt, Global or
+/// Adaptive, under any EOS and body force. The constructor rejects
+/// (std::invalid_argument) what checkSteppingRule rejects for both drivers,
+/// walls, whose mirror ghosts a rank cannot place among its halo ghosts,
+/// and Individual time-stepping, whose bins need per-particle state across
+/// ranks.
 template<class T>
 class DistributedSimulation
 {
@@ -104,7 +106,7 @@ public:
         , kernel_(cfg_.kernel, cfg_.sincExponent)
         , laneKernel_(kernel_)
         , controller_(cfg_.timestep)
-        , pipeline_(PipelineFactory<T>::distributed(cfg_))
+        , pipeline_(forcePipeline(cfg_))
         , locals_(nRanks)
         , maps_(nRanks)
         , nLocal_(nRanks, 0)
@@ -112,9 +114,8 @@ public:
     {
         if (global.empty())
             throw std::invalid_argument("DistributedSimulation: empty particle set");
-        if (cfg_.boundaries.anyWall() || hasBodyForce(cfg_))
-            throw std::invalid_argument(
-                "DistributedSimulation: walls and body forces are not supported");
+        if (cfg_.boundaries.anyWall())
+            throw std::invalid_argument("DistributedSimulation: walls are not supported");
         checkSteppingRule(cfg_, "DistributedSimulation");
         if (cfg_.timestep.mode == TimesteppingMode::Individual)
             throw std::invalid_argument(
@@ -137,7 +138,8 @@ public:
 
     std::size_t localCount(int rank) const { return nLocal_[rank]; }
 
-    /// The per-rank force pipeline (phases A..H in halo-synced segments).
+    /// The force pipeline every rank runs: forcePipeline(config), the list
+    /// Simulation runs.
     const Propagator<T>& pipeline() const { return pipeline_; }
 
     /// Attach a tracer log: the pipeline runner emits one PhaseEvent per
@@ -241,7 +243,7 @@ private:
     /// Decomposition, migration, halo exchange and the per-rank force
     /// pipeline; leaves every rank with valid forces on its local particles
     /// (ghosts dropped). The phase bodies are the propagator's shared units;
-    /// this driver contributes only the glue between segments.
+    /// this driver contributes only the halo refreshes between ops.
     void computeAllForces(DistributedStepReport<T>& rep)
     {
         int P = comm_.size();
@@ -252,11 +254,10 @@ private:
         // 2. halo exchange with margin
         exchangeHalos(comm_, locals_, maps_, box_, haloMargin());
 
-        // 3. per-rank force pipeline (phases A..H). One StepContext per
-        // rank over the shared phase units, the rank's buffers and its
-        // report, walking the rank's owned particles; the halo-sync specs
-        // at segment boundaries name the ghost fields each cross-rank data
-        // dependency needs refreshed.
+        // 3. per-rank force pipeline. One StepContext per rank over the
+        // shared phase units, the rank's buffers and its report, walking
+        // the rank's owned particles; after op k ran on every rank, the
+        // ghost fields it names are refreshed.
         rankTree_.resize(P);
         rankNl_.resize(P);
         rankVsig_.assign(P, T(0));
@@ -274,18 +275,16 @@ private:
             std::iota(ctx.walkIndices.begin(), ctx.walkIndices.end(), std::size_t(0));
             rep.ranks[r].ghostParticles = locals_[r].size() - nLocal_[r];
         }
-        const auto& segments = pipeline_.segments();
-        for (std::size_t s = 0; s < segments.size(); ++s)
+        const auto& ops = pipeline_.ops();
+        for (std::size_t k = 0; k < ops.size(); ++k)
         {
             for (int r = 0; r < P; ++r)
             {
-                pipeline_.runSegment(s, ctxs[r], log_, r);
+                Timer clock;
+                pipeline_.runOp(k, ctxs[r], clock, log_, r);
             }
-            if (!segments[s].haloFieldsAfter.empty())
-            {
-                refreshHaloFields(comm_, locals_, maps_, segments[s].haloFieldsAfter,
-                                  nLocal_);
-            }
+            if (!ops[k].haloFieldsAfter.empty())
+                refreshHaloFields(comm_, locals_, maps_, ops[k].haloFieldsAfter, nLocal_);
         }
         std::size_t overflow = 0;
         for (int r = 0; r < P; ++r)
@@ -461,7 +460,7 @@ private:
     std::vector<HaloMap> maps_;
     std::vector<std::size_t> nLocal_;
 
-    // per-rank scratch between the phase segments
+    // per-rank scratch between the ops
     std::vector<Octree<T>> rankTree_;
     std::vector<NeighborList<T>> rankNl_;
     std::vector<T> rankVsig_;

@@ -10,7 +10,8 @@
 /// the AABB of its local particles expanded by the interaction margin
 /// (allgather), then each pair of ranks exchanges exactly the particles
 /// falling inside the other's expanded box (minimum-image aware for
-/// periodic axes). This is a superset of the exact halo — correct, with
+/// periodic axes). A rank that owns nothing publishes no box and is sent
+/// no particle. This is a superset of the exact halo — correct, with
 /// modest over-communication, matching what production SPH codes do with
 /// coarse halo descriptors.
 ///
@@ -19,6 +20,7 @@
 /// migration (domain/distributed.hpp).
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -119,20 +121,24 @@ void exchangeHalos(simmpi::Communicator& comm, std::vector<ParticleSet<T>>& loca
 {
     int P = comm.size();
 
-    // publish per-rank AABBs of local particles (allgather of 6 T's)
-    std::vector<Box<T>> rankBoxes(P);
+    // publish per-rank AABBs of local particles (allgather of 6 T's, none
+    // from a rank that owns nothing)
+    std::vector<std::optional<Box<T>>> rankBoxes(P);
     {
         std::vector<std::vector<T>> contributions(P);
         for (int r = 0; r < P; ++r)
         {
+            if (locals[r].empty()) continue;
             Box<T> b = computeBoundingBox<T>(locals[r].x, locals[r].y, locals[r].z, T(0));
             contributions[r] = {b.lo.x, b.lo.y, b.lo.z, b.hi.x, b.hi.y, b.hi.z};
         }
         auto flat = comm.allgatherv(contributions);
+        const T* at = flat.data();
         for (int r = 0; r < P; ++r)
         {
-            rankBoxes[r] = Box<T>{{flat[6 * r + 0], flat[6 * r + 1], flat[6 * r + 2]},
-                                  {flat[6 * r + 3], flat[6 * r + 4], flat[6 * r + 5]}};
+            if (contributions[r].empty()) continue;
+            rankBoxes[r] = Box<T>{{at[0], at[1], at[2]}, {at[3], at[4], at[5]}};
+            at += 6;
         }
     }
 
@@ -148,10 +154,10 @@ void exchangeHalos(simmpi::Communicator& comm, std::vector<ParticleSet<T>>& loca
             if (dst == src) continue;
             std::vector<std::uint32_t> picks;
             const auto& ps = locals[src];
-            for (std::size_t i = 0; i < ps.size(); ++i)
+            for (std::size_t i = 0; rankBoxes[dst] && i < ps.size(); ++i)
             {
                 Vec3<T> p{ps.x[i], ps.y[i], ps.z[i]};
-                if (inExpandedBox(p, rankBoxes[dst], margin, global))
+                if (inExpandedBox(p, *rankBoxes[dst], margin, global))
                 {
                     picks.push_back(std::uint32_t(i));
                 }

@@ -86,11 +86,6 @@ public:
         stats_.writeSeconds += t.elapsed();
     }
 
-    bool hasLevel(CheckpointLevel level) const
-    {
-        return level == CheckpointLevel::Memory ? hasMem_ : hasDisk_;
-    }
-
     /// Restore from the fastest valid level (L1 first, fall back to L2).
     /// Returns nullopt when no valid checkpoint exists at any level.
     std::optional<DeserializeResult<T>> restore()

@@ -101,12 +101,6 @@ struct SymMat3
         r.zz = (xx * yy - xy * xy) * inv;
         return r;
     }
-
-    /// Frobenius norm of the symmetric matrix.
-    T frobeniusNorm() const
-    {
-        return std::sqrt(xx * xx + yy * yy + zz * zz + T(2) * (xy * xy + xz * xz + yz * yz));
-    }
 };
 
 using SymMat3d = SymMat3<double>;

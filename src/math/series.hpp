@@ -59,7 +59,6 @@ public:
     T centerValue() const { return (*this)(L_ / 2, L_ / 2); }
 
     int terms() const { return terms_; }
-    T sideLength() const { return L_; }
 
 private:
     T rho_, omega_, L_;

@@ -61,14 +61,6 @@ T loadBalanceRatio(std::span<const T> v)
     return mx > T(0) ? mean(v) / mx : T(1);
 }
 
-/// Percent imbalance: (max/mean - 1) * 100.
-template<class T>
-T percentImbalance(std::span<const T> v)
-{
-    T m = mean(v);
-    return m > T(0) ? (maxValue(v) / m - T(1)) * T(100) : T(0);
-}
-
 /// p-th percentile (0..100) with linear interpolation; copies the input.
 template<class T>
 T percentile(std::span<const T> v, double p)

@@ -178,18 +178,6 @@ public:
 
     const Traffic& traffic(int rank) const { return traffic_[rank]; }
 
-    Traffic totalTraffic() const
-    {
-        Traffic t;
-        for (const auto& r : traffic_)
-        {
-            t.messagesSent += r.messagesSent;
-            t.bytesSent += r.bytesSent;
-            t.collectives += r.collectives;
-        }
-        return t;
-    }
-
     void resetTraffic()
     {
         for (auto& t : traffic_)

@@ -169,7 +169,6 @@ struct ScalingConfig
     double costScale = 1.0;       ///< per-code factor (CodeProfile)
     double activityFactor = 1.0;  ///< individual time-stepping work fraction
     bool serialTreeBuild = false; ///< SPHYNX v1.3.1: phase A not threaded
-    double collectivesPerStep = 4.0; ///< dt + conservation reductions
 };
 
 struct ScalingPoint
@@ -212,6 +211,7 @@ public:
 
         double speedup = sc.machine.threadSpeedup(threads);
         NetworkModel net(sc.machine.network);
+        constexpr double collectivesPerStep = 4.0; // dt + conservation reductions
 
         double maxCompute = 0, sumCompute = 0, maxComm = 0;
         for (int r = 0; r < probe.ranks; ++r)
@@ -239,7 +239,7 @@ public:
             double comm =
                 net.p2pBatch(probe.haloMessagesSent[r],
                              std::size_t(double(probe.haloBytesSent[r]) * scale)) +
-                sc.collectivesPerStep * net.allreduce(probe.ranks, sizeof(double));
+                collectivesPerStep * net.allreduce(probe.ranks, sizeof(double));
             maxComm = std::max(maxComm, comm);
         }
 

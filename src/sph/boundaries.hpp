@@ -24,7 +24,6 @@
 
 #include <array>
 #include <cstddef>
-#include <string_view>
 #include <vector>
 
 #include "domain/box.hpp"
@@ -38,11 +37,6 @@ enum class WallCondition
     FreeSlip, ///< normal velocity negated, tangential kept (inviscid wall)
     NoSlip,   ///< full velocity negated (viscous wall at rest)
 };
-
-constexpr std::string_view wallConditionName(WallCondition c)
-{
-    return c == WallCondition::FreeSlip ? "free-slip" : "no-slip";
-}
 
 /// Which faces of the global box are solid walls, and how ghosts mirror
 /// across them. Part of SimulationConfig; all-false (the default) keeps

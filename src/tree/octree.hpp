@@ -133,14 +133,6 @@ public:
 
     const Box<T>& box() const { return box_; }
 
-    std::size_t leafCount() const
-    {
-        std::size_t c = 0;
-        for (const auto& nd : nodes_)
-            if (nd.nChildren == 0) ++c;
-        return c;
-    }
-
     int depth() const
     {
         std::uint8_t d = 0;

@@ -28,27 +28,24 @@ inline Propagator<double> variantOf(const Propagator<double>& pipeline, bool reo
                                     bool perParticleWalk)
 {
     std::vector<PhaseOp<double>> ops;
-    for (const auto& seg : pipeline.segments())
+    for (const auto& op : pipeline.ops())
     {
-        for (const auto& op : seg.ops)
+        if (op.phase == Phase::L_SfcSort && !reorder) continue;
+        if (op.phase == Phase::B_NeighborSearch && perParticleWalk)
         {
-            if (op.phase == Phase::L_SfcSort && !reorder) continue;
-            if (op.phase == Phase::B_NeighborSearch && perParticleWalk)
-            {
-                ops.push_back({Phase::B_NeighborSearch, [](StepContext<double>& ctx) {
-                                   auto& ps = ctx.ps;
-                                   ctx.nl.resetOverflow();
-                                   oracle::findNeighborsGlobal(
-                                       ctx.tree, ps.x, ps.y, ps.z, ps.h, ctx.nl,
-                                       ctx.loopPolicy(Phase::B_NeighborSearch));
-                                   ctx.report.activeParticles = ps.size();
-                               }});
-                continue;
-            }
-            ops.push_back(op);
+            ops.push_back({Phase::B_NeighborSearch, [](StepContext<double>& ctx) {
+                               auto& ps = ctx.ps;
+                               ctx.nl.resetOverflow();
+                               oracle::findNeighborsGlobal(
+                                   ctx.tree, ps.x, ps.y, ps.z, ps.h, ctx.nl,
+                                   ctx.loopPolicy(Phase::B_NeighborSearch));
+                               ctx.report.activeParticles = ps.size();
+                           }});
+            continue;
         }
+        ops.push_back(op);
     }
-    return PipelineFactory<double>::custom(std::move(ops));
+    return Propagator<double>(std::move(ops));
 }
 
 /// \p pipeline's op list with phase D reduced to its two counters,
@@ -58,22 +55,19 @@ inline Propagator<double> variantOf(const Propagator<double>& pipeline, bool reo
 inline Propagator<double> withoutMissingPairs(const Propagator<double>& pipeline)
 {
     std::vector<PhaseOp<double>> ops;
-    for (const auto& seg : pipeline.segments())
+    for (const auto& op : pipeline.ops())
     {
-        for (const auto& op : seg.ops)
+        if (op.phase != Phase::D_NeighborSymmetrize)
         {
-            if (op.phase != Phase::D_NeighborSymmetrize)
-            {
-                ops.push_back(op);
-                continue;
-            }
-            ops.push_back({Phase::D_NeighborSymmetrize, [](StepContext<double>& ctx) {
-                               ctx.report.neighborOverflow     = ctx.nl.overflowCount();
-                               ctx.report.neighborInteractions = ctx.nl.totalNeighbors();
-                           }});
+            ops.push_back(op);
+            continue;
         }
+        ops.push_back({Phase::D_NeighborSymmetrize, [](StepContext<double>& ctx) {
+                           ctx.report.neighborOverflow     = ctx.nl.overflowCount();
+                           ctx.report.neighborInteractions = ctx.nl.totalNeighbors();
+                       }});
     }
-    return PipelineFactory<double>::custom(std::move(ops));
+    return Propagator<double>(std::move(ops));
 }
 
 /// Bitwise the same particles after a join on id (storage orders may

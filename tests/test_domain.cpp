@@ -394,9 +394,10 @@ TEST_P(DistributedEquivalence, MatchesSharedMemoryDriver)
 
 TEST(Distributed, RanksThatOwnNothingChangeNothing)
 {
-    // 27 particles on 40 ranks leave 13 ranks owning nothing: each still
-    // builds its tree, runs no phase body after the search and reports no
-    // work, and the gathered state is bitwise the 8-rank run's
+    // 27 particles on 40 ranks leave 13 ranks owning nothing: each
+    // publishes no halo box, so it receives no ghosts, builds an empty tree,
+    // runs no phase body after the search and reports no work, and the
+    // gathered state is bitwise the 8-rank run's
     for (bool gravity : {false, true})
     {
         SCOPED_TRACE(gravity ? "self-gravity" : "hydro");
@@ -424,6 +425,7 @@ TEST(Distributed, RanksThatOwnNothingChangeNothing)
                     ++emptyRanks;
                     EXPECT_EQ(rep.ranks[r].neighborInteractions, 0u) << "rank " << r;
                     EXPECT_EQ(rep.ranks[r].activeParticles, 0u) << "rank " << r;
+                    EXPECT_EQ(rep.ranks[r].ghostParticles, 0u) << "rank " << r;
                 }
                 if (ranks == 40)
                 {
@@ -451,10 +453,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Distributed, RejectsConfigsItCannotRun)
 {
-    // the distributed assembly has no mirror ghosts or body force and no
-    // per-particle bins across ranks, and it holds configs to the stepping
-    // rule Simulation holds them to: such configs must throw, not run as
-    // something else
+    // a rank cannot place mirror ghosts among its halo ghosts nor keep
+    // per-particle bins across ranks, and the driver holds configs to the
+    // stepping rule Simulation holds them to: such configs must throw, not
+    // run as something else
     ParticleSetD ps;
     SquarePatchConfig<double> pc;
     pc.nx = pc.ny = 12;
@@ -466,10 +468,12 @@ TEST(Distributed, RejectsConfigsItCannotRun)
     walls.boundaries.wallLo[1] = true;
     EXPECT_THROW(DistributedSimulation<double>(ps, setup.box, eos, walls, 2),
                  std::invalid_argument);
+    // a body force is an op of the list every rank runs
     SimulationConfig<double> bodyForce;
     bodyForce.constantAccel = {0.0, -1.0, 0.0};
-    EXPECT_THROW(DistributedSimulation<double>(ps, setup.box, eos, bodyForce, 2),
-                 std::invalid_argument);
+    DistributedSimulation<double> falling(ps, setup.box, eos, bodyForce, 2);
+    EXPECT_GT(falling.advance().dt, 0.0);
+    EXPECT_EQ(falling.step(), 1u);
 
     SimulationConfig<double> individual;
     individual.timestep.mode = TimesteppingMode::Individual;

@@ -1,6 +1,7 @@
-/// Tests of the phase-pipeline ("Propagator") layer: factory-assembled
-/// phase ordering against the Fig. 4 A..J sequence, declarative gravity
-/// selection, runner-emitted timing accounting, custom pipelines, and the
+/// Tests of the phase-pipeline ("Propagator") layer: the config-built
+/// phase order against the Fig. 4 A..J sequence, declarative gravity
+/// selection, the one list both drivers run and the halo fields on its
+/// ops, runner-emitted timing accounting, custom pipelines, and the
 /// strongest equivalence guarantee the shared phase units give us — the
 /// single-rank and 1-rank-distributed drivers producing bitwise-identical
 /// particle state.
@@ -54,11 +55,11 @@ SimulationConfig<double> patchConfig()
 
 // --- pipeline assembly -------------------------------------------------------------
 
-TEST(PipelineFactory, PhaseOrderMatchesFig4Sequence)
+TEST(ForcePipeline, PhaseOrderMatchesFig4Sequence)
 {
     SimulationConfig<double> cfg;
     cfg.selfGravity = true;
-    auto phases = PipelineFactory<double>::singleRank(cfg).phases();
+    auto phases = forcePipeline(cfg).phases();
 
     // the full hydro+gravity force pipeline is the L sfc-sort op (run on
     // every Global walk, a no-op on a binned step's Subset walks)
@@ -72,19 +73,19 @@ TEST(PipelineFactory, PhaseOrderMatchesFig4Sequence)
     }
 }
 
-TEST(PipelineFactory, GravityPhaseSkippedWithoutSelfGravity)
+TEST(ForcePipeline, GravityPhaseSkippedWithoutSelfGravity)
 {
     SimulationConfig<double> cfg;
     cfg.selfGravity = false;
-    auto pipeline = PipelineFactory<double>::singleRank(cfg);
+    auto pipeline = forcePipeline(cfg);
     EXPECT_FALSE(pipeline.hasPhase(Phase::I_SelfGravity));
     EXPECT_EQ(pipeline.phases().size(), 9u); // L + A..H
 
     cfg.selfGravity = true;
-    EXPECT_TRUE(PipelineFactory<double>::singleRank(cfg).hasPhase(Phase::I_SelfGravity));
+    EXPECT_TRUE(forcePipeline(cfg).hasPhase(Phase::I_SelfGravity));
 }
 
-TEST(PipelineFactory, WallsAndBodyForceAddTheirOps)
+TEST(ForcePipeline, WallsAndBodyForceAddTheirOps)
 {
     // walls bracket the force phases with phase K (create after phase L,
     // remove last) and a nonzero body force follows phase H in H's slot
@@ -98,44 +99,52 @@ TEST(PipelineFactory, WallsAndBodyForceAddTheirOps)
                                 P::E_Density,          P::F_EosAndIad,
                                 P::G_DivCurl,          P::H_MomentumEnergy,
                                 P::H_MomentumEnergy,   P::K_GhostExchange};
-    EXPECT_EQ(PipelineFactory<double>::singleRank(cfg).phases(), expected);
+    EXPECT_EQ(forcePipeline(cfg).phases(), expected);
 
     cfg.selfGravity = true;
     expected.insert(expected.end() - 1, P::I_SelfGravity);
-    EXPECT_EQ(PipelineFactory<double>::singleRank(cfg).phases(), expected);
+    EXPECT_EQ(forcePipeline(cfg).phases(), expected);
 }
 
-TEST(PipelineFactory, DistributedSegmentsCoverAtoHWithHaloSyncs)
+TEST(ForcePipeline, BothDriversRunOneListAndOnlyEFGNameHaloFields)
 {
-    SimulationConfig<double> cfg;
-    auto pipeline = PipelineFactory<double>::distributed(cfg);
-    auto phases   = pipeline.phases();
-
-    ASSERT_EQ(phases.size(), 8u); // A..H; gravity is reduction glue
-    for (std::size_t k = 0; k < phases.size(); ++k)
+    // the distributed driver runs the list Simulation runs, for a plain
+    // config, a self-gravity config and a body-force config; only the ops
+    // of phases E, F and G name the ghost fields a rank refreshes after them
+    auto patch = makePatch(8, 4);
+    Eos<double> eos(patch.setup.eos);
+    SimulationConfig<double> gravity = patchConfig();
+    gravity.selfGravity              = true;
+    SimulationConfig<double> falling = patchConfig();
+    falling.constantAccel            = {0.0, -1.0, 0.0};
+    for (const auto& cfg : {patchConfig(), gravity, falling})
     {
-        EXPECT_EQ(int(phases[k]), int(k));
+        Simulation<double> shared(patch.ps, patch.setup.box, eos, cfg);
+        DistributedSimulation<double> dist(patch.ps, patch.setup.box, eos, cfg, 2);
+        EXPECT_EQ(dist.pipeline().phases(), shared.pipeline().phases());
+        EXPECT_EQ(dist.pipeline().hasPhase(Phase::I_SelfGravity), cfg.selfGravity);
+
+        std::vector<Phase> named;
+        for (const auto& op : dist.pipeline().ops())
+            if (!op.haloFieldsAfter.empty()) named.push_back(op.phase);
+        EXPECT_EQ(named, (std::vector<Phase>{Phase::E_Density, Phase::F_EosAndIad,
+                                             Phase::G_DivCurl}));
     }
-    // cross-rank data dependencies are declared at the segment boundaries
-    const auto& segs = pipeline.segments();
-    ASSERT_GE(segs.size(), 2u);
-    EXPECT_FALSE(segs.front().haloFieldsAfter.empty());
-    EXPECT_TRUE(segs.back().haloFieldsAfter.empty());
 }
 
-TEST(PipelineFactory, ProfilesSelectPipelineDeclaratively)
+TEST(ForcePipeline, ProfilesSelectPipelineDeclaratively)
 {
     // parent-code presets select their pipeline from their config alone
     for (const auto& profile : parentProfiles<double>())
     {
-        auto pipeline = pipelineFor(profile);
+        auto pipeline = forcePipeline(profile.config);
         EXPECT_EQ(pipeline.hasPhase(Phase::I_SelfGravity), profile.config.selfGravity)
             << profile.name;
     }
     // an Evrard-style run (gravity on) upgrades to the A..I pipeline
     auto evrard = sphexaProfile<double>();
     evrard.config.selfGravity = true;
-    EXPECT_TRUE(pipelineFor(evrard).hasPhase(Phase::I_SelfGravity));
+    EXPECT_TRUE(forcePipeline(evrard.config).hasPhase(Phase::I_SelfGravity));
 }
 
 // --- runner accounting -------------------------------------------------------------
@@ -251,7 +260,7 @@ TEST(Propagator, EmptySubsetPassRunsNoPhaseBody)
     StepContext<double> ctx{ps, setup.box, cfg, kernel, lanes, eos, tree, nl, buffers, rep};
     ctx.gravity  = &gravity;
     ctx.walkMode = WalkMode::Subset;
-    PipelineFactory<double>::singleRank(cfg).run(ctx);
+    forcePipeline(cfg).run(ctx);
 
     EXPECT_EQ(tree.particleCount(), ps.size());
     const auto fields = ps.realFields();
@@ -324,7 +333,7 @@ TEST(Propagator, CustomPipelineRunsSelectedPhasesOnly)
                            Eos<double>(patch.setup.eos), patchConfig());
 
     // a bespoke density-only pipeline: tree, neighbors, h, symmetrize, density
-    sim.setPipeline(PipelineFactory<double>::custom(
+    sim.setPipeline(Propagator<double>(
         {phase_ops::treeBuild<double>(), phase_ops::neighborSearch<double>(),
          phase_ops::smoothingLength<double>(), phase_ops::neighborSymmetrize<double>(),
          phase_ops::density<double>()}));
@@ -464,6 +473,37 @@ TEST(Propagator, SingleRankAndOneRankDistributedAreBitwiseIdentical)
         for (std::size_t i = 0; i < gA.size(); ++i)
             ASSERT_EQ((gA.*field)[i], (refA.*field)[refAById[i]]) << "Adaptive, id " << gA.id[i];
     }
+
+    // body-force leg: both drivers add the body-force op after phase H
+    SimulationConfig<double> falling = patchConfig();
+    falling.constantAccel            = {0.0, -1.0, 0.0};
+    Simulation<double> sharedF(patch.ps, patch.setup.box, Eos<double>(patch.setup.eos),
+                               falling);
+    sharedF.setPipeline(withoutMissingPairs(sharedF.pipeline()));
+    DistributedSimulation<double> distF(patch.ps, patch.setup.box,
+                                        Eos<double>(patch.setup.eos), falling, 1);
+    sharedF.computeForces();
+    for (int s = 0; s < 5; ++s)
+    {
+        sharedF.advance();
+        distF.advance();
+    }
+    auto gF          = distF.gather();
+    const auto& refF = sharedF.particles();
+    auto refFById    = refF.idOrder();
+    ASSERT_EQ(gF.size(), refF.size());
+    EXPECT_LT(distF.conservation().momentum.y, 0.0);
+    for (std::size_t i = 0; i < gF.size(); ++i)
+        ASSERT_EQ(gF.id[i], refF.id[refFById[i]]);
+    for (auto field : {&ParticleSetD::x, &ParticleSetD::y, &ParticleSetD::z, &ParticleSetD::vx,
+                       &ParticleSetD::vy, &ParticleSetD::vz, &ParticleSetD::h,
+                       &ParticleSetD::rho, &ParticleSetD::u, &ParticleSetD::p,
+                       &ParticleSetD::c})
+    {
+        for (std::size_t i = 0; i < gF.size(); ++i)
+            ASSERT_EQ((gF.*field)[i], (refF.*field)[refFById[i]])
+                << "body force, id " << gF.id[i];
+    }
 }
 
 TEST(Propagator, DistributedRanksReportTheirListHealth)
@@ -568,7 +608,7 @@ TEST(Propagator, DistributedPhaseLogCoversAllRanks)
 TEST(Propagator, IdealGasConfigRunsItsWallsAndBodyForce)
 {
     // walls and a body force belong to the config, not to a closure: an
-    // ideal gas with them runs both
+    // ideal gas with them runs both, and both drivers run the body force
     const std::size_t side = 10;
     auto lattice           = [&](Box<double> box) {
         ParticleSetD ps;
@@ -604,4 +644,17 @@ TEST(Propagator, IdealGasConfigRunsItsWallsAndBodyForce)
     EXPECT_NEAR(c.momentum.y, impulse, 1e-9 * std::abs(impulse));
     EXPECT_NEAR(c.momentum.x, 0.0, 1e-9 * std::abs(impulse));
     EXPECT_NEAR(c.momentum.z, 0.0, 1e-9 * std::abs(impulse));
+
+    // the distributed driver runs the same list: two ranks leave the same
+    // impulse
+    DistributedSimulation<double> dist(lattice(box), box, gas, falling, 2);
+    auto drep = dist.advance();
+    auto dc   = dist.conservation();
+    impulse   = dc.mass * -2.0 * drep.dt;
+    ASSERT_GT(drep.dt, 0.0);
+    EXPECT_GT(dist.localCount(0), 0u);
+    EXPECT_GT(dist.localCount(1), 0u);
+    EXPECT_NEAR(dc.momentum.y, impulse, 1e-9 * std::abs(impulse));
+    EXPECT_NEAR(dc.momentum.x, 0.0, 1e-9 * std::abs(impulse));
+    EXPECT_NEAR(dc.momentum.z, 0.0, 1e-9 * std::abs(impulse));
 }

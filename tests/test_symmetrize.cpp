@@ -414,7 +414,7 @@ TEST(Symmetrize, PhaseDLeavesTheListsAsTheSearchLeftThem)
                                    s = {ctx.nl, ctx.nl.entryCapacity(), ctx.nl.deadEntries()};
                                }};
     };
-    sim.setPipeline(PipelineFactory<double>::custom(
+    sim.setPipeline(Propagator<double>(
         {phase_ops::sfcReorder<double>(), phase_ops::treeBuild<double>(),
          phase_ops::neighborSearch<double>(), phase_ops::smoothingLength<double>(),
          snapshot(searched), phase_ops::neighborSymmetrize<double>(), snapshot(afterD),
